@@ -23,6 +23,7 @@ from .errors import (
     DepthExceeded,
     IndexOutOfRange,
     LevelExceeded,
+    MalformedNumber,
     ModulusTooSmall,
     NotCoprime,
     OutOfRange,
@@ -35,7 +36,17 @@ def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an int, "p/q" string, or Fraction to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedNumber(f"not a rational number: {value!r}") from exc
+
+
+def _as_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise MalformedNumber(f"{what} {value!r} is not an integer") from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,6 +70,23 @@ class BaseSequence:
         ``level`` moduli)."""
         return self.products[level]
 
+    def index_of(self, digits: Sequence[int]) -> int:
+        """Mixed-radix index of a digit prefix, most significant digit first:
+        the prefix of length ``n`` has value ``index_of(prefix) / products[n]``."""
+        index = 0
+        for m, b in zip(self.moduli, digits):
+            index = index * m + b
+        return index
+
+    def digits_of(self, level: int, index: int) -> tuple[int, ...]:
+        """The length-``level`` prefix with the given index; inverse of
+        :meth:`index_of`.  Unchecked: ``index`` must lie in
+        ``[0, products[level])``."""
+        digits = [0] * level
+        for j in range(level - 1, -1, -1):
+            index, digits[j] = divmod(index, self.moduli[j])
+        return tuple(digits)
+
     def __str__(self) -> str:
         return ",".join(str(m) for m in self.moduli)
 
@@ -66,11 +94,12 @@ class BaseSequence:
 def make_base(moduli: Union[Sequence[int], str]) -> BaseSequence:
     """Build a BaseSequence, validating every modulus and pairwise coprimality.
 
-    Accepts a sequence of ints or a comma-separated string like ``"2,3,5"``.
+    Accepts a sequence of ints (or of integer strings) or a comma-separated
+    string like ``"2,3,5"``.
     """
     if isinstance(moduli, str):
-        moduli = [int(part) for part in moduli.split(",")]
-    mods = tuple(int(m) for m in moduli)
+        moduli = moduli.split(",")
+    mods = tuple(_as_int(m, "modulus") for m in moduli)
     if not mods:
         raise ModulusTooSmall("base sequence must be non-empty")
     for m in mods:
@@ -104,17 +133,11 @@ class DigitExpansion:
     @property
     def value(self) -> Fraction:
         """Exact value ``sum_j digits[j] / products[j+1]`` in ``[0, 1)``."""
-        num = 0
-        for b, m in zip(self.digits, self.base.moduli):
-            num = num * m + b
-        return Fraction(num, self.base.products[len(self.digits)])
+        return Fraction(self.base.index_of(self.digits), self.base.products[len(self.digits)])
 
     def prefix_index(self, level: int) -> int:
         """Index of the level-``level`` grid interval this expansion lies in."""
-        idx = 0
-        for j in range(level):
-            idx = idx * self.base.moduli[j] + self.digits[j]
-        return idx
+        return self.base.index_of(self.digits[:level])
 
     def replace_digit(self, position: int, digit: int) -> "DigitExpansion":
         digits = list(self.digits)
@@ -125,9 +148,15 @@ class DigitExpansion:
         return ",".join(str(b) for b in self.digits)
 
 
-def make_expansion(digits: Sequence[int], base: BaseSequence) -> DigitExpansion:
-    """Validated DigitExpansion constructor: each digit in its level's range."""
-    digs = tuple(int(b) for b in digits)
+def make_expansion(digits: Union[Sequence[int], str], base: BaseSequence) -> DigitExpansion:
+    """Validated DigitExpansion constructor: each digit in its level's range.
+
+    Accepts a sequence of ints (or of integer strings) or a comma-separated
+    string like ``"1,2,4"``.
+    """
+    if isinstance(digits, str):
+        digits = digits.split(",")
+    digs = tuple(_as_int(b, "digit") for b in digits)
     if len(digs) > base.depth:
         raise DepthExceeded(f"{len(digs)} digits but base has depth {base.depth}")
     for j, (b, m) in enumerate(zip(digs, base.moduli)):
@@ -227,10 +256,4 @@ def prefix_of_interval(level: int, index: int, base: BaseSequence) -> tuple[int,
     count = base.products[level]
     if not 0 <= index < count:
         raise IndexOutOfRange(f"index {index} not in [0, {count})")
-    digits = []
-    q = index
-    for j in range(level):
-        weight = count // base.products[j + 1]
-        b, q = divmod(q, weight)
-        digits.append(b)
-    return tuple(digits)
+    return base.digits_of(level, index)

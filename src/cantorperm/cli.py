@@ -10,13 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .base import BaseSequence, DigitExpansion, as_fraction, encode, make_base, make_expansion
-from .dynamics import OrbitSpec, apply_map, orbit_point, orbit_prefix
+from .dynamics import apply_map, make_orbit, orbit_point, orbit_prefix
 from .analysis import derivative_probe, difference_quotient, find_witness_descending
 from .density import density, intersect, parse_periodic_set
 from .equidist import SOURCES, membership_equivalence, ud_preservation_probe
@@ -32,27 +32,21 @@ def fmt_frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-@dataclass
-class Session:
-    base: BaseSequence
-    pv: PermutationVector
-    alpha_digits: DigitExpansion
-    depth: int
-
-    @property
-    def orbit_spec(self) -> OrbitSpec:
-        return OrbitSpec(self.alpha_digits, self.pv, self.depth)
+def frac_fields(name: str, f: Fraction) -> dict:
+    """``f`` as the two output fields ``<name>_num`` and ``<name>_den``."""
+    return {f"{name}_num": f.numerator, f"{name}_den": f.denominator}
 
 
-def build_session(args) -> Session:
-    moduli = [int(part) for part in args.bases.split(",")]
+def build_session(args) -> tuple[PermutationVector, DigitExpansion]:
+    """The permutation vector and the encoded ``--alpha`` seed.  Only the
+    first ``--depth`` moduli of ``--bases`` are parsed and validated."""
+    moduli = args.bases.split(",")
     depth = args.depth if args.depth is not None else len(moduli)
     if depth < 1 or depth > len(moduli):
         raise ValidationError(f"depth {depth} not in [1, {len(moduli)}]")
     base = make_base(moduli[:depth])
     pv = _build_perms(args.perms, base)
-    alpha_digits = encode(as_fraction(args.alpha), base, depth)
-    return Session(base=base, pv=pv, alpha_digits=alpha_digits, depth=depth)
+    return pv, encode(args.alpha, base, depth)
 
 
 def _build_perms(spec: str, base: BaseSequence) -> PermutationVector:
@@ -69,11 +63,20 @@ def _build_perms(spec: str, base: BaseSequence) -> PermutationVector:
     return parse_permutations("\n".join(lines[: base.depth]), base)
 
 
-def emit(args, table_lines, csv_lines, payload) -> None:
+def _cell(value) -> str:
+    return ";".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def emit(args, table_lines, rows, payload, header=None) -> None:
+    """Write the requested format: ``table_lines`` (any iterable) under the
+    version banner, ``rows`` as CSV with the first row's keys as header (or
+    ``header`` when there may be no rows), or ``payload`` as JSON."""
     if args.format == "table":
-        text = "\n".join([f"# cantorperm {__version__}"] + table_lines) + "\n"
+        text = "\n".join([f"# cantorperm {__version__}", *table_lines]) + "\n"
     elif args.format == "csv":
-        text = "\n".join(csv_lines) + "\n"
+        lines = [",".join(rows[0] if rows else header)]
+        lines += [",".join(_cell(v) for v in row.values()) for row in rows]
+        text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(payload, indent=2) + "\n"
     if args.out:
@@ -82,151 +85,95 @@ def emit(args, table_lines, csv_lines, payload) -> None:
         sys.stdout.write(text)
 
 
-def _digits_str(digits) -> str:
-    return ",".join(str(b) for b in digits)
-
-
 # --- subcommand handlers ---
 
 def cmd_expand(args) -> int:
-    session = build_session(args)
+    _, seed = build_session(args)
     value = as_fraction(args.value)
-    digits = encode(value, session.base, session.depth)
-    emit(
-        args,
-        table_lines=[_digits_str(digits.digits)],
-        csv_lines=[
-            "digits,value_num,value_den",
-            ";".join(str(b) for b in digits.digits)
-            + f",{value.numerator},{value.denominator}",
-        ],
-        payload={
-            "digits": list(digits.digits),
-            "value_num": value.numerator,
-            "value_den": value.denominator,
-        },
-    )
+    digits = encode(value, seed.base, seed.depth)
+    row = {"digits": list(digits.digits), **frac_fields("value", value)}
+    emit(args, [str(digits)], [row], row)
     return 0
 
 
 def cmd_decode(args) -> int:
-    session = build_session(args)
-    digits = make_expansion([int(d) for d in args.digits.split(",")], session.base)
-    value = digits.value
-    emit(
-        args,
-        table_lines=[fmt_frac(value)],
-        csv_lines=["value_num,value_den", f"{value.numerator},{value.denominator}"],
-        payload={"value_num": value.numerator, "value_den": value.denominator},
-    )
+    _, seed = build_session(args)
+    value = make_expansion(args.digits, seed.base).value
+    row = frac_fields("value", value)
+    emit(args, [fmt_frac(value)], [row], row)
     return 0
 
 
 def cmd_map(args) -> int:
-    session = build_session(args)
-    source = encode(as_fraction(args.value), session.base, session.depth)
-    image = apply_map(session.pv, source)
+    pv, seed = build_session(args)
+    image = apply_map(pv, encode(args.value, seed.base, seed.depth))
     value = image.value
-    emit(
-        args,
-        table_lines=[
-            f"digits: {_digits_str(image.digits)}",
-            f"value: {fmt_frac(value)}",
-        ],
-        csv_lines=[
-            "digits,value_num,value_den",
-            ";".join(str(b) for b in image.digits)
-            + f",{value.numerator},{value.denominator}",
-        ],
-        payload={
-            "digits": list(image.digits),
-            "value_num": value.numerator,
-            "value_den": value.denominator,
-        },
-    )
+    row = {"digits": list(image.digits), **frac_fields("value", value)}
+    emit(args, [f"digits: {image}", f"value: {fmt_frac(value)}"], [row], row)
     return 0
 
 
-def _orbit_rows(points):
-    rows = []
-    for point in points:
-        value = point.value
-        rows.append(
-            (
-                point.index,
-                value.numerator,
-                value.denominator,
-                ";".join(str(b) for b in point.digits.digits),
-            )
-        )
-    return rows
-
-
 def cmd_orbit(args) -> int:
-    session = build_session(args)
-    spec = session.orbit_spec
+    pv, seed = build_session(args)
+    spec = make_orbit(seed, pv)
     if args.at is not None:
         points = [orbit_point(spec, args.at)]
     else:
         points = orbit_prefix(spec, args.count)
-    rows = _orbit_rows(points)
-    csv_lines = ["n,value_num,value_den,digits"] + [
-        f"{n},{num},{den},{digs}" for n, num, den, digs in rows
+    rows = [
+        {"n": p.index, **frac_fields("value", p.value), "digits": list(p.digits.digits)}
+        for p in points
     ]
-    table_lines = [f"n={n}  value={num}/{den}  digits={digs}" for n, num, den, digs in rows]
-    payload = [
-        {"n": n, "value_num": num, "value_den": den, "digits": [int(d) for d in digs.split(";")]}
-        for n, num, den, digs in rows
-    ]
-    emit(args, table_lines, csv_lines, payload)
+    table_lines = (
+        f"n={r['n']}  value={r['value_num']}/{r['value_den']}  digits={_cell(r['digits'])}"
+        for r in rows
+    )
+    emit(args, table_lines, rows, rows)
     return 0
 
 
-def _level_report_output(args, report, extra_table=()):
-    table_lines = [
-        f"level {report.level}, N={report.sample_size}, "
-        f"expected {fmt_frac(report.intervals[0].expected)} per interval"
-    ]
-    for stat in report.intervals:
-        table_lines.append(
-            f"I_{stat.index}: class {stat.residue}  count {stat.count}"
+def _level_report(args):
+    """Run the membership equivalence for ``check ud``/``check equivalence``
+    and emit its report; raises (exit 3) on any index violating the
+    congruence."""
+    pv, seed = build_session(args)
+    report = membership_equivalence(make_orbit(seed, pv), args.level, args.count)
+
+    def table_lines():
+        yield (
+            f"level {report.level}, N={report.sample_size}, "
+            f"expected {fmt_frac(report.intervals[0].expected)} per interval"
         )
-    table_lines.append(f"d_star: {fmt_frac(report.d_star)}")
-    table_lines.extend(extra_table)
-    csv_lines = ["j,residue,modulus,count,expected_num,expected_den"] + [
-        f"{s.index},{s.residue.residue},{s.residue.modulus},{s.count},"
-        f"{s.expected.numerator},{s.expected.denominator}"
+        for s in report.intervals:
+            yield f"I_{s.index}: class {s.residue}  count {s.count}"
+        yield f"d_star: {fmt_frac(report.d_star)}"
+
+    rows = [
+        {
+            "j": s.index,
+            "residue": s.residue.residue,
+            "modulus": s.residue.modulus,
+            "count": s.count,
+            **frac_fields("expected", s.expected),
+        }
         for s in report.intervals
     ]
     payload = {
         "level": report.level,
         "N": report.sample_size,
-        "intervals": [
-            {
-                "j": s.index,
-                "residue": s.residue.residue,
-                "modulus": s.residue.modulus,
-                "count": s.count,
-                "expected_num": s.expected.numerator,
-                "expected_den": s.expected.denominator,
-            }
-            for s in report.intervals
-        ],
-        "d_star_num": report.d_star.numerator,
-        "d_star_den": report.d_star.denominator,
+        "intervals": rows,
+        **frac_fields("d_star", report.d_star),
     }
-    emit(args, table_lines, csv_lines, payload)
+    emit(args, table_lines(), rows, payload)
+    return report
 
 
 def cmd_check_ud(args) -> int:
-    session = build_session(args)
-    report = membership_equivalence(session.orbit_spec, args.level, args.count)
-    counts = [s.count for s in report.intervals]
+    counts = [s.count for s in _level_report(args).intervals]
     if args.count % len(counts) == 0:
         balanced = all(c == args.count // len(counts) for c in counts)
     else:
         balanced = max(counts) - min(counts) <= 1
-    _level_report_output(args, report)
     if not balanced:
         print("check falsified: interval counts unbalanced", file=sys.stderr)
         return 3
@@ -234,16 +181,14 @@ def cmd_check_ud(args) -> int:
 
 
 def cmd_check_equivalence(args) -> int:
-    session = build_session(args)
-    # raises (exit 3) on any index violating the congruence
-    report = membership_equivalence(session.orbit_spec, args.level, args.count)
-    _level_report_output(args, report)
+    _level_report(args)
     return 0
 
 
 def cmd_check_preserve(args) -> int:
-    session = build_session(args)
-    probe = ud_preservation_probe(session.pv, args.source, args.count, args.level)
+    pv, _ = build_session(args)
+    threshold = None if args.threshold is None else as_fraction(args.threshold)
+    probe = ud_preservation_probe(pv, args.source, args.count, args.level)
     table_lines = [
         f"source {probe.source}, N={probe.sample_size}, level {probe.level}",
         f"input d_star: {fmt_frac(probe.input_d_star)}",
@@ -251,37 +196,25 @@ def cmd_check_preserve(args) -> int:
     ]
     if probe.grid_exact is not None:
         table_lines.append(f"grid image equals grid: {probe.grid_exact}")
-    csv_lines = ["j,count,expected_num,expected_den"] + [
-        f"{j},{c},{probe.expected.numerator},{probe.expected.denominator}"
-        for j, c in enumerate(probe.counts)
-    ]
+    expected = frac_fields("expected", probe.expected)
+    rows = [{"j": j, "count": c, **expected} for j, c in enumerate(probe.counts)]
     payload = {
         "source": probe.source,
         "N": probe.sample_size,
         "level": probe.level,
-        "input_d_star_num": probe.input_d_star.numerator,
-        "input_d_star_den": probe.input_d_star.denominator,
-        "image_d_star_num": probe.image_d_star.numerator,
-        "image_d_star_den": probe.image_d_star.denominator,
-        "intervals": [
-            {
-                "j": j,
-                "count": c,
-                "expected_num": probe.expected.numerator,
-                "expected_den": probe.expected.denominator,
-            }
-            for j, c in enumerate(probe.counts)
-        ],
+        **frac_fields("input_d_star", probe.input_d_star),
+        **frac_fields("image_d_star", probe.image_d_star),
+        "intervals": rows,
         "grid_exact": probe.grid_exact,
     }
-    emit(args, table_lines, csv_lines, payload)
+    emit(args, table_lines, rows, payload)
     if probe.grid_exact is False:
         print("check falsified: grid image differs from grid", file=sys.stderr)
         return 3
     if probe.grid_exact and probe.input_d_star != probe.image_d_star:
         print("check falsified: grid discrepancy changed", file=sys.stderr)
         return 3
-    if args.threshold is not None and probe.image_d_star > as_fraction(args.threshold):
+    if threshold is not None and probe.image_d_star > threshold:
         print(
             f"check falsified: image d_star {fmt_frac(probe.image_d_star)} "
             f"above threshold {args.threshold}",
@@ -296,46 +229,40 @@ def cmd_density(args) -> int:
     if args.intersect:
         ps = intersect(ps, parse_periodic_set(args.intersect))
     d = density(ps)
+    residues = sorted(ps.residues)
     emit(
         args,
         table_lines=[f"set: {ps}", f"density: {fmt_frac(d)}"],
-        csv_lines=[
-            "residues,modulus,density_num,density_den",
-            ";".join(str(r) for r in sorted(ps.residues))
-            + f",{ps.modulus},{d.numerator},{d.denominator}",
-        ],
-        payload={
-            "modulus": ps.modulus,
-            "residues": sorted(ps.residues),
-            "density_num": d.numerator,
-            "density_den": d.denominator,
-        },
+        rows=[{"residues": residues, "modulus": ps.modulus, **frac_fields("density", d)}],
+        payload={"modulus": ps.modulus, "residues": residues, **frac_fields("density", d)},
     )
     return 0
 
 
 def cmd_probe_monotone(args) -> int:
-    session = build_session(args)
+    pv, _ = build_session(args)
     witness = find_witness_descending(
-        session.pv, args.level, args.interval, max_descent=args.max_descend
+        pv, args.level, args.interval, max_descent=args.max_descend
     )
     roles = ("inc_low", "inc_high", "dec_low", "dec_high")
-    digit_of = dict(
-        zip(roles, witness.increasing_digits + witness.decreasing_digits)
-    )
+    digits = witness.increasing_digits + witness.decreasing_digits
     table_lines = [
         f"witness at level {witness.level}, interval {witness.interval_index}",
         f"increasing digits {witness.increasing_digits}, "
         f"decreasing digits {witness.decreasing_digits}",
     ]
-    for role, point, image in zip(roles, witness.points, witness.images):
-        table_lines.append(
-            f"{role}: point {fmt_frac(point)} -> image {fmt_frac(image)}"
-        )
-    csv_lines = ["role,digit,point_num,point_den,image_num,image_den"] + [
-        f"{role},{digit_of[role]},{p.numerator},{p.denominator},"
-        f"{im.numerator},{im.denominator}"
-        for role, p, im in zip(roles, witness.points, witness.images)
+    table_lines += [
+        f"{role}: point {fmt_frac(point)} -> image {fmt_frac(image)}"
+        for role, point, image in zip(roles, witness.points, witness.images)
+    ]
+    rows = [
+        {
+            "role": role,
+            "digit": digit,
+            **frac_fields("point", point),
+            **frac_fields("image", image),
+        }
+        for role, digit, point, image in zip(roles, digits, witness.points, witness.images)
     ]
     payload = {
         "requested_level": args.level,
@@ -347,77 +274,53 @@ def cmd_probe_monotone(args) -> int:
         "points": [fmt_frac(p) for p in witness.points],
         "images": [fmt_frac(im) for im in witness.images],
     }
-    emit(args, table_lines, csv_lines, payload)
+    emit(args, table_lines, rows, payload)
     return 0
 
 
+QUOTIENT_HEADER = ("s", "a_s", "ell", "quot_num", "quot_den")
+
+
+def _quotient_row(s: int, a: int, ell: int, q: Fraction) -> dict:
+    return dict(zip(QUOTIENT_HEADER, (s, a, ell, q.numerator, q.denominator)))
+
+
 def cmd_probe_quotient(args) -> int:
-    session = build_session(args)
-    sample = difference_quotient(
-        session.pv, session.alpha_digits, args.digit, args.ell
+    pv, seed = build_session(args)
+    sample = difference_quotient(pv, seed, args.digit, args.ell)
+    row = _quotient_row(
+        sample.digit_level, sample.original_digit, sample.perturbed_digit, sample.quotient
     )
-    q = sample.quotient
-    emit(
-        args,
-        table_lines=[fmt_frac(q)],
-        csv_lines=[
-            "s,a_s,ell,quot_num,quot_den",
-            f"{sample.digit_level},{sample.original_digit},{sample.perturbed_digit},"
-            f"{q.numerator},{q.denominator}",
-        ],
-        payload={
-            "s": sample.digit_level,
-            "a_s": sample.original_digit,
-            "ell": sample.perturbed_digit,
-            "quot_num": q.numerator,
-            "quot_den": q.denominator,
-        },
-    )
+    emit(args, [fmt_frac(sample.quotient)], [row], row)
     return 0
 
 
 def cmd_probe_derivative(args) -> int:
-    session = build_session(args)
-    report = derivative_probe(session.pv, session.alpha_digits, args.max_level)
-    csv_lines = ["s,a_s,ell,quot_num,quot_den"]
+    pv, seed = build_session(args)
+    report = derivative_probe(pv, seed, args.max_level)
+    rows = []
     for lq in report.levels:
-        perm = session.pv.perms[lq.level]
+        perm = pv.perms[lq.level]
         for ell in range(perm.modulus):
-            if ell == lq.digit:
-                continue
-            q = Fraction(perm.image[lq.digit] - perm.image[ell], lq.digit - ell)
-            csv_lines.append(
-                f"{lq.level},{lq.digit},{ell},{q.numerator},{q.denominator}"
-            )
-    table_lines = []
-    for lq in report.levels:
-        quots = " ".join(fmt_frac(q) for q in lq.quotients)
-        table_lines.append(
-            f"level {lq.level} digit {lq.digit}: quotients {quots}"
-            f"  one_achievable={lq.achieves_one}"
-        )
-    table_lines.append(f"one_at_every_level: {report.one_at_every_level}")
-    table_lines.append(
-        "candidates: " + ",".join(str(c) for c in report.candidates)
-    )
-    table_lines.append(f"candidates_stable: {report.candidates_stable}")
-    payload = {
-        "levels": [
-            {
-                "level": lq.level,
-                "digit": lq.digit,
-                "quotients": [fmt_frac(q) for q in lq.quotients],
-                "achieves_one": lq.achieves_one,
-                "successor_candidate": lq.successor_candidate,
-                "zero_candidate": lq.zero_candidate,
-            }
-            for lq in report.levels
-        ],
-        "one_at_every_level": report.one_at_every_level,
-        "candidates": list(report.candidates),
-        "candidates_stable": report.candidates_stable,
-    }
-    emit(args, table_lines, csv_lines, payload)
+            if ell != lq.digit:
+                q = Fraction(perm.image[lq.digit] - perm.image[ell], lq.digit - ell)
+                rows.append(_quotient_row(lq.level, lq.digit, ell, q))
+    table_lines = [
+        f"level {lq.level} digit {lq.digit}: quotients "
+        + " ".join(fmt_frac(q) for q in lq.quotients)
+        + f"  one_achievable={lq.achieves_one}"
+        for lq in report.levels
+    ]
+    table_lines += [
+        f"one_at_every_level: {report.one_at_every_level}",
+        "candidates: " + ",".join(str(c) for c in report.candidates),
+        f"candidates_stable: {report.candidates_stable}",
+    ]
+    payload = asdict(report)
+    for level in payload["levels"]:
+        level["quotients"] = [fmt_frac(q) for q in level["quotients"]]
+    # --max-level 0 probes no level and leaves no rows
+    emit(args, table_lines, rows, payload, header=QUOTIENT_HEADER)
     return 0
 
 
@@ -518,6 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse turns an option value of "--" into an empty list
+    if [] in vars(args).values():
+        print("error: '--' is not an option value", file=sys.stderr)
+        return 2
     if args.func is cmd_orbit and args.at is None and args.count is None:
         print("error: orbit needs --count or --at", file=sys.stderr)
         return 2

@@ -25,14 +25,9 @@ class OrbitSpec:
 
     alpha_digits: DigitExpansion
     pv: PermutationVector
-    depth: int
     _tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.depth != len(self.alpha_digits.digits):
-            raise DepthMismatch(
-                f"declared depth {self.depth} != {len(self.alpha_digits.digits)} seed digits"
-            )
         if self.depth > self.pv.depth:
             raise DepthMismatch(
                 f"depth {self.depth} exceeds permutation vector depth {self.pv.depth}"
@@ -45,6 +40,11 @@ class OrbitSpec:
             cycle = perm.cycles[perm.cycle_id[b]]
             tables.append((cycle, perm.cycle_pos[b], len(cycle)))
         object.__setattr__(self, "_tables", tuple(tables))
+
+    @property
+    def depth(self) -> int:
+        """Number of seed digits, the depth every orbit point carries."""
+        return len(self.alpha_digits.digits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,7 +60,7 @@ class OrbitPoint:
 
 
 def make_orbit(alpha_digits: DigitExpansion, pv: PermutationVector) -> OrbitSpec:
-    return OrbitSpec(alpha_digits, pv, depth=len(alpha_digits.digits))
+    return OrbitSpec(alpha_digits, pv)
 
 
 def apply_map(pv: PermutationVector, x: DigitExpansion) -> DigitExpansion:
@@ -111,9 +111,7 @@ def apply_truncated(pv: PermutationVector, x, depth: int) -> Fraction:
         raise DepthMismatch(f"depth {depth} exceeds permutation vector depth {pv.depth}")
     base = pv.base
     digits, tail = _greedy_digits(x, base, depth)
-    num = 0
-    for j, b in enumerate(digits):
-        num = num * base.moduli[j] + pv.perms[j].image[b]
+    num = base.index_of([pv.perms[j].image[b] for j, b in enumerate(digits)])
     return (num + tail) / base.products[depth]
 
 
@@ -134,13 +132,8 @@ def modulus_of_continuity_check(pv: PermutationVector, level: int) -> Fraction:
     count = base.products[level]
     seen = [False] * count
     for index in range(count):
-        image_index = 0
-        q = index
-        # walk the prefix most significant digit first
-        for j in range(level):
-            weight = count // base.products[j + 1]
-            b, q = divmod(q, weight)
-            image_index = image_index * base.moduli[j] + pv.perms[j].image[b]
+        prefix = base.digits_of(level, index)
+        image_index = base.index_of([pv.perms[j].image[b] for j, b in enumerate(prefix)])
         if seen[image_index]:
             raise CheckFalsified(
                 f"interval map not injective at level {level}: index {image_index} hit twice"

@@ -74,14 +74,10 @@ def star_discrepancy(points: Sequence[Fraction]) -> DiscrepancyResult:
 
 def _scan_counts(spec: OrbitSpec, level: int, sample: int) -> list[int]:
     base = spec.alpha_digits.base
-    moduli = base.moduli[:level]
     counts = [0] * base.products[level]
     for n in range(sample):
         digits = orbit_point(spec, n).digits.digits
-        idx = 0
-        for m, b in zip(moduli, digits):
-            idx = idx * m + b
-        counts[idx] += 1
+        counts[base.index_of(digits[:level])] += 1
     return counts
 
 
@@ -132,12 +128,9 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
 
     counts = [0] * count
     values = []
-    moduli = base.moduli[:level]
     for n in range(sample):
         point = orbit_point(spec, n)
-        idx = 0
-        for m, b in zip(moduli, point.digits.digits):
-            idx = idx * m + b
+        idx = base.index_of(point.digits.digits[:level])
         if n % count != residues[idx].residue:
             raise EquivalenceViolated(
                 f"iterate {n} lies in interval {idx} but {n} mod {count} != "

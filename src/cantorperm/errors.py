@@ -26,6 +26,10 @@ class CheckFalsified(CantorPermError):
 
 # --- base sequences and the digit codec ---
 
+class MalformedNumber(ValidationError):
+    """Text that should spell an integer or a rational does not."""
+
+
 class ModulusTooSmall(ValidationError):
     pass
 

@@ -1,0 +1,68 @@
+"""Exit-code contract on malformed input: exit 2 with an ``error:`` line,
+never a traceback, and nothing on stdout."""
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cantorperm
+from cantorperm.cli import main
+
+MALFORMED = [
+    ["expand", "--bases", "2,x", "--value", "0"],
+    ["expand", "--bases", ",", "--value", "0"],
+    ["orbit", "--alpha", "abc", "--count", "2"],
+    ["orbit", "--alpha", "1/0", "--count", "2"],
+    ["expand", "--value", "abc"],
+    ["decode", "--digits", "1,x"],
+    ["orbit", "--count=--"],
+    ["check", "preserve", "--source", "vdc", "--level", "1", "--count", "8",
+     "--threshold", "abc"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_input_exits_2(argv):
+    env = dict(os.environ)
+    src = str(Path(cantorperm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cantorperm", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_depth_validates_only_the_used_moduli():
+    # 2 and 4 share a factor, but --depth 2 uses only 2,3
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["expand", "--bases", "2,3,4", "--depth", "2", "--value", "1/2"]) == 0
+    assert out.getvalue().splitlines()[1] == "1,0"
+
+
+# no "e" in the alphabet, so no exponent literal can ask for a huge integer;
+# five characters bound a modulus, and so the shift permutation built for it
+TEXT = st.text(alphabet="0123456789,/-x ", max_size=5)
+FUZZED = {
+    "bases": lambda s: ["expand", "--value", "1/2", f"--bases={s}"],
+    "alpha": lambda s: ["orbit", "--count", "3", f"--alpha={s}"],
+    "value": lambda s: ["map", f"--value={s}"],
+    "digits": lambda s: ["decode", f"--digits={s}"],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(option=st.sampled_from(sorted(FUZZED)), text=TEXT)
+def test_fuzzed_numbers_keep_exit_contract(option, text):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(FUZZED[option](text))
+    assert code in {0, 1, 2, 3}
