@@ -10,6 +10,7 @@ level.  Witness search and the derivative probe are built on this identity.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from .errors import (
     IndexOutOfRange,
     LevelExceeded,
     NoWitnessAtLevel,
+    ValidationError,
 )
 from .perms import CyclicPermutation, PermutationVector
 
@@ -48,16 +50,10 @@ class QuotientSample:
     quotient: Fraction
 
 
-def _adjacent_rise(perm: CyclicPermutation):
+def _adjacent_pair(perm: CyclicPermutation, order):
+    """First ``(k, k + 1)`` with ``order(image[k], image[k + 1])``, or None."""
     for k in range(perm.modulus - 1):
-        if perm.image[k] < perm.image[k + 1]:
-            return k, k + 1
-    return None
-
-
-def _adjacent_fall(perm: CyclicPermutation):
-    for k in range(perm.modulus - 1):
-        if perm.image[k] > perm.image[k + 1]:
+        if order(perm.image[k], perm.image[k + 1]):
             return k, k + 1
     return None
 
@@ -93,8 +89,8 @@ def find_monotonicity_witness(
             f"interval {interval_index} not in [0, {base.products[level]})"
         )
     perm = pv.perms[level]
-    rise = _adjacent_rise(perm)
-    fall = _adjacent_fall(perm)
+    rise = _adjacent_pair(perm, operator.lt)
+    fall = _adjacent_pair(perm, operator.gt)
     if rise is None or fall is None:
         missing = "increasing" if rise is None else "decreasing"
         raise NoWitnessAtLevel(
@@ -132,6 +128,8 @@ def find_witness_descending(
     The witness points stay inside the original interval, so the
     non-monotonicity conclusion for it survives the descent.
     """
+    if max_descent is not None and max_descent < 0:
+        raise ValidationError(f"descent budget {max_descent} < 0")
     base = pv.base
     budget = base.depth - level if max_descent is None else max_descent + 1
     s, j = level, interval_index

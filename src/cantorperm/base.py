@@ -197,16 +197,16 @@ def grid_interval(level: int, index: int, base: BaseSequence) -> GridInterval:
     )
 
 
-def _greedy_digits(alpha: Fraction, base: BaseSequence, depth: int) -> tuple[list[int], Fraction]:
-    """Greedy digit extraction; returns (digits, tail) with
-    ``alpha == value(digits) + tail / products[depth]`` and ``0 <= tail < 1``."""
+def _greedy_digits(alpha: Fraction, base: BaseSequence, depth: int) -> tuple[list[int], int]:
+    """Greedy digit extraction; returns (digits, rem) with ``0 <= rem < q`` and
+    ``alpha == value(digits) + rem / (q * products[depth])``, ``q`` alpha's denominator."""
     num, den = alpha.numerator, alpha.denominator
     digits = []
     for j in range(depth):
         num *= base.moduli[j]
         b, num = divmod(num, den)
         digits.append(b)
-    return digits, Fraction(num, den)
+    return digits, num
 
 
 def encode(alpha: RationalLike, base: BaseSequence, depth: int) -> DigitExpansion:

@@ -364,8 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("orbit", parents=[common], help="orbit points as CSV")
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--at", type=int, default=None, help="single random-access index")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--count", type=int, default=None)
+    which.add_argument("--at", type=int, default=None, help="single random-access index")
     p.set_defaults(func=cmd_orbit)
 
     check = sub.add_parser("check", help="exact and statistical checks")
@@ -420,13 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors exit 2, --help exits 0
+        return exc.code
     # argparse turns an option value of "--" into an empty list
     if [] in vars(args).values():
         print("error: '--' is not an option value", file=sys.stderr)
-        return 2
-    if args.func is cmd_orbit and args.at is None and args.count is None:
-        print("error: orbit needs --count or --at", file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -11,6 +11,7 @@ subadditivity forces every bound to be the exact measure.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -100,20 +101,16 @@ def normalize(ps: PeriodicSet) -> PeriodicSet:
 
 
 def intersect(ps1: PeriodicSet, ps2: PeriodicSet) -> PeriodicSet:
-    """Intersection, computed exhaustively over one common period."""
+    """Intersection, as residue sets over one common period."""
     modulus = math.lcm(ps1.modulus, ps2.modulus)
-    residues = frozenset(
-        n for n in range(modulus) if ps1.contains(n) and ps2.contains(n)
-    )
-    return PeriodicSet(modulus, residues)
+    r1, r2 = expand_to(ps1, modulus).residues, expand_to(ps2, modulus).residues
+    return PeriodicSet(modulus, r1 & r2)
 
 
 def union(ps1: PeriodicSet, ps2: PeriodicSet) -> PeriodicSet:
     modulus = math.lcm(ps1.modulus, ps2.modulus)
-    residues = frozenset(
-        n for n in range(modulus) if ps1.contains(n) or ps2.contains(n)
-    )
-    return PeriodicSet(modulus, residues)
+    r1, r2 = expand_to(ps1, modulus).residues, expand_to(ps2, modulus).residues
+    return PeriodicSet(modulus, r1 | r2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,15 +181,14 @@ def measurable_partition_check(parts: Iterable[PartLike]) -> PartitionVerdict:
             pairs.append((ps, Fraction(bound)))
     if not pairs:
         raise NotAPartition("no parts given")
-    period = 1
-    for ps, _ in pairs:
-        period = math.lcm(period, ps.modulus)
+    period = math.lcm(*(ps.modulus for ps, _ in pairs))
+    hits = Counter(r for ps, _ in pairs for r in expand_to(ps, period).residues)
     for n in range(period):
-        hits = sum(1 for ps, _ in pairs if ps.contains(n))
-        if hits == 0:
+        count = hits[n]
+        if count == 0:
             raise NotAPartition(f"{n} is covered by no part")
-        if hits > 1:
-            raise NotAPartition(f"{n} is covered by {hits} parts")
+        if count > 1:
+            raise NotAPartition(f"{n} is covered by {count} parts")
     total = sum((bound for _, bound in pairs), Fraction(0))
     if total > 1:
         raise BoundsExceedOne(f"bounds sum to {total} > 1, criterion inapplicable")

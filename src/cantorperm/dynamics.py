@@ -19,8 +19,8 @@ from .perms import PermutationVector
 class OrbitSpec:
     """Seed expansion plus the permutation vector driving it.
 
-    Precomputes one (cycle, start position, length) triple per level so that
-    :func:`orbit_point` runs a few list lookups per digit and nothing else.
+    Precomputes each level's cycle rotated to start at the seed digit, so that
+    :func:`orbit_point` runs one lookup per digit and nothing else.
     """
 
     alpha_digits: DigitExpansion
@@ -35,10 +35,9 @@ class OrbitSpec:
         if self.alpha_digits.base is not self.pv.base and self.alpha_digits.base != self.pv.base:
             raise DepthMismatch("seed digits and permutations use different bases")
         tables = []
-        for j, b in enumerate(self.alpha_digits.digits):
-            perm = self.pv.perms[j]
-            cycle = perm.cycles[perm.cycle_id[b]]
-            tables.append((cycle, perm.cycle_pos[b], len(cycle)))
+        for perm, b in zip(self.pv.perms, self.alpha_digits.digits):
+            cycle, start = perm.cycles[perm.cycle_id[b]], perm.cycle_pos[b]
+            tables.append(cycle[start:] + cycle[:start])
         object.__setattr__(self, "_tables", tuple(tables))
 
     @property
@@ -83,7 +82,7 @@ def orbit_point(spec: OrbitSpec, n: int) -> OrbitPoint:
     """
     if n < 0:
         raise ValidationError("orbit index must be >= 0")
-    digits = tuple([cycle[(start + n) % length] for cycle, start, length in spec._tables])
+    digits = tuple([cycle[n % len(cycle)] for cycle in spec._tables])
     return OrbitPoint(n, DigitExpansion(digits, spec.alpha_digits.base))
 
 
@@ -107,12 +106,12 @@ def apply_truncated(pv: PermutationVector, x, depth: int) -> Fraction:
     x = as_fraction(x)
     if not 0 <= x < 1:
         raise OutOfRange(f"{x} not in [0, 1)")
-    if depth > pv.depth:
-        raise DepthMismatch(f"depth {depth} exceeds permutation vector depth {pv.depth}")
+    if depth > pv.depth or depth < 0:
+        raise DepthMismatch(f"depth {depth} not in [0, {pv.depth}]")
     base = pv.base
-    digits, tail = _greedy_digits(x, base, depth)
+    digits, rem = _greedy_digits(x, base, depth)
     num = base.index_of([pv.perms[j].image[b] for j, b in enumerate(digits)])
-    return (num + tail) / base.products[depth]
+    return Fraction(num * x.denominator + rem, x.denominator * base.products[depth])
 
 
 def modulus_of_continuity_check(pv: PermutationVector, level: int) -> Fraction:

@@ -4,6 +4,7 @@ discrepancy, and empirical probes of uniform-distribution preservation.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -48,6 +49,17 @@ class DiscrepancyResult:
     d_star: Fraction
 
 
+def _dstar(pairs: Sequence[tuple[int, int]]) -> Fraction:
+    # term i over N*q, for the i-th smallest point p/q: max(i*q - N*p, N*p - (i-1)*q)
+    n = len(pairs)
+    best, best_q = 0, 1
+    for i, (p, q) in enumerate(pairs, start=1):
+        here = max(i * q - n * p, n * p - (i - 1) * q)
+        if here * best_q > best * q:
+            best, best_q = here, q
+    return Fraction(best, n * best_q)
+
+
 def star_discrepancy(points: Sequence[Fraction]) -> DiscrepancyResult:
     """Exact star discrepancy of a finite sample in ``[0, 1)``.
 
@@ -55,30 +67,30 @@ def star_discrepancy(points: Sequence[Fraction]) -> DiscrepancyResult:
 
         D* = max_i  max( i/N - x_(i),  x_(i) - (i-1)/N )
 
-    computed in rational arithmetic, so results are deterministic and exact.
+    computed in integers, each term over ``N`` times the point's denominator;
+    only the result becomes a ``Fraction``, so it is deterministic and exact.
     """
     if not points:
         raise ValidationError("empty sample")
     for x in points:
         if not 0 <= x < 1:
             raise PointOutOfRange(f"point {x} not in [0, 1)")
-    ordered = sorted(points)
-    n = len(ordered)
-    best = Fraction(0)
-    for i, x in enumerate(ordered, start=1):
-        here = max(Fraction(i, n) - x, x - Fraction(i - 1, n))
-        if here > best:
-            best = here
-    return DiscrepancyResult(n, best)
+    pairs = [(x.numerator, x.denominator) for x in sorted(points)]
+    return DiscrepancyResult(len(pairs), _dstar(pairs))
 
 
-def _scan_counts(spec: OrbitSpec, level: int, sample: int) -> list[int]:
+def _orbit_scan(spec: OrbitSpec, level: int, sample: int):
+    """Check ``level`` and ``sample`` now; return a lazy iterator over the
+    first ``sample`` orbit points as ``(numerator, index)``: the numerator
+    over ``B_K`` (``K`` the orbit depth) and the level-``level`` interval."""
+    if level > spec.depth or level < 0:
+        raise LevelExceeded(f"level {level} not in [0, {spec.depth}]")
+    if sample < 1:
+        raise ValidationError("sample must be >= 1")
     base = spec.alpha_digits.base
-    counts = [0] * base.products[level]
-    for n in range(sample):
-        digits = orbit_point(spec, n).digits.digits
-        counts[base.index_of(digits[:level])] += 1
-    return counts
+    width = base.products[spec.depth] // base.products[level]
+    nums = (base.index_of(orbit_point(spec, n).digits.digits) for n in range(sample))
+    return ((num, num // width) for num in nums)
 
 
 def interval_counts(spec: OrbitSpec, level: int, sample: int) -> list[int]:
@@ -88,11 +100,8 @@ def interval_counts(spec: OrbitSpec, level: int, sample: int) -> list[int]:
     With full cycles and ``sample`` a multiple of the interval count, every
     entry equals ``sample / products[level]`` exactly.
     """
-    if level > spec.depth or level < 0:
-        raise LevelExceeded(f"level {level} not in [0, {spec.depth}]")
-    if sample < 1:
-        raise ValidationError("sample must be >= 1")
-    return _scan_counts(spec, level, sample)
+    hits = Counter(idx for _, idx in _orbit_scan(spec, level, sample))
+    return [hits[j] for j in range(spec.alpha_digits.base.products[level])]
 
 
 def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelReport:
@@ -105,10 +114,7 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
     class of ``n``" for all ``n < sample`` establishes the equivalence in both
     directions.  A violation is an implementation bug, not a data property.
     """
-    if level > spec.depth or level < 0:
-        raise LevelExceeded(f"level {level} not in [0, {spec.depth}]")
-    if sample < 1:
-        raise ValidationError("sample must be >= 1")
+    scan = _orbit_scan(spec, level, sample)
     pv = spec.pv
     for perm in pv.perms[:level]:
         if not perm.full_cycle:
@@ -127,17 +133,15 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
         )
 
     counts = [0] * count
-    values = []
-    for n in range(sample):
-        point = orbit_point(spec, n)
-        idx = base.index_of(point.digits.digits[:level])
+    nums = []
+    for n, (num, idx) in enumerate(scan):
         if n % count != residues[idx].residue:
             raise EquivalenceViolated(
                 f"iterate {n} lies in interval {idx} but {n} mod {count} != "
                 f"{residues[idx].residue}"
             )
         counts[idx] += 1
-        values.append(point.value)
+        nums.append(num)
 
     expected = Fraction(sample, count)
     intervals = tuple(
@@ -148,7 +152,7 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
         level=level,
         sample_size=sample,
         intervals=intervals,
-        d_star=star_discrepancy(values).d_star,
+        d_star=_dstar([(num, base.products[spec.depth]) for num in sorted(nums)]),
     )
 
 

@@ -24,6 +24,7 @@ MALFORMED = [
     ["orbit", "--count=--"],
     ["check", "preserve", "--source", "vdc", "--level", "1", "--count", "8",
      "--threshold", "abc"],
+    ["probe", "monotone", "--level", "0", "--interval", "0", "--max-descend", "-1"],
 ]
 
 
@@ -40,6 +41,15 @@ def test_malformed_input_exits_2(argv):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [["orbit"], ["orbit", "--at", "3", "--count", "4"]], ids=" ".join)
+def test_orbit_needs_exactly_one_of_count_and_at(argv, capsys):
+    # argparse reports the usage error: a usage block, then "<prog>: error: ..."
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith("cantorperm orbit: error: ")
 
 
 def test_depth_validates_only_the_used_moduli():

@@ -1,8 +1,9 @@
 """Periodic integer sets, densities, covering bounds, partition criterion."""
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cantorperm import (
@@ -181,3 +182,72 @@ def test_intersect_commutes_property(m1, m2, data):
     r2 = data.draw(st.sets(st.integers(min_value=0, max_value=m2 - 1), min_size=1))
     a, p = periodic_set(r1, m1), periodic_set(r2, m2)
     assert intersect(a, p) == intersect(p, a)
+
+
+# --- differential oracles: exhaustive scans over one common period ---
+
+def _scan_intersect(a, b):
+    modulus = math.lcm(a.modulus, b.modulus)
+    return periodic_set((n for n in range(modulus) if a.contains(n) and b.contains(n)), modulus)
+
+
+def _scan_union(a, b):
+    modulus = math.lcm(a.modulus, b.modulus)
+    return periodic_set((n for n in range(modulus) if a.contains(n) or b.contains(n)), modulus)
+
+
+def _scan_partition_failure(parts):
+    """Message for the smallest ``n`` covered by no part or by several, or None."""
+    for n in range(math.lcm(*(ps.modulus for ps in parts))):
+        hits = sum(1 for ps in parts if ps.contains(n))
+        if hits == 0:
+            return f"{n} is covered by no part"
+        if hits > 1:
+            return f"{n} is covered by {hits} parts"
+    return None
+
+
+PERIODIC_SETS = st.integers(min_value=1, max_value=30).flatmap(
+    lambda m: st.builds(
+        periodic_set, st.sets(st.integers(min_value=0, max_value=m - 1)), st.just(m)
+    )
+)
+
+
+@given(PERIODIC_SETS, PERIODIC_SETS)
+@settings(max_examples=200)
+def test_set_algebra_matches_period_scan(a, b):
+    assert intersect(a, b) == _scan_intersect(a, b)
+    assert union(a, b) == _scan_union(a, b)
+
+
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=6),
+    st.data(),
+)
+@settings(max_examples=200)
+def test_partition_check_matches_period_scan(modulus, k, data):
+    owner = data.draw(
+        st.lists(st.integers(min_value=0, max_value=k - 1), min_size=modulus, max_size=modulus)
+    )
+    # each part in its least modulus, so the parts' moduli differ
+    parts = [
+        normalize(periodic_set((n for n in range(modulus) if owner[n] == j), modulus))
+        for j in range(k)
+    ]
+    change = data.draw(st.sampled_from(["none", "drop", "extra"]))
+    if change == "drop":
+        parts.pop(data.draw(st.integers(min_value=0, max_value=k - 1)))
+    elif change == "extra":
+        parts.append(data.draw(PERIODIC_SETS))
+    assume(parts)
+    failure = _scan_partition_failure(parts)
+    if failure is None:
+        verdict = measurable_partition_check(parts)
+        assert verdict.parts == tuple(parts)
+        assert verdict.measures == tuple(density(ps) for ps in parts)
+    else:
+        with pytest.raises(NotAPartition) as info:
+            measurable_partition_check(parts)
+        assert str(info.value) == failure

@@ -139,6 +139,12 @@ def test_apply_truncated_rejects_outside():
         apply_truncated(pv, Fraction(3, 2), 3)
 
 
+def test_apply_truncated_rejects_negative_depth():
+    b, pv = _shift_setup()
+    with pytest.raises(DepthMismatch):
+        apply_truncated(pv, Fraction(1, 2), -1)
+
+
 def test_modulus_of_continuity():
     b, pv = _shift_setup()
     assert modulus_of_continuity_check(pv, 0) == 1

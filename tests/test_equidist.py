@@ -2,17 +2,22 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cantorperm import (
+    PermutationVector,
+    apply_map,
     encode,
+    from_cycle,
     grid_points,
     interval_counts,
     kronecker_golden,
     make_base,
+    make_expansion,
     make_orbit,
     membership_equivalence,
+    orbit_point,
     shift_vector,
     star_discrepancy,
     ud_preservation_probe,
@@ -183,3 +188,71 @@ def test_counts_sum_property(sample, level):
     assert len(counts) == b.period(level)
     assert sum(counts) == sample
     assert max(counts) - min(counts) <= 1
+
+
+# --- differential oracles: the replaced Fraction closed form and n-fold apply_map ---
+
+def _fraction_dstar(points):
+    ordered = sorted(points)
+    n = len(ordered)
+    best = Fraction(0)
+    for i, x in enumerate(ordered, start=1):
+        best = max(best, Fraction(i, n) - x, x - Fraction(i - 1, n))
+    return best
+
+
+UNIT_POINTS = st.builds(
+    lambda q, p: Fraction(p % q, q),
+    st.integers(min_value=1, max_value=10**9),
+    st.integers(min_value=0, max_value=10**12),
+)
+
+
+@given(
+    st.lists(UNIT_POINTS, min_size=1, max_size=12).flatmap(
+        # drawing from a small pool repeats points, so the sample has ties
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40)
+    )
+)
+@settings(max_examples=300)
+def test_star_discrepancy_matches_fraction_closed_form(points):
+    result = star_discrepancy(points)
+    assert result.sample_size == len(points)
+    assert result.d_star == _fraction_dstar(points)
+
+
+@st.composite
+def full_cycle_orbits(draw):
+    moduli = draw(st.sampled_from([(3, 4, 5), (2, 5, 7), (5, 7), (4, 3, 7, 5)]))
+    cycles = [draw(st.permutations(range(m))) for m in moduli]
+    base = make_base(moduli)
+    pv = PermutationVector(
+        tuple(from_cycle(m, c) for m, c in zip(moduli, cycles)), base
+    )
+    assume(pv.perms != shift_vector(base).perms)
+    seed = tuple(draw(st.integers(min_value=0, max_value=m - 1)) for m in moduli)
+    return pv, make_orbit(make_expansion(seed, base), pv)
+
+
+@given(full_cycle_orbits(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_orbit_scan_matches_repeated_apply_map(orbit, data):
+    pv, spec = orbit
+    base = pv.base
+    level = data.draw(st.integers(min_value=0, max_value=base.depth))
+    sample = data.draw(st.integers(min_value=1, max_value=3 * base.products[level] + 5))
+    count = base.products[level]
+    x, values, counts = spec.alpha_digits, [], [0] * count
+    for n in range(sample):
+        assert orbit_point(spec, n).digits.digits == x.digits
+        idx = x.prefix_index(level)
+        counts[idx] += 1
+        values.append(x.value)
+        x = apply_map(pv, x)
+    assert interval_counts(spec, level, sample) == counts
+    report = membership_equivalence(spec, level, sample)
+    assert [s.count for s in report.intervals] == counts
+    assert report.d_star == _fraction_dstar(values)
+    for n, value in enumerate(values):
+        idx = (value.numerator * count) // value.denominator
+        assert report.intervals[idx].residue.residue == n % count
