@@ -197,20 +197,9 @@ def grid_interval(level: int, index: int, base: BaseSequence) -> GridInterval:
     )
 
 
-def _greedy_digits(alpha: Fraction, base: BaseSequence, depth: int) -> tuple[list[int], int]:
-    """Greedy digit extraction; returns (digits, rem) with ``0 <= rem < q`` and
-    ``alpha == value(digits) + rem / (q * products[depth])``, ``q`` alpha's denominator."""
-    num, den = alpha.numerator, alpha.denominator
-    digits = []
-    for j in range(depth):
-        num *= base.moduli[j]
-        b, num = divmod(num, den)
-        digits.append(b)
-    return digits, num
-
-
 def encode(alpha: RationalLike, base: BaseSequence, depth: int) -> DigitExpansion:
-    """Digits of ``alpha`` to the given depth, by greedy extraction.
+    """Digits of ``alpha`` to the given depth, through the codec: the
+    mixed-radix digits of ``floor(alpha * products[depth])``.
 
     The result is the canonical (terminating-preferred) expansion: the digits
     are exactly the first ``depth`` digits of the unique expansion of
@@ -223,8 +212,8 @@ def encode(alpha: RationalLike, base: BaseSequence, depth: int) -> DigitExpansio
         raise OutOfRange(f"{alpha} not in [0, 1)")
     if depth > base.depth or depth < 0:
         raise DepthExceeded(f"depth {depth} exceeds base depth {base.depth}")
-    digits, _ = _greedy_digits(alpha, base, depth)
-    return DigitExpansion(tuple(digits), base)
+    index = alpha.numerator * base.products[depth] // alpha.denominator
+    return DigitExpansion(base.digits_of(depth, index), base)
 
 
 def decode(expansion: DigitExpansion) -> Fraction:

@@ -23,9 +23,10 @@ from .equidist import SOURCES, membership_equivalence, ud_preservation_probe
 from .errors import (
     CantorPermError,
     CheckFalsified,
+    LengthMismatch,
     ValidationError,
 )
-from .perms import PermutationVector, parse_permutations, shift_vector
+from .perms import PermutationVector, _perm_lines, parse_permutations, shift_vector
 
 
 def fmt_frac(f: Fraction) -> str:
@@ -45,21 +46,24 @@ def build_session(args) -> tuple[PermutationVector, DigitExpansion]:
     if depth < 1 or depth > len(moduli):
         raise ValidationError(f"depth {depth} not in [1, {len(moduli)}]")
     base = make_base(moduli[:depth])
-    pv = _build_perms(args.perms, base)
+    pv = _build_perms(args.perms, base, len(moduli))
     return pv, encode(args.alpha, base, depth)
 
 
-def _build_perms(spec: str, base: BaseSequence) -> PermutationVector:
+def _build_perms(spec: str, base: BaseSequence, moduli_given: int) -> PermutationVector:
+    """At most one line per ``--bases`` modulus; lines past ``--depth`` are dropped."""
     if spec == "shift":
         return shift_vector(base)
     if ":" in spec:
         text = spec.replace(";", "\n")
     else:
-        path = Path(spec)
-        if not path.is_file():
-            raise ValidationError(f"permutation file {spec!r} not found")
-        text = path.read_text()
-    lines = [ln for ln in text.splitlines() if ln.split("#", 1)[0].strip()]
+        try:
+            text = Path(spec).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read permutation file {spec!r}: {exc}") from exc
+    lines = _perm_lines(text)
+    if len(lines) > moduli_given:
+        raise LengthMismatch(f"{len(lines)} permutation lines for {moduli_given} moduli")
     return parse_permutations("\n".join(lines[: base.depth]), base)
 
 
@@ -80,7 +84,10 @@ def emit(args, table_lines, rows, payload, header=None) -> None:
     else:
         text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -281,16 +288,16 @@ def cmd_probe_monotone(args) -> int:
 QUOTIENT_HEADER = ("s", "a_s", "ell", "quot_num", "quot_den")
 
 
-def _quotient_row(s: int, a: int, ell: int, q: Fraction) -> dict:
-    return dict(zip(QUOTIENT_HEADER, (s, a, ell, q.numerator, q.denominator)))
+def _quotient_row(sample) -> dict:
+    q = sample.quotient
+    fields = (sample.digit_level, sample.original_digit, sample.perturbed_digit)
+    return dict(zip(QUOTIENT_HEADER, (*fields, q.numerator, q.denominator)))
 
 
 def cmd_probe_quotient(args) -> int:
     pv, seed = build_session(args)
     sample = difference_quotient(pv, seed, args.digit, args.ell)
-    row = _quotient_row(
-        sample.digit_level, sample.original_digit, sample.perturbed_digit, sample.quotient
-    )
+    row = _quotient_row(sample)
     emit(args, [fmt_frac(sample.quotient)], [row], row)
     return 0
 
@@ -298,13 +305,12 @@ def cmd_probe_quotient(args) -> int:
 def cmd_probe_derivative(args) -> int:
     pv, seed = build_session(args)
     report = derivative_probe(pv, seed, args.max_level)
-    rows = []
-    for lq in report.levels:
-        perm = pv.perms[lq.level]
-        for ell in range(perm.modulus):
-            if ell != lq.digit:
-                q = Fraction(perm.image[lq.digit] - perm.image[ell], lq.digit - ell)
-                rows.append(_quotient_row(lq.level, lq.digit, ell, q))
+    rows = [
+        _quotient_row(difference_quotient(pv, seed, lq.level, ell))
+        for lq in report.levels
+        for ell in range(pv.perms[lq.level].modulus)
+        if ell != lq.digit
+    ]
     table_lines = [
         f"level {lq.level} digit {lq.digit}: quotients "
         + " ".join(fmt_frac(q) for q in lq.quotients)

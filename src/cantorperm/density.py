@@ -88,16 +88,13 @@ def expand_to(ps: PeriodicSet, modulus: int) -> PeriodicSet:
 
 
 def normalize(ps: PeriodicSet) -> PeriodicSet:
-    """Equivalent set with the least modulus."""
-    for d in range(1, ps.modulus + 1):
-        if ps.modulus % d != 0:
-            continue
-        reduced = frozenset(r % d for r in ps.residues)
-        if len(reduced) * (ps.modulus // d) == len(ps.residues):
-            candidate = PeriodicSet(d, reduced)
-            if expand_to(candidate, ps.modulus).residues == ps.residues:
-                return candidate
-    return ps
+    """Equivalent set with the least modulus: the least divisor ``d`` of the
+    modulus (at worst itself) whose shift ``+d`` maps the residues onto themselves."""
+    m, residues = ps.modulus, ps.residues
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    for d in small + [m // d for d in reversed(small) if d * d != m]:
+        if len(residues) % (m // d) == 0 and all((r + d) % m in residues for r in residues):
+            return PeriodicSet(d, frozenset(r for r in residues if r < d))
 
 
 def intersect(ps1: PeriodicSet, ps2: PeriodicSet) -> PeriodicSet:
@@ -130,18 +127,17 @@ def covering_bound(
     covering, then report ``sum 1/D_j`` as a density upper bound.
 
     The target set is periodic with period ``target_period`` and membership
-    decided by ``member_oracle`` on ``[0, target_period)``; verification scans
-    one full common period.
+    decided by ``member_oracle`` on ``[0, target_period)``, asked once per
+    residue; verification compares residue sets over one common period.
     """
     if target_period < 1:
         raise ValidationError(f"target period {target_period} < 1")
-    period = target_period
-    for cond in covering:
-        period = math.lcm(period, cond.modulus)
-    for n in range(period):
-        if member_oracle(n % target_period):
-            if not any(cond.contains(n) for cond in covering):
-                raise NotACovering(f"member {n} escapes every covering class")
+    period = math.lcm(target_period, *(cond.modulus for cond in covering))
+    members = periodic_set((r for r in range(target_period) if member_oracle(r)), target_period)
+    covered = set().union(*(expand_to(from_condition(c), period).residues for c in covering))
+    escaped = expand_to(members, period).residues - covered
+    if escaped:
+        raise NotACovering(f"member {min(escaped)} escapes every covering class")
     bound = sum((Fraction(1, cond.modulus) for cond in covering), Fraction(0))
     return CoveringBound(tuple(covering), bound)
 

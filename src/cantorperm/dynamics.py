@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .base import DigitExpansion, _greedy_digits, as_fraction
+from .base import DigitExpansion, as_fraction
 from .errors import CheckFalsified, DepthMismatch, LevelExceeded, OutOfRange, ValidationError
 from .perms import PermutationVector
 
@@ -93,6 +93,12 @@ def orbit_prefix(spec: OrbitSpec, count: int) -> list[OrbitPoint]:
     return [orbit_point(spec, n) for n in range(count)]
 
 
+def _permute_index(pv: PermutationVector, level: int, index: int) -> int:
+    """Index of the level-``level`` interval the map sends interval ``index`` onto."""
+    digits = pv.base.digits_of(level, index)
+    return pv.base.index_of([perm.image[b] for perm, b in zip(pv.perms, digits)])
+
+
 def apply_truncated(pv: PermutationVector, x, depth: int) -> Fraction:
     """The depth-``depth`` truncation of the map on an arbitrary rational:
     permute the first ``depth`` digits, carry the remaining tail unchanged.
@@ -108,10 +114,9 @@ def apply_truncated(pv: PermutationVector, x, depth: int) -> Fraction:
         raise OutOfRange(f"{x} not in [0, 1)")
     if depth > pv.depth or depth < 0:
         raise DepthMismatch(f"depth {depth} not in [0, {pv.depth}]")
-    base = pv.base
-    digits, rem = _greedy_digits(x, base, depth)
-    num = base.index_of([pv.perms[j].image[b] for j, b in enumerate(digits)])
-    return Fraction(num * x.denominator + rem, x.denominator * base.products[depth])
+    count, q = pv.base.products[depth], x.denominator
+    index, rem = divmod(x.numerator * count, q)
+    return Fraction(_permute_index(pv, depth, index) * q + rem, q * count)
 
 
 def modulus_of_continuity_check(pv: PermutationVector, level: int) -> Fraction:
@@ -131,8 +136,7 @@ def modulus_of_continuity_check(pv: PermutationVector, level: int) -> Fraction:
     count = base.products[level]
     seen = [False] * count
     for index in range(count):
-        prefix = base.digits_of(level, index)
-        image_index = base.index_of([pv.perms[j].image[b] for j, b in enumerate(prefix)])
+        image_index = _permute_index(pv, level, index)
         if seen[image_index]:
             raise CheckFalsified(
                 f"interval map not injective at level {level}: index {image_index} hit twice"

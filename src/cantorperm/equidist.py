@@ -73,9 +73,12 @@ def star_discrepancy(points: Sequence[Fraction]) -> DiscrepancyResult:
     if not points:
         raise ValidationError("empty sample")
     for x in points:
-        if not 0 <= x < 1:
+        if not 0 <= x.numerator < x.denominator:
             raise PointOutOfRange(f"point {x} not in [0, 1)")
-    pairs = [(x.numerator, x.denominator) for x in sorted(points)]
+    # floor(x * 2**64) decides almost every comparison in integers and x breaks
+    # its ties, so this orders exactly as sorted(points) does
+    ordered = sorted(points, key=lambda x: ((x.numerator << 64) // x.denominator, x))
+    pairs = [(x.numerator, x.denominator) for x in ordered]
     return DiscrepancyResult(len(pairs), _dstar(pairs))
 
 

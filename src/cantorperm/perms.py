@@ -81,13 +81,12 @@ def _check_bijection(modulus: int, image: Sequence[int]) -> tuple[int, ...]:
 def make_cyclic(modulus: int, image: Sequence[int]) -> CyclicPermutation:
     """Validated constructor: ``image`` must be a single cycle of full length
     ``modulus``, as the power/discrete-log machinery requires."""
-    img = _check_bijection(modulus, image)
-    cycles, cycle_id, cycle_pos = _decompose(img)
-    if len(cycles) != 1:
+    perm = make_unchecked(modulus, image)
+    if not perm.full_cycle:
         raise NotFullCycle(
-            f"permutation splits into {len(cycles)} cycles, need a single {modulus}-cycle"
+            f"permutation splits into {len(perm.cycles)} cycles, need a single {modulus}-cycle"
         )
-    return CyclicPermutation(modulus, img, cycles, cycle_id, cycle_pos, full_cycle=True)
+    return perm
 
 
 def make_unchecked(modulus: int, image: Sequence[int]) -> CyclicPermutation:
@@ -253,6 +252,11 @@ def prefix_residue(
     return combine_crt(conditions)
 
 
+def _perm_lines(text: str) -> list[str]:
+    """The permutation lines of a text, without ``#`` comments, blanks or blank lines."""
+    return [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
+
+
 def parse_permutations(text: str, base: BaseSequence) -> PermutationVector:
     """Parse one validated permutation per line, ``"m: i0,i1,...,i{m-1}"``.
 
@@ -262,15 +266,12 @@ def parse_permutations(text: str, base: BaseSequence) -> PermutationVector:
     equivalence reports) check that themselves.
     """
     perms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for number, line in enumerate(_perm_lines(text), start=1):
         try:
             head, imgpart = line.split(":", 1)
             modulus = int(head)
             image = [int(p) for p in imgpart.split(",")]
         except ValueError as exc:
-            raise ValidationError(f"line {lineno}: cannot parse {raw!r}") from exc
+            raise ValidationError(f"permutation line {number}: cannot parse {line!r}") from exc
         perms.append(make_unchecked(modulus, image))
     return PermutationVector(tuple(perms), base)

@@ -76,3 +76,47 @@ def test_fuzzed_numbers_keep_exit_contract(option, text):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(FUZZED[option](text))
     assert code in {0, 1, 2, 3}
+
+
+def _rejected(argv, capsys):
+    """``main`` exits 2 with one ``error:`` line and nothing on stdout."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    return err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    _rejected(["orbit", "--count", "3", "--out", str(tmp_path / "missing" / "x.csv")], capsys)
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", None], ids=["not-utf8", "directory"])
+def test_unreadable_perms_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "perms"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    _rejected(["orbit", "--count", "3", "--perms", str(path)], capsys)
+
+
+def test_more_perm_lines_than_moduli_exit_2(tmp_path, capsys):
+    err = _rejected(
+        ["orbit", "--bases", "2,3", "--perms", "2:1,0;3:1,2,0;5:1,2,3,4,0", "--count", "3"],
+        capsys,
+    )
+    assert "LengthMismatch" in err
+    path = tmp_path / "perms.txt"
+    path.write_text("# three lines\n2: 1,0\n\n3: 1,2,0  # second\n5: 1,2,3,4,0\n")
+    err = _rejected(["orbit", "--bases", "2,3", "--perms", str(path), "--count", "3"], capsys)
+    assert "LengthMismatch" in err
+
+
+def test_perm_lines_beyond_depth_are_dropped_with_their_moduli(capsys):
+    tail = ["--count", "7", "--format", "csv"]
+    assert main(["orbit", "--bases", "2,3,4", "--depth", "2",
+                 "--perms", "2:1,0;3:1,2,0;4:1,2,3,0", *tail]) == 0
+    dropped = capsys.readouterr().out
+    assert main(["orbit", "--bases", "2,3", "--perms", "2:1,0;3:1,2,0", *tail]) == 0
+    assert dropped == capsys.readouterr().out

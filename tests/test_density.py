@@ -251,3 +251,74 @@ def test_partition_check_matches_period_scan(modulus, k, data):
         with pytest.raises(NotAPartition) as info:
             measurable_partition_check(parts)
         assert str(info.value) == failure
+
+
+def _scan_normalize(ps):
+    """The replaced normalize: every d in range(1, M + 1) that divides M."""
+    for d in range(1, ps.modulus + 1):
+        if ps.modulus % d != 0:
+            continue
+        reduced = frozenset(r % d for r in ps.residues)
+        if len(reduced) * (ps.modulus // d) == len(ps.residues):
+            candidate = periodic_set(reduced, d)
+            if expand_to(candidate, ps.modulus).residues == ps.residues:
+                return candidate
+    return ps
+
+
+# moduli with many divisors; a set drawn at a divisor d and widened to M has
+# least period dividing d, and an extra residue usually breaks that period
+MANY_DIVISORS = (1, 2, 12, 60, 360, 720, 2520)
+
+
+@given(st.sampled_from(MANY_DIVISORS), st.data())
+@settings(max_examples=300)
+def test_normalize_matches_scan_of_every_candidate(modulus, data):
+    d = data.draw(st.sampled_from([d for d in range(1, modulus + 1) if modulus % d == 0]))
+    residues = data.draw(st.sets(st.integers(min_value=0, max_value=d - 1), max_size=d))
+    ps = expand_to(periodic_set(residues, d), modulus)
+    if data.draw(st.booleans()):
+        ps = periodic_set(ps.residues | {data.draw(st.integers(0, modulus - 1))}, modulus)
+    assert normalize(ps) == _scan_normalize(ps)
+
+
+def test_normalize_empty_set():
+    assert normalize(periodic_set([], 2520)) == _scan_normalize(periodic_set([], 2520))
+    assert normalize(periodic_set([], 2520)) == periodic_set([], 1)
+
+
+def _scan_covering(target_period, member_oracle, covering):
+    """The replaced covering check: one oracle call per n in the common period."""
+    period = math.lcm(target_period, *(cond.modulus for cond in covering))
+    for n in range(period):
+        if member_oracle(n % target_period):
+            if not any(cond.contains(n) for cond in covering):
+                raise NotACovering(f"member {n} escapes every covering class")
+    return sum((Fraction(1, cond.modulus) for cond in covering), Fraction(0))
+
+
+CONDITIONS = st.integers(min_value=1, max_value=12).flatmap(
+    lambda m: st.builds(ResidueCondition, st.integers(min_value=0, max_value=m - 1), st.just(m))
+)
+
+
+@given(PERIODIC_SETS, st.lists(CONDITIONS, max_size=4))
+@settings(max_examples=300)
+def test_covering_bound_matches_period_scan(target, covering):
+    calls = []
+
+    def oracle(n):
+        calls.append(n)
+        return target.contains(n)
+
+    try:
+        expected = _scan_covering(target.modulus, target.contains, covering)
+    except NotACovering as exc:
+        with pytest.raises(NotACovering) as info:
+            covering_bound(target.modulus, oracle, covering)
+        assert str(info.value) == str(exc)
+    else:
+        got = covering_bound(target.modulus, oracle, covering)
+        assert got.bound == expected
+        assert got.covering == tuple(covering)
+    assert sorted(calls) == list(range(target.modulus))

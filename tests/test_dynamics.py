@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorperm import (
+    PermutationVector,
     apply_map,
     apply_truncated,
     encode,
     make_base,
     make_expansion,
     make_orbit,
+    make_unchecked,
     modulus_of_continuity_check,
     orbit_point,
     orbit_prefix,
@@ -182,3 +184,49 @@ def test_truncated_translation_on_interval(k):
     lower = apply_truncated(pv, Fraction(0), 3)
     inside = apply_truncated(pv, x % Fraction(1, 30), 3)
     assert inside - lower == x % Fraction(1, 30)
+
+
+# --- differential oracle: the replaced greedy digit extraction ---
+
+def _greedy_digits(alpha, base, depth):
+    """Digits by repeated multiply-and-divide, and the remainder ``rem`` with
+    ``alpha == value(digits) + rem / (q * B_depth)``, ``q`` alpha's denominator."""
+    num, den = alpha.numerator, alpha.denominator
+    digits = []
+    for j in range(depth):
+        num *= base.moduli[j]
+        b, num = divmod(num, den)
+        digits.append(b)
+    return digits, num
+
+
+@st.composite
+def bases_and_vectors(draw):
+    # distinct primes, some squared or cubed, are pairwise coprime
+    primes = draw(
+        st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=1, max_size=5, unique=True)
+    )
+    moduli = [p ** draw(st.integers(min_value=1, max_value=3 if p < 5 else 1)) for p in primes]
+    base = make_base(moduli)
+    perms = tuple(make_unchecked(m, draw(st.permutations(range(m)))) for m in moduli)
+    return base, PermutationVector(perms, base)
+
+
+@given(
+    bases_and_vectors(),
+    st.integers(min_value=1, max_value=10**15),
+    st.integers(min_value=0, max_value=10**18),
+    st.data(),
+)
+@settings(max_examples=300)
+def test_codec_extraction_matches_greedy_digits(setup, den, num, data):
+    base, pv = setup
+    alpha = Fraction(num % den, den)
+    depth = data.draw(st.integers(min_value=0, max_value=base.depth))
+    digits, rem = _greedy_digits(alpha, base, depth)
+    assert encode(alpha, base, depth).digits == tuple(digits)
+    image = base.index_of([pv.perms[j].image[b] for j, b in enumerate(digits)])
+    q = alpha.denominator
+    assert apply_truncated(pv, alpha, depth) == Fraction(
+        image * q + rem, q * base.products[depth]
+    )

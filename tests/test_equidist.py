@@ -256,3 +256,23 @@ def test_orbit_scan_matches_repeated_apply_map(orbit, data):
     for n, value in enumerate(values):
         idx = (value.numerator * count) // value.denominator
         assert report.intervals[idx].residue.residue == n % count
+
+
+# points within 2**-64 of each other share floor(x * 2**64), so only the exact
+# tie-break orders them; equal values and the int 0 next to Fraction(0) too
+CLOSE_POINTS = st.builds(
+    lambda base, k: base + Fraction(k, 2**80),
+    st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(5, 7), Fraction(1, 2)]),
+    st.integers(min_value=0, max_value=2**10),
+)
+
+
+@given(st.lists(st.one_of(CLOSE_POINTS, st.just(0), UNIT_POINTS), min_size=1, max_size=30))
+@settings(max_examples=300)
+def test_star_discrepancy_orders_close_equal_and_mixed_points(points):
+    assert star_discrepancy(points).d_star == _fraction_dstar(points)
+
+
+def test_star_discrepancy_rejects_int_one():
+    with pytest.raises(PointOutOfRange):
+        star_discrepancy([0, 1])
