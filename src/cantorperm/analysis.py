@@ -165,8 +165,11 @@ def difference_quotient(
         raise DegenerateDigit(f"perturbed digit equals original digit {a}")
     closed = Fraction(perm.image[a] - perm.image[ell], a - ell)
     perturbed = alpha.replace_digit(s, ell)
-    direct = (apply_map(pv, alpha).value - apply_map(pv, perturbed).value) / (
-        alpha.value - perturbed.value
+    # all four points lie over the same B_len, which cancels in the quotient
+    index_of = alpha.base.index_of
+    direct = Fraction(
+        index_of(apply_map(pv, alpha).digits) - index_of(apply_map(pv, perturbed).digits),
+        index_of(alpha.digits) - index_of(perturbed.digits),
     )
     if closed != direct:
         raise CheckFalsified(

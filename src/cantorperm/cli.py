@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -67,6 +69,23 @@ def _build_perms(spec: str, base: BaseSequence, moduli_given: int) -> Permutatio
     return parse_permutations("\n".join(lines[: base.depth]), base)
 
 
+def _json(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for str-keyed values;
+    written out here because before Python 3.13 ``indent`` makes ``json``
+    fall back to its pure-Python encoder."""
+    if type(value) is int:
+        return str(value)
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items())
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)) and value:
+        items, brackets = (_json(v, inner) for v in value), "[]"
+    else:
+        return json.dumps(value)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
 def _cell(value) -> str:
     return ";".join(map(str, value)) if isinstance(value, list) else str(value)
 
@@ -82,7 +101,7 @@ def emit(args, table_lines, rows, payload, header=None) -> None:
         lines += [",".join(_cell(v) for v in row.values()) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(payload) + "\n"
     if args.out:
         try:
             Path(args.out).write_text(text)
@@ -124,13 +143,18 @@ def cmd_orbit(args) -> int:
     pv, seed = build_session(args)
     spec = make_orbit(seed, pv)
     if args.at is not None:
-        points = [orbit_point(spec, args.at)]
+        digits = orbit_point(spec, args.at).digits.digits
+        start, pairs = args.at, [(seed.base.index_of(digits), digits)]
     else:
-        points = orbit_prefix(spec, args.count)
-    rows = [
-        {"n": p.index, **frac_fields("value", p.value), "digits": list(p.digits.digits)}
-        for p in points
-    ]
+        start, pairs = 0, orbit_prefix(spec, args.count)
+    # every iterate is a numerator over B_K; reduce it as Fraction would
+    total = seed.base.products[seed.depth]
+    rows = []
+    for n, (num, digits) in enumerate(pairs, start):
+        g = math.gcd(num, total)
+        rows.append(
+            {"n": n, "value_num": num // g, "value_den": total // g, "digits": list(digits)}
+        )
     table_lines = (
         f"n={r['n']}  value={r['value_num']}/{r['value_den']}  digits={_cell(r['digits'])}"
         for r in rows

@@ -7,8 +7,10 @@ O(depth), independent of ``n`` -- orbits have exact random access.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from .base import DigitExpansion, as_fraction
 from .errors import CheckFalsified, DepthMismatch, LevelExceeded, OutOfRange, ValidationError
@@ -86,11 +88,28 @@ def orbit_point(spec: OrbitSpec, n: int) -> OrbitPoint:
     return OrbitPoint(n, DigitExpansion(digits, spec.alpha_digits.base))
 
 
-def orbit_prefix(spec: OrbitSpec, count: int) -> list[OrbitPoint]:
-    """The first ``count`` orbit points, indices ``0 .. count-1``."""
+def orbit_prefix(spec: OrbitSpec, count: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The first ``count`` iterates, indices ``0 .. count-1``, lazily, as
+    ``(numerator, digits)`` pairs: iterate ``n`` is ``numerator / B_K`` with
+    ``K = spec.depth`` and has the digits ``orbit_point(spec, n)`` has.
+
+    Every level steps through its rotated cycle in turn, and the numerator
+    sums the levels' contributions ``cycle[t] * B_K / B_{j+1}`` (the
+    mixed-radix weights of Garner's reconstruction), tabulated once per call.
+    """
     if count < 1:
         raise ValidationError("count must be >= 1")
-    return [orbit_point(spec, n) for n in range(count)]
+    if not spec._tables:
+        return itertools.repeat((0, ()), count)
+    products = spec.alpha_digits.base.products
+    total = products[spec.depth]
+    terms = [
+        [b * (total // products[j + 1]) for b in table]
+        for j, table in enumerate(spec._tables)
+    ]
+    digits = zip(*map(itertools.cycle, spec._tables))
+    numerators = map(sum, zip(*map(itertools.cycle, terms)))
+    return itertools.islice(zip(numerators, digits), count)
 
 
 def _permute_index(pv: PermutationVector, level: int, index: int) -> int:

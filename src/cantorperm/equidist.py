@@ -4,6 +4,7 @@ discrepancy, and empirical probes of uniform-distribution preservation.
 """
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -248,7 +249,9 @@ def ud_preservation_probe(
 
     grid_exact = None
     if source == "grid" and sample % base.products[depth] == 0:
-        grid_exact = sorted(points) == sorted(images)
+        # Fractions are normalised: equal multisets of (num, den) are equal multisets
+        pair = operator.attrgetter("numerator", "denominator")
+        grid_exact = Counter(map(pair, points)) == Counter(map(pair, images))
 
     return PreservationReport(
         source=source,

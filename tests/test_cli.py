@@ -1,7 +1,10 @@
 """Command-line interface: formats, exit codes, determinism."""
 import json
 
-from cantorperm.cli import main
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from cantorperm.cli import _json, main
 
 
 def run(capsys, *argv):
@@ -276,3 +279,21 @@ def test_inline_perms(capsys):
     )
     assert code == 0
     assert json.loads(out)["digits"] == [1, 1]
+
+
+# keys and strings with non-ASCII text, quotes, backslashes and control characters
+TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€😀 '), max_size=6)
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+@example({"a": [], "b": {}, "c": [[], {}, ()], "d": (True, False, None, 0)})
+def test_json_renderer_matches_stdlib_indent(value):
+    assert _json(value) == json.dumps(value, indent=2)

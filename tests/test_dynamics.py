@@ -20,7 +20,7 @@ from cantorperm import (
     parse_permutations,
     shift_vector,
 )
-from cantorperm.errors import DepthMismatch, OutOfRange
+from cantorperm.errors import DepthMismatch, OutOfRange, ValidationError
 
 
 def _shift_setup():
@@ -62,13 +62,21 @@ def test_apply_map_depth_mismatch():
 def test_orbit_first_values():
     b, pv = _shift_setup()
     spec = make_orbit(encode(Fraction(0), b, 3), pv)
-    values = [p.value for p in orbit_prefix(spec, 4)]
+    values = [Fraction(num, 30) for num, _ in orbit_prefix(spec, 4)]
     assert values == [
         Fraction(0),
         Fraction(7, 10),
         Fraction(2, 5),
         Fraction(3, 5),
     ]
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_orbit_prefix_rejects_count_when_called(count):
+    b, pv = _shift_setup()
+    spec = make_orbit(encode(Fraction(0), b, 3), pv)
+    with pytest.raises(ValidationError):
+        orbit_prefix(spec, count)
 
 
 def test_orbit_period_is_full_product():

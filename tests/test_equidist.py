@@ -18,6 +18,7 @@ from cantorperm import (
     make_orbit,
     membership_equivalence,
     orbit_point,
+    orbit_prefix,
     shift_vector,
     star_discrepancy,
     ud_preservation_probe,
@@ -256,6 +257,21 @@ def test_orbit_scan_matches_repeated_apply_map(orbit, data):
     for n, value in enumerate(values):
         idx = (value.numerator * count) // value.denominator
         assert report.intervals[idx].residue.residue == n % count
+
+
+@given(full_cycle_orbits(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_orbit_prefix_matches_orbit_point(orbit, data):
+    pv, spec = orbit
+    base = pv.base
+    depth = data.draw(st.integers(min_value=0, max_value=base.depth))
+    spec = make_orbit(make_expansion(spec.alpha_digits.digits[:depth], base), pv)
+    count = data.draw(st.integers(min_value=1, max_value=4 * base.products[depth] + 3))
+    pairs = list(orbit_prefix(spec, count))
+    assert len(pairs) == count
+    for n, (numerator, digits) in enumerate(pairs):
+        assert digits == orbit_point(spec, n).digits.digits
+        assert numerator == base.index_of(digits)
 
 
 # points within 2**-64 of each other share floor(x * 2**64), so only the exact
