@@ -66,6 +66,16 @@ def _point_at(pv: PermutationVector, level: int, interval_index: int, digit: int
     return x.value, apply_map(pv, x).value
 
 
+def _check_interval(pv: PermutationVector, level: int, interval_index: int) -> None:
+    base = pv.base
+    if level >= base.depth or level < 0:
+        raise LevelExceeded(f"level {level} not in [0, {base.depth})")
+    if not 0 <= interval_index < base.products[level]:
+        raise IndexOutOfRange(
+            f"interval {interval_index} not in [0, {base.products[level]})"
+        )
+
+
 def find_monotonicity_witness(
     pv: PermutationVector, level: int, interval_index: int
 ) -> MonotonicityWitness:
@@ -81,13 +91,7 @@ def find_monotonicity_witness(
     where sub-intervals of the same interval are governed by the next
     permutation.
     """
-    base = pv.base
-    if level >= base.depth or level < 0:
-        raise LevelExceeded(f"level {level} not in [0, {base.depth})")
-    if not 0 <= interval_index < base.products[level]:
-        raise IndexOutOfRange(
-            f"interval {interval_index} not in [0, {base.products[level]})"
-        )
+    _check_interval(pv, level, interval_index)
     perm = pv.perms[level]
     rise = _adjacent_pair(perm, operator.lt)
     fall = _adjacent_pair(perm, operator.gt)
@@ -130,19 +134,17 @@ def find_witness_descending(
     """
     if max_descent is not None and max_descent < 0:
         raise ValidationError(f"descent budget {max_descent} < 0")
+    _check_interval(pv, level, interval_index)
     base = pv.base
-    budget = base.depth - level if max_descent is None else max_descent + 1
-    s, j = level, interval_index
-    last_error = None
-    for _ in range(budget):
-        if s >= base.depth:
-            break
+    stop = base.depth if max_descent is None else min(level + max_descent + 1, base.depth)
+    j = interval_index
+    # level < depth, so the loop runs at least once and binds last_error
+    for s in range(level, stop):
         try:
             return find_monotonicity_witness(pv, s, j)
         except NoWitnessAtLevel as exc:
             last_error = exc
-            j = j * base.moduli[s]
-            s += 1
+            j *= base.moduli[s]
     raise NoWitnessAtLevel(
         f"no witness for interval {interval_index} at level {level} "
         f"within descent budget"

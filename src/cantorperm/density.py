@@ -98,10 +98,12 @@ def normalize(ps: PeriodicSet) -> PeriodicSet:
 
 
 def intersect(ps1: PeriodicSet, ps2: PeriodicSet) -> PeriodicSet:
-    """Intersection, as residue sets over one common period."""
+    """Intersection over one common period: only the operand with the smaller
+    lift is rewritten there, and its residues the other set contains are kept."""
     modulus = math.lcm(ps1.modulus, ps2.modulus)
-    r1, r2 = expand_to(ps1, modulus).residues, expand_to(ps2, modulus).residues
-    return PeriodicSet(modulus, r1 & r2)
+    small, other = sorted((ps1, ps2), key=lambda ps: len(ps.residues) * (modulus // ps.modulus))
+    lifted = expand_to(small, modulus).residues
+    return PeriodicSet(modulus, frozenset(r for r in lifted if other.contains(r)))
 
 
 def union(ps1: PeriodicSet, ps2: PeriodicSet) -> PeriodicSet:

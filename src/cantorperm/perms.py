@@ -167,26 +167,24 @@ class ResidueCondition:
         return f"{self.residue}+({self.modulus})"
 
 
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    # m1, m2 coprime: unique solution mod m1*m2
-    t = ((r2 - r1) * pow(m1, -1, m2)) % m2
-    return r1 + m1 * t, m1 * m2
+def _crt(pairs: Iterable[tuple[int, int]], modulus: int) -> int:
+    # pairwise coprime m with product `modulus`; c * (c^-1 mod m) is 1 mod m, 0 mod the rest
+    return sum(r * (c := modulus // m) * pow(c, -1, m) for r, m in pairs) % modulus
 
 
 def combine_crt(conditions: Iterable[ResidueCondition]) -> ResidueCondition:
-    """Collapse simultaneous congruences with pairwise coprime moduli into a
-    single condition with the product modulus (Chinese remainder theorem).
-
-    An empty list gives the vacuous condition ``0+(1)``.
+    """Collapse congruences ``n == r_j (mod m_j)`` with pairwise coprime moduli
+    into one class mod ``M = prod m_j``: the idempotent sum ``sum r_j * c_j *
+    (c_j^-1 mod m_j) mod M`` with ``c_j = M / m_j``, invertible mod ``m_j`` as a
+    product of moduli coprime to it.  No conditions give ``0+(1)``.
     """
-    residue, modulus = 0, 1
-    for cond in conditions:
-        if math.gcd(modulus, cond.modulus) != 1:
-            raise ModuliNotCoprime(
-                f"modulus {cond.modulus} not coprime to accumulated {modulus}"
-            )
-        residue, modulus = _crt_pair(residue, modulus, cond.residue, cond.modulus)
-    return ResidueCondition(residue, modulus)
+    pairs = [(cond.residue, cond.modulus) for cond in conditions]
+    modulus = 1
+    for _, m in pairs:
+        if math.gcd(modulus, m) != 1:
+            raise ModuliNotCoprime(f"modulus {m} not coprime to accumulated {modulus}")
+        modulus *= m
+    return ResidueCondition(_crt(pairs, modulus), modulus)
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,8 +232,11 @@ def prefix_residue(
     """The residue class of all ``n`` whose ``n``-th power maps every digit of
     ``from_digits`` onto the matching digit of ``to_digits``.
 
-    With full cycles at every level, the per-level discrete logs combine by
-    the Chinese remainder theorem into one class mod ``products[len]``.
+    With full cycles at every level, the per-level discrete logs ``r_j``
+    combine into one class mod ``M = products[len]`` by the idempotent sum of
+    :func:`combine_crt`, ``sum r_j * c_j * (c_j^-1 mod m_j) mod M`` with
+    ``c_j = M / m_j``; the base's moduli are pairwise coprime, so each ``c_j``
+    is invertible mod ``m_j``.
     """
     if len(from_digits) != len(to_digits):
         raise LengthMismatch(
@@ -245,11 +246,9 @@ def prefix_residue(
         raise LengthMismatch(
             f"prefix length {len(from_digits)} exceeds vector depth {pv.depth}"
         )
-    conditions = [
-        ResidueCondition(discrete_log(pv.perms[i], r, s), pv.perms[i].modulus)
-        for i, (r, s) in enumerate(zip(from_digits, to_digits))
-    ]
-    return combine_crt(conditions)
+    modulus = pv.base.products[len(from_digits)]
+    logs = map(discrete_log, pv.perms, from_digits, to_digits)
+    return ResidueCondition(_crt(zip(logs, pv.base.moduli), modulus), modulus)
 
 
 def _perm_lines(text: str) -> list[str]:

@@ -76,6 +76,18 @@ def test_witness_level_bounds():
         find_monotonicity_witness(pv, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "level, interval, error",
+    [(3, 0, LevelExceeded), (7, 0, LevelExceeded), (1, 2, IndexOutOfRange)],
+)
+@pytest.mark.parametrize("max_descent", [None, 5])
+def test_witness_descending_rejects_interval_outside_vector(level, interval, error, max_descent):
+    # a level at or past the depth leaves no descent budget; it is bad input
+    pv = shift_vector(make_base((2, 3, 5)))
+    with pytest.raises(error):
+        find_witness_descending(pv, level, interval, max_descent=max_descent)
+
+
 def test_witness_images_match_map():
     b = make_base((2, 3, 5))
     pv = shift_vector(b)

@@ -25,6 +25,8 @@ MALFORMED = [
     ["check", "preserve", "--source", "vdc", "--level", "1", "--count", "8",
      "--threshold", "abc"],
     ["probe", "monotone", "--level", "0", "--interval", "0", "--max-descend", "-1"],
+    ["probe", "monotone", "--level", "3", "--interval", "0"],
+    ["probe", "monotone", "--level", "7", "--interval", "0"],
 ]
 
 

@@ -1,4 +1,5 @@
 """Periodic integer sets, densities, covering bounds, partition criterion."""
+import importlib
 import math
 from fractions import Fraction
 
@@ -74,6 +75,23 @@ def test_intersect_known():
     # 1 mod 2 and 2 mod 3 meet exactly in 5 mod 6
     got = intersect(periodic_set([1], 2), periodic_set([2], 3))
     assert got == periodic_set([5], 6)
+
+
+def test_intersect_lifts_only_the_smaller_operand(monkeypatch):
+    # lifting 0(1) to the common period would build 3,000,000 residues
+    lifted = []
+
+    def counting_expand_to(ps, modulus):
+        wide = expand_to(ps, modulus)
+        lifted.append(len(wide.residues))
+        return wide
+
+    # the package re-exports the function density, which shadows the module name
+    module = importlib.import_module("cantorperm.density")
+    monkeypatch.setattr(module, "expand_to", counting_expand_to)
+    got = intersect(periodic_set([0], 1), periodic_set([0, 7], 3_000_000))
+    assert got == periodic_set([0, 7], 3_000_000)
+    assert sum(lifted) <= 2
 
 
 def test_intersect_union_membership():

@@ -1,9 +1,12 @@
 """Cyclic permutations, discrete logs, residue combination."""
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorperm import (
+    PermutationVector,
     ResidueCondition,
     combine_crt,
     discrete_log,
@@ -201,3 +204,99 @@ def test_full_cycle_detection_matches_order(image):
         seen.add(cur)
         cur = image[cur]
     assert p.full_cycle == (len(seen) == 6)
+
+
+# --- differential oracle: the pairwise CRT fold over per-level conditions ---
+
+def _crt_pair(r1, m1, r2, m2):
+    # m1, m2 coprime: unique solution mod m1*m2
+    t = ((r2 - r1) * pow(m1, -1, m2)) % m2
+    return r1 + m1 * t, m1 * m2
+
+
+def _fold_crt(conditions):
+    residue, modulus = 0, 1
+    for cond in conditions:
+        assert math.gcd(modulus, cond.modulus) == 1
+        residue, modulus = _crt_pair(residue, modulus, cond.residue, cond.modulus)
+    return ResidueCondition(residue, modulus)
+
+
+def _fold_prefix_residue(pv, from_digits, to_digits):
+    return _fold_crt(
+        ResidueCondition(discrete_log(perm, r, s), perm.modulus)
+        for perm, r, s in zip(pv.perms, from_digits, to_digits)
+    )
+
+
+# one power of each of up to four distinct primes, in any order: prime powers
+# 4, 8, 9, 25, 27 and 49 exercise idempotents whose moduli are not prime
+PRIME_POWERS = {2: (2, 4, 8), 3: (3, 9, 27), 5: (5, 25), 7: (7, 49), 11: (11,), 13: (13,)}
+COPRIME_MODULI = (
+    st.lists(st.sampled_from(sorted(PRIME_POWERS)), min_size=0, max_size=4, unique=True)
+    .flatmap(lambda ps: st.tuples(*(st.sampled_from(PRIME_POWERS[p]) for p in ps)))
+)
+
+
+def _full_cycle(m):
+    return st.permutations(range(m)).map(lambda cycle: from_cycle(m, cycle))
+
+
+@st.composite
+def _vectors_and_prefixes(draw):
+    moduli = draw(COPRIME_MODULI.filter(len))
+    base = make_base(moduli)
+    pv = PermutationVector(tuple(draw(_full_cycle(m)) for m in moduli), base)
+    seed = tuple(draw(st.integers(0, m - 1)) for m in moduli)
+    target = tuple(draw(st.integers(0, m - 1)) for m in moduli)
+    return pv, seed, target
+
+
+@given(_vectors_and_prefixes())
+@settings(max_examples=150, deadline=None)
+def test_prefix_residue_matches_pairwise_fold_and_period_scan(case):
+    pv, seed, target = case
+    for length in range(pv.depth + 1):
+        src, dst = seed[:length], target[:length]
+        got = prefix_residue(pv, src, dst)
+        assert got == _fold_prefix_residue(pv, src, dst)
+        assert got.modulus == pv.base.products[length]
+        if got.modulus <= 2000:
+            hits = [
+                n for n in range(got.modulus)
+                if all(p.power(n, r) == s for p, r, s in zip(pv.perms, src, dst))
+            ]
+            assert hits == [got.residue]
+
+
+@given(COPRIME_MODULI, st.data())
+@settings(max_examples=150)
+def test_combine_crt_matches_pairwise_fold_on_a_generator(moduli, data):
+    conds = [ResidueCondition(data.draw(st.integers(0, m - 1)), m) for m in moduli]
+    got = combine_crt(c for c in conds)
+    assert got == _fold_crt(conds)
+    if got.modulus <= 2000:
+        hits = [n for n in range(got.modulus) if all(c.contains(n) for c in conds)]
+        assert hits == [got.residue]
+
+
+def test_combine_crt_on_short_generators():
+    assert combine_crt(c for c in ()) == ResidueCondition(0, 1)
+    assert combine_crt(c for c in [ResidueCondition(20, 27)]) == ResidueCondition(20, 27)
+    assert combine_crt(iter([ResidueCondition(3, 4), ResidueCondition(7, 9)])) == (
+        ResidueCondition(7, 36)
+    )
+
+
+@pytest.mark.parametrize(
+    "moduli, message",
+    [
+        ((4, 6), "modulus 6 not coprime to accumulated 4"),
+        ((3, 5, 7, 10), "modulus 10 not coprime to accumulated 105"),
+        ((9, 2, 27, 4), "modulus 27 not coprime to accumulated 18"),
+    ],
+)
+def test_combine_crt_shared_factor_message(moduli, message):
+    with pytest.raises(ModuliNotCoprime) as exc:
+        combine_crt(ResidueCondition(0, m) for m in moduli)
+    assert str(exc.value) == message
