@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .base import DigitExpansion, prefix_of_interval
-from .dynamics import apply_map
+from .dynamics import _check_fits, apply_map
 from .errors import (
     CheckFalsified,
     DegenerateDigit,
@@ -157,6 +157,7 @@ def difference_quotient(
     """Slope of the map between ``alpha`` and its single-digit perturbation at
     level ``s``, computed by the closed form and cross-checked against direct
     evaluation of both images."""
+    _check_fits(pv, alpha)
     if s >= len(alpha.digits) or s < 0:
         raise LevelExceeded(f"digit level {s} not in [0, {len(alpha.digits)})")
     perm = pv.perms[s]
@@ -217,6 +218,7 @@ def derivative_probe(
     evidence: quotient sets per level, whether 1 is achievable throughout,
     and whether the integer candidates stabilize over the probed range.
     """
+    _check_fits(pv, alpha)
     if max_level > len(alpha.digits) or max_level < 0:
         raise LevelExceeded(
             f"max level {max_level} not in [0, {len(alpha.digits)}]"

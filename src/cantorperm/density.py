@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 from .errors import (
     BoundsExceedOne,
+    CheckFalsified,
     NotACovering,
     NotAPartition,
     ValidationError,
@@ -166,7 +167,8 @@ def measurable_partition_check(parts: Iterable[PartLike]) -> PartitionVerdict:
 
     Each part is a PeriodicSet (bound defaults to its exact density) or a
     ``(PeriodicSet, bound)`` pair where the bound is a verified density upper
-    bound.  The measure 1 of the naturals is at most the sum of the parts'
+    bound; a bound below the part's exact density raises CheckFalsified.
+    The measure 1 of the naturals is at most the sum of the parts'
     densities by subadditivity, and at most 1 by hypothesis, so every
     inequality in the chain is an equality.
     """
@@ -187,6 +189,9 @@ def measurable_partition_check(parts: Iterable[PartLike]) -> PartitionVerdict:
             raise NotAPartition(f"{n} is covered by no part")
         if count > 1:
             raise NotAPartition(f"{n} is covered by {count} parts")
+    for ps, bound in pairs:
+        if bound < density(ps):
+            raise CheckFalsified(f"bound {bound} for part {ps} is below its density {density(ps)}")
     total = sum((bound for _, bound in pairs), Fraction(0))
     if total > 1:
         raise BoundsExceedOne(f"bounds sum to {total} > 1, criterion inapplicable")

@@ -17,6 +17,17 @@ from .errors import CheckFalsified, DepthMismatch, LevelExceeded, OutOfRange, Va
 from .perms import PermutationVector
 
 
+def _check_fits(pv: PermutationVector, x: DigitExpansion) -> None:
+    """Raise DepthMismatch unless ``pv`` has at least ``len(x.digits)`` levels and
+    both bases share their first ``len(x.digits)`` moduli: the map permutes digit
+    ``j`` on ``Z_{m_j}``.  The bases may differ past that depth."""
+    depth = len(x.digits)
+    if depth > pv.depth or x.base.moduli[:depth] != pv.base.moduli[:depth]:
+        raise DepthMismatch(
+            f"{depth} digits over moduli {x.base.moduli} do not fit vector moduli {pv.base.moduli}"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class OrbitSpec:
     """Seed expansion plus the permutation vector driving it.
@@ -30,12 +41,7 @@ class OrbitSpec:
     _tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.depth > self.pv.depth:
-            raise DepthMismatch(
-                f"depth {self.depth} exceeds permutation vector depth {self.pv.depth}"
-            )
-        if self.alpha_digits.base is not self.pv.base and self.alpha_digits.base != self.pv.base:
-            raise DepthMismatch("seed digits and permutations use different bases")
+        _check_fits(self.pv, self.alpha_digits)
         tables = []
         for perm, b in zip(self.pv.perms, self.alpha_digits.digits):
             cycle, start = perm.cycles[perm.cycle_id[b]], perm.cycle_pos[b]
@@ -67,10 +73,7 @@ def make_orbit(alpha_digits: DigitExpansion, pv: PermutationVector) -> OrbitSpec
 def apply_map(pv: PermutationVector, x: DigitExpansion) -> DigitExpansion:
     """One application of the map: permute each digit by its level's
     permutation."""
-    if len(x.digits) > pv.depth:
-        raise DepthMismatch(
-            f"expansion has {len(x.digits)} digits, vector only {pv.depth} levels"
-        )
+    _check_fits(pv, x)
     return DigitExpansion(
         tuple(pv.perms[j].image[b] for j, b in enumerate(x.digits)), x.base
     )

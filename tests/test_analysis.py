@@ -19,6 +19,7 @@ from cantorperm import (
 )
 from cantorperm.errors import (
     DegenerateDigit,
+    DepthMismatch,
     IndexOutOfRange,
     LevelExceeded,
     NoWitnessAtLevel,
@@ -141,6 +142,17 @@ def test_quotient_rejects_same_digit():
     alpha = encode(Fraction(0), b, 3)
     with pytest.raises(DegenerateDigit):
         difference_quotient(pv, alpha, 0, 0)
+
+
+@pytest.mark.parametrize("moduli", [(2, 3, 5, 7), (2, 3, 7)])
+def test_quotient_and_probe_reject_point_that_does_not_fit(moduli):
+    # deeper than the vector, or as deep over other moduli
+    pv = shift_vector(make_base((2, 3, 5)))
+    alpha = make_expansion((0,) * len(moduli), make_base(moduli))
+    with pytest.raises(DepthMismatch):
+        difference_quotient(pv, alpha, len(moduli) - 1, 1)
+    with pytest.raises(DepthMismatch):
+        derivative_probe(pv, alpha, len(moduli))
 
 
 def test_quotient_closed_equals_direct_spot():

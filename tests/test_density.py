@@ -1,12 +1,16 @@
 """Periodic integer sets, densities, covering bounds, partition criterion."""
+import ast
 import importlib
 import math
 from fractions import Fraction
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cantorperm
 from cantorperm import (
     ResidueCondition,
     covering_bound,
@@ -22,6 +26,7 @@ from cantorperm import (
 )
 from cantorperm.errors import (
     BoundsExceedOne,
+    CheckFalsified,
     NotACovering,
     NotAPartition,
     ValidationError,
@@ -171,6 +176,33 @@ def test_partition_rejects_bound_sum_above_one():
     ]
     with pytest.raises(BoundsExceedOne):
         measurable_partition_check(parts)
+
+
+@pytest.mark.parametrize(
+    "bound, other",
+    [(Fraction(1, 4), Fraction(1, 4)), (Fraction(-1, 2), Fraction(1, 2))],
+)
+def test_partition_rejects_bound_below_density(bound, other):
+    # evens and odds have density 1/2 each; a smaller bound is no upper bound
+    parts = [(periodic_set([0], 2), bound), (periodic_set([1], 2), other)]
+    with pytest.raises(CheckFalsified) as info:
+        measurable_partition_check(parts)
+    assert str(info.value) == f"bound {bound} for part 0(2) is below its density 1/2"
+
+
+def test_all_is_the_import_block():
+    # the function density shadows the submodule of that name; __all__ exports the function
+    tree = ast.parse(Path(cantorperm.__file__).read_text())
+    imported = [
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    names = cantorperm.__all__
+    assert len(names) == len(set(names))
+    assert not any(isinstance(getattr(cantorperm, name), ModuleType) for name in names)
+    assert set(names) == {"__version__", *imported}
 
 
 @given(st.integers(min_value=1, max_value=24), st.data())

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorperm import (
+    DigitExpansion,
     PermutationVector,
     apply_map,
     apply_truncated,
@@ -57,6 +58,40 @@ def test_apply_map_depth_mismatch():
     long = make_expansion((0, 0, 0), b3)
     with pytest.raises(DepthMismatch):
         apply_map(pv2, long)
+
+
+@pytest.mark.parametrize("point_modulus, vector_modulus", [(2, 3), (3, 2)])
+def test_apply_map_rejects_other_moduli(point_modulus, vector_modulus):
+    # shift on Z_3 sends digit 1 of Z_2 to 2, a "digit" of value 1 over (2,)
+    x = make_expansion((1,), make_base((point_modulus,)))
+    with pytest.raises(DepthMismatch):
+        apply_map(shift_vector(make_base((vector_modulus,))), x)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        make_expansion((0, 0, 0, 0), make_base((2, 3, 5, 7))),
+        make_expansion((0, 0, 0), make_base((2, 5, 3))),
+        # the unchecked constructor: more digits than the point's own base
+        DigitExpansion((0, 0, 0, 0), make_base((2, 3, 5))),
+    ],
+)
+def test_orbit_and_map_reject_point_that_does_not_fit(point):
+    b, pv = _shift_setup()
+    with pytest.raises(DepthMismatch):
+        make_orbit(point, pv)
+    with pytest.raises(DepthMismatch):
+        apply_map(pv, point)
+
+
+def test_orbit_seed_over_a_prefix_of_the_vector_base():
+    # the moduli agree up to the seed's depth, so its numerators are over the same B_2
+    b, pv = _shift_setup()
+    short = make_orbit(make_expansion((1, 2), make_base((2, 3))), pv)
+    full = make_orbit(make_expansion((1, 2), b), pv)
+    for n in (0, 1, 2, 5, 10**12 + 3):
+        assert orbit_point(short, n).value == orbit_point(full, n).value
 
 
 def test_orbit_first_values():
