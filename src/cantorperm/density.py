@@ -79,9 +79,12 @@ def density(ps: PeriodicSet) -> Fraction:
 
 
 def expand_to(ps: PeriodicSet, modulus: int) -> PeriodicSet:
-    """Rewrite the same set with a larger modulus (must be a multiple)."""
+    """Rewrite the same set with a larger modulus (must be a multiple); the
+    set's own modulus gives back ``ps`` itself."""
     if modulus % ps.modulus != 0:
         raise ValidationError(f"{modulus} is not a multiple of {ps.modulus}")
+    if modulus == ps.modulus:
+        return ps
     residues = frozenset(
         r + k * ps.modulus for r in ps.residues for k in range(modulus // ps.modulus)
     )

@@ -5,8 +5,9 @@ Chinese remainder theorem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from operator import getitem
+from typing import Iterable, Optional, Sequence
 
 from .base import BaseSequence
 from .errors import (
@@ -193,6 +194,10 @@ class PermutationVector:
 
     perms: tuple[CyclicPermutation, ...]
     base: BaseSequence
+    # prefix length -> CRT weight tables of prefix_residue, filled by _weight_tables
+    _weights: dict[int, tuple[Optional[tuple[int, ...]], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.perms) != self.base.depth:
@@ -224,6 +229,23 @@ def identity_vector(base: BaseSequence) -> PermutationVector:
     return PermutationVector(tuple(identity(m) for m in base.moduli), base)
 
 
+def _weight_tables(pv: PermutationVector, length: int) -> tuple[Optional[tuple[int, ...]], ...]:
+    """The weight table of every level below ``length`` (``None`` where the
+    level is not a full cycle), built once and cached on the vector."""
+    modulus = pv.base.products[length]
+    tables = []
+    for perm, m in zip(pv.perms[:length], pv.base.moduli):
+        if perm.full_cycle:
+            # the CRT idempotent: 1 mod m, 0 mod every other modulus of the prefix
+            e = (c := modulus // m) * pow(c, -1, m)
+            tables.append(tuple(pos * e % modulus for pos in perm.cycle_pos))
+        else:
+            tables.append(None)
+    # one assignment of a finished table: threads sharing pv at worst build it twice
+    pv._weights[length] = tables = tuple(tables)
+    return tables
+
+
 def prefix_residue(
     pv: PermutationVector,
     from_digits: Sequence[int],
@@ -232,11 +254,16 @@ def prefix_residue(
     """The residue class of all ``n`` whose ``n``-th power maps every digit of
     ``from_digits`` onto the matching digit of ``to_digits``.
 
-    With full cycles at every level, the per-level discrete logs ``r_j``
-    combine into one class mod ``M = products[len]`` by the idempotent sum of
-    :func:`combine_crt`, ``sum r_j * c_j * (c_j^-1 mod m_j) mod M`` with
-    ``c_j = M / m_j``; the base's moduli are pairwise coprime, so each ``c_j``
-    is invertible mod ``m_j``.
+    With full cycles at every level, the per-level discrete logs
+    ``pos_j[s_j] - pos_j[r_j]`` (cycle positions) combine into one class mod
+    ``M = products[len]`` by the idempotent sum of :func:`combine_crt`.  The
+    idempotent ``e_j = c_j * (c_j^-1 mod m_j)`` with ``c_j = M / m_j`` depends
+    only on the base and the prefix length, so level ``j`` gets a weight table
+    ``W_j[b] = pos_j[b] * e_j mod M`` and the class is
+    ``(sum W_j[s_j] - sum W_j[r_j]) mod M``: two sums of lookups.  The tables
+    of one prefix length are built on first use and cached on the vector.
+    A level that is not a full cycle, or a digit out of range, raises what
+    :func:`discrete_log` raises for the first such level.
     """
     if len(from_digits) != len(to_digits):
         raise LengthMismatch(
@@ -246,9 +273,23 @@ def prefix_residue(
         raise LengthMismatch(
             f"prefix length {len(from_digits)} exceeds vector depth {pv.depth}"
         )
-    modulus = pv.base.products[len(from_digits)]
-    logs = map(discrete_log, pv.perms, from_digits, to_digits)
-    return ResidueCondition(_crt(zip(logs, pv.base.moduli), modulus), modulus)
+    length = len(from_digits)
+    modulus = pv.base.products[length]
+    tables = pv._weights.get(length)
+    if tables is None:
+        tables = _weight_tables(pv, length)
+    try:
+        # a negative digit would index a table from its end
+        if min((0, *from_digits, *to_digits)) < 0:
+            raise IndexError("negative digit")
+        residue = sum(map(getitem, tables, to_digits)) - sum(map(getitem, tables, from_digits))
+        return ResidueCondition(residue % modulus, modulus)
+    except (TypeError, IndexError) as exc:
+        fault = exc
+    # some level has no table or a digit outside it: the first such level raises
+    for perm, r, s in zip(pv.perms, from_digits, to_digits):
+        discrete_log(perm, r, s)
+    raise fault
 
 
 def _perm_lines(text: str) -> list[str]:

@@ -71,6 +71,13 @@ def test_expand_and_normalize():
     assert normalize(wide) == ps
 
 
+def test_expand_to_own_modulus_is_the_set_itself():
+    ps = periodic_set([1, 4], 6)
+    assert expand_to(ps, 6) is ps
+    with pytest.raises(ValidationError, match="9 is not a multiple of 6"):
+        expand_to(ps, 9)
+
+
 def test_normalize_no_smaller_period():
     ps = periodic_set([0, 1], 4)
     assert normalize(ps) == ps

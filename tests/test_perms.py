@@ -1,5 +1,9 @@
 """Cyclic permutations, discrete logs, residue combination."""
+import dataclasses
+import itertools
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +27,7 @@ from cantorperm import (
 )
 from cantorperm.errors import (
     DigitOutOfRange,
+    LengthMismatch,
     ModuliNotCoprime,
     NotBijection,
     NotFullCycle,
@@ -171,6 +176,104 @@ def test_prefix_residue_complete_system():
     assert residues == set(range(30))
 
 
+def test_prefix_residue_empty_prefix():
+    pv = shift_vector(make_base((2, 3, 5)))
+    assert prefix_residue(pv, (), ()) == ResidueCondition(0, 1)
+    assert str(prefix_residue(pv, [], [])) == "0+(1)"
+
+
+def _vector_with_identity_at(level):
+    moduli = (3, 4, 5)
+    perms = [shift(m) for m in moduli]
+    perms[level] = identity(moduli[level])
+    return PermutationVector(tuple(perms), make_base(moduli))
+
+
+@pytest.mark.parametrize(
+    "level, src, dst, error, message",
+    [
+        # a level that is not a full cycle
+        (1, (0, 0), (0, 0), NotFullCycle, "discrete log needs a single full-length cycle"),
+        (0, (0,), (1,), NotFullCycle, "discrete log needs a single full-length cycle"),
+        # digits out of range, on either side, below or above
+        (2, (-1, 0), (0, 0), DigitOutOfRange, "digit -1 not in [0, 3)"),
+        (2, (0, 0), (0, -4), DigitOutOfRange, "digit -4 not in [0, 4)"),
+        (2, (3, 0), (0, 0), DigitOutOfRange, "digit 3 not in [0, 3)"),
+        (2, (0, 0), (0, 4), DigitOutOfRange, "digit 4 not in [0, 4)"),
+        (2, (0, 10**30), (0, 0), DigitOutOfRange, f"digit {10**30} not in [0, 4)"),
+        # the first faulty level wins, and within a level the source digit
+        (1, (0, 0), (3, 9), DigitOutOfRange, "digit 3 not in [0, 3)"),
+        (1, (0, 0, 0), (0, 0, -1), NotFullCycle, "discrete log needs a single full-length cycle"),
+        (2, (0, 0, 0), (-1, 5, 0), DigitOutOfRange, "digit -1 not in [0, 3)"),
+        (2, (0, 7, 0), (0, 5, 0), DigitOutOfRange, "digit 7 not in [0, 4)"),
+        (2, (0, 1, 0), (0, 2, 0), NotFullCycle, "discrete log needs a single full-length cycle"),
+    ],
+)
+def test_prefix_residue_error_paths(level, src, dst, error, message):
+    pv = _vector_with_identity_at(level)
+    for _ in range(2):  # the same fault with an empty and with a filled cache
+        with pytest.raises(error) as exc:
+            prefix_residue(pv, src, dst)
+        assert str(exc.value) == message
+        assert exc.value.__context__ is None
+
+
+def test_prefix_residue_length_checks_come_first():
+    pv = _vector_with_identity_at(0)
+    with pytest.raises(LengthMismatch, match="prefix lengths differ: 1 vs 2"):
+        prefix_residue(pv, (0,), (0, 9))
+    with pytest.raises(LengthMismatch, match="prefix length 4 exceeds vector depth 3"):
+        prefix_residue(pv, (9, 0, 0, 0), (0, 0, 0, 0))
+
+
+def test_vectors_equal_with_and_without_a_filled_cache():
+    base = make_base((4, 9, 5))
+    filled, fresh = shift_vector(base), shift_vector(base)
+    for length in range(base.depth + 1):
+        prefix_residue(filled, (0,) * length, (1,) * length)
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert {filled: 1}[fresh] == 1
+    assert repr(filled) == repr(fresh)
+    copy = dataclasses.replace(filled)
+    assert copy == filled and copy._weights == {}
+    assert prefix_residue(copy, (0, 0), (3, 8)) == prefix_residue(filled, (0, 0), (3, 8))
+
+
+def test_threads_sharing_a_vector_get_the_classes_of_a_lone_caller():
+    moduli = (4, 9, 5, 7)
+    cycles = [from_cycle(m, range(m - 1, -1, -1)) for m in moduli]
+    base = make_base(moduli)
+    seed = (1, 2, 3, 4)
+    cases = [
+        (length, prefix)
+        for length in range(base.depth + 1)
+        for prefix in itertools.islice(
+            itertools.product(*(range(m) for m in moduli[:length])), 300
+        )
+    ]
+    lone = PermutationVector(tuple(cycles), base)
+    expected = [prefix_residue(lone, seed[:length], prefix) for length, prefix in cases]
+    shared = PermutationVector(tuple(cycles), base)
+    results = {}
+
+    def work(worker):
+        results[worker] = [prefix_residue(shared, seed[:length], prefix) for length, prefix in cases]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[w] == expected for w in range(6))
+    assert shared._weights == lone._weights
+
+
 def test_parse_permutations_round_trip():
     b = make_base((2, 3, 5))
     text = "2: 1,0\n# comment line\n3: 1,2,0\n\n5: 4,0,1,2,3\n"
@@ -249,18 +352,25 @@ def _vectors_and_prefixes(draw):
     pv = PermutationVector(tuple(draw(_full_cycle(m)) for m in moduli), base)
     seed = tuple(draw(st.integers(0, m - 1)) for m in moduli)
     target = tuple(draw(st.integers(0, m - 1)) for m in moduli)
-    return pv, seed, target
+    order = draw(st.permutations(range(len(moduli) + 1)))
+    return pv, seed, target, order
 
 
 @given(_vectors_and_prefixes())
 @settings(max_examples=150, deadline=None)
 def test_prefix_residue_matches_pairwise_fold_and_period_scan(case):
-    pv, seed, target = case
-    for length in range(pv.depth + 1):
+    # one vector serves every prefix length, in random order, so each length
+    # is answered both right after its weight tables are built and after
+    # other lengths have filled the cache
+    pv, seed, target, order = case
+    tables = {}
+    for length in order + order:
         src, dst = seed[:length], target[:length]
         got = prefix_residue(pv, src, dst)
         assert got == _fold_prefix_residue(pv, src, dst)
         assert got.modulus == pv.base.products[length]
+        # built once per prefix length, never rebuilt
+        assert tables.setdefault(length, pv._weights[length]) is pv._weights[length]
         if got.modulus <= 2000:
             hits = [
                 n for n in range(got.modulus)
