@@ -44,6 +44,7 @@ from .perms import (
     parse_permutations,
     power_apply,
     prefix_residue,
+    residue_table,
     shift,
     shift_vector,
 )

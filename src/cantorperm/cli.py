@@ -72,15 +72,20 @@ def _build_perms(spec: str, base: BaseSequence, moduli_given: int) -> Permutatio
 def _json(value, pad: str = "") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for str-keyed values;
     written out here because before Python 3.13 ``indent`` makes ``json``
-    fall back to its pure-Python encoder."""
+    fall back to its pure-Python encoder.  ``int`` leaves, most of any
+    report, are written in place rather than through a call each."""
     if type(value) is int:
         return str(value)
     inner = pad + "  "
     if isinstance(value, dict) and value:
-        items = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items())
+        items = (
+            f"{encode_basestring_ascii(k)}: {v if type(v) is int else _json(v, inner)}"
+            for k, v in value.items()
+        )
         brackets = "{}"
     elif isinstance(value, (list, tuple)) and value:
-        items, brackets = (_json(v, inner) for v in value), "[]"
+        items = (str(v) if type(v) is int else _json(v, inner) for v in value)
+        brackets = "[]"
     else:
         return json.dumps(value)
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"

@@ -8,6 +8,7 @@ O(depth), independent of ``n`` -- orbits have exact random access.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -52,6 +53,13 @@ class OrbitSpec:
     def depth(self) -> int:
         """Number of seed digits, the depth every orbit point carries."""
         return len(self.alpha_digits.digits)
+
+    @property
+    def period(self) -> int:
+        """The orbit's period: the ``lcm`` of the seed digits' cycle lengths.
+        Iterates ``n`` and ``n + period`` coincide, and no two iterates of one
+        period do."""
+        return math.lcm(*map(len, self._tables))
 
 
 @dataclass(frozen=True, slots=True)

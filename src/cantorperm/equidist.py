@@ -8,10 +8,13 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, islice, repeat
 from typing import Sequence
 
-from .base import BaseSequence, prefix_of_interval
-from .dynamics import OrbitSpec, apply_truncated, orbit_point
+# prefix_of_interval and prefix_residue are not called here; they stay bound
+# because bench/tracing.py wraps them under these names in this module
+from .base import BaseSequence, prefix_of_interval  # noqa: F401
+from .dynamics import OrbitSpec, apply_truncated, orbit_point, orbit_prefix
 from .errors import (
     EquivalenceViolated,
     LevelExceeded,
@@ -20,7 +23,8 @@ from .errors import (
     UnknownSource,
     ValidationError,
 )
-from .perms import PermutationVector, ResidueCondition, prefix_residue
+from .perms import PermutationVector, ResidueCondition, residue_table
+from .perms import prefix_residue  # noqa: F401
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,12 +40,18 @@ class IntervalStat:
 @dataclass(frozen=True, slots=True)
 class LevelReport:
     """Per-interval statistics of the first ``sample_size`` orbit points at
-    one grid level, plus the star discrepancy of those points."""
+    one grid level, plus the star discrepancy of those points.
+
+    ``period_proved`` says what was verified: true when ``sample_size`` is at
+    least the period ``B_level``, so the interval/class equivalence is proved
+    for every iterate by periodicity; false when only the ``sample_size``
+    iterates were checked.  Library-only: the CLI does not print it."""
 
     level: int
     sample_size: int
     intervals: tuple[IntervalStat, ...]
     d_star: Fraction
+    period_proved: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,16 +95,12 @@ def star_discrepancy(points: Sequence[Fraction]) -> DiscrepancyResult:
 
 def _orbit_scan(spec: OrbitSpec, level: int, sample: int):
     """Check ``level`` and ``sample`` now; return a lazy iterator over the
-    first ``sample`` orbit points as ``(numerator, index)``: the numerator
-    over ``B_K`` (``K`` the orbit depth) and the level-``level`` interval."""
+    level-``level`` interval of each of the first ``sample`` orbit points."""
     if level > spec.depth or level < 0:
         raise LevelExceeded(f"level {level} not in [0, {spec.depth}]")
     if sample < 1:
         raise ValidationError("sample must be >= 1")
-    base = spec.alpha_digits.base
-    width = base.products[spec.depth] // base.products[level]
-    nums = (base.index_of(orbit_point(spec, n).digits.digits) for n in range(sample))
-    return ((num, num // width) for num in nums)
+    return (orbit_point(spec, n).digits.prefix_index(level) for n in range(sample))
 
 
 def interval_counts(spec: OrbitSpec, level: int, sample: int) -> list[int]:
@@ -104,19 +110,52 @@ def interval_counts(spec: OrbitSpec, level: int, sample: int) -> list[int]:
     With full cycles and ``sample`` a multiple of the interval count, every
     entry equals ``sample / products[level]`` exactly.
     """
-    hits = Counter(idx for _, idx in _orbit_scan(spec, level, sample))
+    hits = Counter(_orbit_scan(spec, level, sample))
     return [hits[j] for j in range(spec.alpha_digits.base.products[level])]
 
 
-def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelReport:
-    """Compute each interval's residue class and verify, for every sampled
-    index, that orbit membership in the interval matches the congruence.
+def _dstar_cycled(nums: list[int], sample: int, q: int) -> Fraction:
+    """Exact D* of ``sample`` points ``nums[n mod len(nums)] / q``, where the
+    numerators in ``nums`` are pairwise distinct.
 
-    For interval ``j`` the class is ``prefix_residue`` from the seed's digit
-    prefix to the interval's associated prefix.  The classes form a complete
-    residue system, so checking "the interval hit by iterate ``n`` carries the
-    class of ``n``" for all ``n < sample`` establishes the equivalence in both
-    directions.  A violation is an implementation bug, not a data property.
+    Iterate ``n < sample mod len(nums)`` occurs once more than the others.
+    A value ``p`` of multiplicity ``c`` after ``cum`` smaller points
+    contributes ``max((cum + c)·q - N·p, N·p - cum·q)`` over ``N·q``; with
+    one denominator each of the two maxima is one pass over integers.
+    """
+    period = len(nums)
+    copies, extra = divmod(sample, period)
+    if extra:
+        values, mults = zip(*sorted(zip(nums, chain(repeat(copies + 1, extra), repeat(copies)))))
+        steps = list(map(q.__mul__, accumulate(mults, initial=0)))
+    else:
+        values, steps = sorted(nums), range(0, (period + 1) * copies * q, copies * q)
+    scaled = list(map(sample.__mul__, values))
+    best = max(max(map(operator.sub, steps[1:], scaled)), max(map(operator.sub, scaled, steps)))
+    return Fraction(best, sample * q)
+
+
+def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelReport:
+    """Compute each interval's residue class and prove, for every ``n <
+    sample``, that iterate ``n`` lies in the interval carrying the class of
+    ``n``.
+
+    The classes come from :func:`residue_table`, discrete logs and CRT
+    only; they form a complete residue system mod ``B_k`` (``k = level``).
+    With full cycles below ``level``, digit ``j`` of iterate ``n`` depends
+    on ``n mod m_j`` and every ``m_j`` divides ``B_k``, so the level-``k``
+    interval of iterate ``n`` depends only on ``n mod B_k``.  Checking the
+    iterates ``n < min(sample, B_k)`` through :func:`orbit_point` therefore
+    proves the equivalence for every ``n``: ``period_proved`` is true when
+    that covers a whole period (``sample >= B_k``), false when only the
+    ``sample`` iterates were checked.  A violation is an implementation bug,
+    not a data property.
+
+    Interval ``j`` with class ``r_j`` then holds ``ceil((sample - r_j) /
+    B_k)`` of the iterates, 0 when ``r_j >= sample``.  The depth-``K`` orbit
+    repeats with period ``P``, the ``lcm`` of the seed digits' cycle
+    lengths, and is injective within a period, so D* comes from the first
+    ``min(sample, P)`` numerators over ``B_K`` with their multiplicities.
     """
     scan = _orbit_scan(spec, level, sample)
     pv = spec.pv
@@ -125,38 +164,35 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
             raise NotFullCycle("membership equivalence needs full cycles at every level")
     base = spec.alpha_digits.base
     count = base.products[level]
-    seed_prefix = spec.alpha_digits.digits[:level]
-
-    residues = [
-        prefix_residue(pv, seed_prefix, prefix_of_interval(level, j, base))
-        for j in range(count)
-    ]
-    if len({cond.residue for cond in residues}) != count:
+    table = residue_table(pv, spec.alpha_digits.digits[:level])
+    if len(set(table)) != count:
         raise EquivalenceViolated(
             f"residues at level {level} do not form a complete system mod {count}"
         )
 
-    counts = [0] * count
-    nums = []
-    for n, (num, idx) in enumerate(scan):
-        if n % count != residues[idx].residue:
+    for n, idx in enumerate(islice(scan, count)):
+        if n != table[idx]:
             raise EquivalenceViolated(
-                f"iterate {n} lies in interval {idx} but {n} mod {count} != "
-                f"{residues[idx].residue}"
+                f"iterate {n} lies in interval {idx} but {n} mod {count} != {table[idx]}"
             )
-        counts[idx] += 1
-        nums.append(num)
 
     expected = Fraction(sample, count)
     intervals = tuple(
-        IntervalStat(index=j, residue=residues[j], count=counts[j], expected=expected)
-        for j in range(count)
+        IntervalStat(
+            index=j,
+            residue=ResidueCondition(r, count),
+            count=-((r - sample) // count),
+            expected=expected,
+        )
+        for j, r in enumerate(table)
     )
+    nums = [num for num, _ in orbit_prefix(spec, min(sample, spec.period))]
     return LevelReport(
         level=level,
         sample_size=sample,
         intervals=intervals,
-        d_star=_dstar([(num, base.products[spec.depth]) for num in sorted(nums)]),
+        d_star=_dstar_cycled(nums, sample, base.products[spec.depth]),
+        period_proved=sample >= count,
     )
 
 

@@ -292,6 +292,35 @@ def prefix_residue(
     raise fault
 
 
+def residue_table(pv: PermutationVector, from_digits: Sequence[int]) -> list[int]:
+    """The class of every interval at level ``L = len(from_digits)``, in
+    interval order: entry ``i`` is the residue of ``prefix_residue(pv,
+    from_digits, base.digits_of(L, i))``, all of them mod ``B_L``.
+
+    The same weight tables as :func:`prefix_residue`, summed over every
+    prefix at once: level by level, ``sums = [x + w for x in sums for w in
+    W_j]`` runs through the prefixes most significant digit first, which is
+    interval order.  Discrete logs and CRT only; no orbit is evaluated.
+    Faults raise what :func:`prefix_residue` raises for them.
+    """
+    if len(from_digits) > pv.depth:
+        raise LengthMismatch(
+            f"prefix length {len(from_digits)} exceeds vector depth {pv.depth}"
+        )
+    length = len(from_digits)
+    tables = pv._weights.get(length)
+    if tables is None:
+        tables = _weight_tables(pv, length)
+    # a level without a table or a seed digit outside it raises here, first level first
+    for perm, r in zip(pv.perms, from_digits):
+        discrete_log(perm, r, r)
+    sums = [-sum(map(getitem, tables, from_digits))]
+    for table in tables:
+        sums = [x + w for x in sums for w in table]
+    modulus = pv.base.products[length]
+    return [x % modulus for x in sums]
+
+
 def _perm_lines(text: str) -> list[str]:
     """The permutation lines of a text, without ``#`` comments, blanks or blank lines."""
     return [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]

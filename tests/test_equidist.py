@@ -16,15 +16,27 @@ from cantorperm import (
     make_base,
     make_expansion,
     make_orbit,
+    make_unchecked,
     membership_equivalence,
     orbit_point,
     orbit_prefix,
+    prefix_of_interval,
+    prefix_residue,
+    residue_table,
     shift_vector,
     star_discrepancy,
     ud_preservation_probe,
     van_der_corput,
 )
-from cantorperm.errors import NotFullCycle, PointOutOfRange, UnknownSource
+import cantorperm.equidist as equidist_module
+from cantorperm.errors import (
+    EquivalenceViolated,
+    LevelExceeded,
+    NotFullCycle,
+    PointOutOfRange,
+    UnknownSource,
+    ValidationError,
+)
 from cantorperm.perms import identity_vector
 
 
@@ -292,3 +304,123 @@ def test_star_discrepancy_orders_close_equal_and_mixed_points(points):
 def test_star_discrepancy_rejects_int_one():
     with pytest.raises(PointOutOfRange):
         star_discrepancy([0, 1])
+
+
+# --- membership_equivalence against the full scan it replaced ---
+
+def _full_scan_equivalence(spec, level, sample):
+    """Every iterate through orbit_point, one prefix_residue per class, and
+    D* of all ``sample`` values: the per-iterate check the period proof replaced."""
+    base, pv = spec.alpha_digits.base, spec.pv
+    if not 0 <= level <= spec.depth:
+        raise LevelExceeded(f"level {level}")
+    if sample < 1:
+        raise ValidationError("sample")
+    if not all(p.full_cycle for p in pv.perms[:level]):
+        raise NotFullCycle("levels below the report")
+    count = base.products[level]
+    seed_prefix = spec.alpha_digits.digits[:level]
+    classes = [
+        prefix_residue(pv, seed_prefix, prefix_of_interval(level, j, base))
+        for j in range(count)
+    ]
+    counts, values = [0] * count, []
+    for n in range(sample):
+        point = orbit_point(spec, n).digits
+        idx = point.prefix_index(level)
+        assert classes[idx].contains(n)
+        counts[idx] += 1
+        values.append(point.value)
+    return (
+        [(j, classes[j], counts[j], Fraction(sample, count)) for j in range(count)],
+        _fraction_dstar(values),
+    )
+
+
+@st.composite
+def leveled_orbits(draw):
+    """A seed, full cycles below a drawn level ``k`` and any bijection from
+    ``k`` on, so the orbit's period ``P`` need not be ``B_K``; with a small
+    chance one level below ``k`` is not a full cycle either."""
+    moduli = draw(st.sampled_from([(3, 4, 5), (2, 5, 7), (5, 7), (4, 3, 7, 5), (9, 4)]))
+    base = make_base(moduli)
+    level = draw(st.integers(min_value=0, max_value=len(moduli)))
+    broken = draw(st.sampled_from([None] * 9 + list(range(level))))
+    perms = []
+    for j, m in enumerate(moduli):
+        image = draw(st.permutations(range(m)))
+        if j < level and j != broken:
+            perms.append(from_cycle(m, image))
+        elif j == broken:
+            perms.append(make_unchecked(m, range(m)))
+        else:
+            perms.append(make_unchecked(m, image))
+    pv = PermutationVector(tuple(perms), base)
+    seed = tuple(draw(st.integers(min_value=0, max_value=m - 1)) for m in moduli)
+    return make_orbit(make_expansion(seed, base), pv), level
+
+
+def _samples_around(spec, level):
+    """Sample sizes below, at and across the level period and the orbit period."""
+    marks = (spec.alpha_digits.base.products[level], spec.period)
+    near = [mark + d for mark in marks for d in (-1, 0, 1)]
+    return st.one_of(
+        st.sampled_from(sorted({n for n in near if n >= 1})),
+        st.integers(min_value=1, max_value=3 * max(marks) + 7),
+    )
+
+
+@given(leveled_orbits(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_membership_equivalence_matches_full_scan(case, data):
+    spec, level = case
+    sample = data.draw(_samples_around(spec, level))
+    try:
+        expected = _full_scan_equivalence(spec, level, sample)
+    except NotFullCycle:
+        with pytest.raises(NotFullCycle):
+            membership_equivalence(spec, level, sample)
+        return
+    report = membership_equivalence(spec, level, sample)
+    intervals, d_star = expected
+    assert [(s.index, s.residue, s.count, s.expected) for s in report.intervals] == intervals
+    assert report.d_star == d_star
+    assert (report.level, report.sample_size) == (level, sample)
+    assert report.period_proved == (sample >= spec.alpha_digits.base.products[level])
+
+
+@pytest.mark.parametrize("level, sample", [(0, 1), (0, 9), (2, 5), (2, 12), (2, 13), (3, 59), (3, 60), (3, 250)])
+def test_membership_equivalence_scans_one_period(monkeypatch, level, sample):
+    calls = []
+
+    def counted(spec, n):
+        calls.append(n)
+        return orbit_point(spec, n)
+
+    monkeypatch.setattr(equidist_module, "orbit_point", counted)
+    b, pv, spec = _zero_orbit((3, 4, 5))
+    membership_equivalence(spec, level, sample)
+    assert calls == list(range(min(sample, b.products[level])))
+
+
+def _planted(edit):
+    def table(pv, seed_digits):
+        return edit(residue_table(pv, seed_digits))
+    return table
+
+
+@pytest.mark.parametrize("sample", [2, 60, 61, 500])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # two classes trade intervals: still a complete system, caught by the proof
+        (lambda t: [{0: 1, 1: 0}.get(r, r) for r in t], "iterate 0 lies in interval"),
+        # one class twice: not a complete system
+        (lambda t: [r or 1 for r in t], "do not form a complete system"),
+    ],
+)
+def test_membership_equivalence_rejects_a_planted_table(monkeypatch, sample, edit, message):
+    monkeypatch.setattr(equidist_module, "residue_table", _planted(edit))
+    b, pv, spec = _zero_orbit((3, 4, 5))
+    with pytest.raises(EquivalenceViolated, match=message):
+        membership_equivalence(spec, 3, sample)

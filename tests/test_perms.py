@@ -22,10 +22,12 @@ from cantorperm import (
     parse_permutations,
     power_apply,
     prefix_residue,
+    residue_table,
     shift,
     shift_vector,
 )
 from cantorperm.errors import (
+    CantorPermError,
     DigitOutOfRange,
     LengthMismatch,
     ModuliNotCoprime,
@@ -216,6 +218,29 @@ def test_prefix_residue_error_paths(level, src, dst, error, message):
             prefix_residue(pv, src, dst)
         assert str(exc.value) == message
         assert exc.value.__context__ is None
+
+
+@pytest.mark.parametrize(
+    "level, seed",
+    [
+        (1, (0, 0)),
+        (0, (0,)),
+        (1, (0, 0, 0)),
+        (2, (-1, 0)),
+        (2, (3, 0)),
+        (2, (0, 10**30)),
+        (2, (0, 7, 0)),
+        (0, (9, 0, 0, 0)),
+    ],
+)
+def test_residue_table_raises_what_prefix_residue_raises(level, seed):
+    pv = _vector_with_identity_at(level)
+    with pytest.raises(CantorPermError) as expected:
+        prefix_residue(pv, seed, seed)
+    for _ in range(2):  # with an empty and with a filled cache
+        with pytest.raises(type(expected.value)) as exc:
+            residue_table(pv, seed)
+        assert str(exc.value) == str(expected.value)
 
 
 def test_prefix_residue_length_checks_come_first():
@@ -410,3 +435,18 @@ def test_combine_crt_shared_factor_message(moduli, message):
     with pytest.raises(ModuliNotCoprime) as exc:
         combine_crt(ResidueCondition(0, m) for m in moduli)
     assert str(exc.value) == message
+
+
+@given(_vectors_and_prefixes())
+@settings(max_examples=150, deadline=None)
+def test_residue_table_matches_prefix_residue_per_class(case):
+    pv, seed, _, order = case
+    base = pv.base
+    for length in order:
+        table = residue_table(pv, seed[:length])
+        assert sorted(table) == list(range(base.products[length]))
+        if base.products[length] <= 3000:
+            assert table == [
+                prefix_residue(pv, seed[:length], base.digits_of(length, j)).residue
+                for j in range(base.products[length])
+            ]
