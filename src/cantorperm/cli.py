@@ -8,6 +8,7 @@ mathematical check ran and was falsified.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -378,7 +379,10 @@ def _common_parser() -> argparse.ArgumentParser:
     return common
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built on the first call, then shared.
+    Parsing leaves it unchanged, so every call of :func:`main` can reuse it."""
     common = _common_parser()
     parser = argparse.ArgumentParser(
         prog="cantorperm",

@@ -59,7 +59,12 @@ class OrbitSpec:
         """The orbit's period: the ``lcm`` of the seed digits' cycle lengths.
         Iterates ``n`` and ``n + period`` coincide, and no two iterates of one
         period do."""
-        return math.lcm(*map(len, self._tables))
+        return self.prefix_period(self.depth)
+
+    def prefix_period(self, level: int) -> int:
+        """The ``lcm`` of the first ``level`` seed digits' cycle lengths: the
+        level-``level`` interval of iterate ``n`` depends only on ``n`` mod it."""
+        return math.lcm(*map(len, self._tables[:level]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,9 +129,15 @@ def orbit_prefix(spec: OrbitSpec, count: int) -> Iterator[tuple[int, tuple[int, 
 
 
 def _permute_index(pv: PermutationVector, level: int, index: int) -> int:
-    """Index of the level-``level`` interval the map sends interval ``index`` onto."""
-    digits = pv.base.digits_of(level, index)
-    return pv.base.index_of([perm.image[b] for perm, b in zip(pv.perms, digits)])
+    """Index of the level-``level`` interval the map sends interval ``index``
+    onto: ``divmod`` peels the digits off from the least significant level
+    up, and each digit's image enters at that digit's mixed-radix weight."""
+    image_index, weight = 0, 1
+    for perm in reversed(pv.perms[:level]):
+        index, b = divmod(index, perm.modulus)
+        image_index += perm.image[b] * weight
+        weight *= perm.modulus
+    return image_index
 
 
 def apply_truncated(pv: PermutationVector, x, depth: int) -> Fraction:
@@ -140,7 +151,7 @@ def apply_truncated(pv: PermutationVector, x, depth: int) -> Fraction:
     translates each level-``depth`` grid interval onto another one).
     """
     x = as_fraction(x)
-    if not 0 <= x < 1:
+    if not 0 <= x.numerator < x.denominator:
         raise OutOfRange(f"{x} not in [0, 1)")
     if depth > pv.depth or depth < 0:
         raise DepthMismatch(f"depth {depth} not in [0, {pv.depth}]")

@@ -5,7 +5,6 @@ discrepancy, and empirical probes of uniform-distribution preservation.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
@@ -107,21 +106,29 @@ def interval_counts(spec: OrbitSpec, level: int, sample: int) -> list[int]:
     """How many of the first ``sample`` orbit points land in each level-
     ``level`` grid interval.
 
+    The interval of iterate ``n`` depends only on ``n mod P``, ``P`` the
+    :meth:`OrbitSpec.prefix_period` of ``level``, so iterate ``n < P``
+    counts ``sample // P`` times, once more if ``n < sample mod P``.
     With full cycles and ``sample`` a multiple of the interval count, every
     entry equals ``sample / products[level]`` exactly.
     """
-    hits = Counter(_orbit_scan(spec, level, sample))
-    return [hits[j] for j in range(spec.alpha_digits.base.products[level])]
+    scan = _orbit_scan(spec, level, sample)
+    period = spec.prefix_period(level)
+    copies, extra = divmod(sample, period)
+    counts = [0] * spec.alpha_digits.base.products[level]
+    for n, idx in enumerate(islice(scan, period)):
+        counts[idx] += copies + (n < extra)
+    return counts
 
 
 def _dstar_cycled(nums: list[int], sample: int, q: int) -> Fraction:
-    """Exact D* of ``sample`` points ``nums[n mod len(nums)] / q``, where the
-    numerators in ``nums`` are pairwise distinct.
+    """Exact D* of ``sample`` points ``nums[n mod len(nums)] / q``; equal
+    numerators are allowed.
 
     Iterate ``n < sample mod len(nums)`` occurs once more than the others.
-    A value ``p`` of multiplicity ``c`` after ``cum`` smaller points
-    contributes ``max((cum + c)·q - N·p, N·p - cum·q)`` over ``N·q``; with
-    one denominator each of the two maxima is one pass over integers.
+    An entry ``p`` of multiplicity ``c`` after ``cum`` points sorted before
+    it contributes ``max((cum + c)·q - N·p, N·p - cum·q)`` over ``N·q``;
+    with one denominator each of the two maxima is one pass over integers.
     """
     period = len(nums)
     copies, extra = divmod(sample, period)
@@ -198,19 +205,28 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
 
 # --- reference sequences for the preservation probe ---
 
+def _radical_inverses(count: int, radix: int) -> tuple[list[int], int]:
+    """Numerators of the first ``count`` van der Corput points over one
+    denominator ``Q = radix**L``, the least power ``>= count``.
+
+    For ``n < radix**k``, the radical inverse of ``n + d·radix**k`` over
+    ``radix**(k+1)`` is ``radix`` times that of ``n`` over ``radix**k``,
+    plus ``d``.  The last digit stops at ``count`` terms, so a large radix
+    builds no more terms than a small one.
+    """
+    nums, q = [0], 1
+    while q < count:
+        nums = [radix * y + d for d in range(min(radix, -(-count // q))) for y in nums]
+        q *= radix
+    return nums[:count], q
+
+
 def van_der_corput(count: int, base: int = 2) -> list[Fraction]:
     """First ``count`` terms of the van der Corput radical-inverse sequence."""
     if base < 2:
         raise ValidationError(f"radix {base} < 2")
-    points = []
-    for n in range(count):
-        num, den = 0, 1
-        while n:
-            n, d = divmod(n, base)
-            num = num * base + d
-            den *= base
-        points.append(Fraction(num, den))
-    return points
+    nums, q = _radical_inverses(count, base)
+    return [Fraction(p, q) for p in nums]
 
 
 def _golden_convergent(limit: int = 10**15) -> Fraction:
@@ -221,12 +237,19 @@ def _golden_convergent(limit: int = 10**15) -> Fraction:
     return Fraction(a, b)
 
 
+def _kronecker_numerators(count: int) -> tuple[list[int], int]:
+    """Numerators of ``{n * g}`` over the convergent's denominator ``Q``."""
+    g = _golden_convergent()
+    a, q = g.numerator, g.denominator
+    return [n * a % q for n in range(count)], q
+
+
 def kronecker_golden(count: int) -> list[Fraction]:
     """Fractional parts ``{n * g}`` for a fixed rational convergent ``g`` of
     the golden rotation; exact stand-in for the irrational Kronecker sequence
     at sample sizes far below the convergent's denominator."""
-    g = _golden_convergent()
-    return [(n * g) % 1 for n in range(count)]
+    nums, q = _kronecker_numerators(count)
+    return [Fraction(p, q) for p in nums]
 
 
 def grid_points(count: int, base: BaseSequence, depth: int) -> list[Fraction]:
@@ -259,42 +282,56 @@ def ud_preservation_probe(
     pv: PermutationVector, source: str, sample: int, level: int
 ) -> PreservationReport:
     """Push a named uniformly-distributed sequence through the truncated map
-    and report star discrepancies plus per-interval counts of the image."""
+    and report star discrepancies plus per-interval counts of the image.
+
+    Source points are numerators over one denominator ``Q``: ``2**L >=
+    sample`` for ``vdc``, the convergent's denominator for ``kronecker``,
+    ``B_K`` for ``grid``.  Each goes through :func:`apply_truncated`, and
+    its image becomes a numerator over ``Q·B_K``.  Counts are floor
+    divisions by ``Q·B_K / B_level``, and both D* values come from the
+    kernel :func:`membership_equivalence` uses: no ``Fraction`` is compared
+    or sorted.
+    """
     base = pv.base
     if source not in SOURCES:
         raise UnknownSource(f"source {source!r}, expected one of {SOURCES}")
     if level > base.depth or level < 0:
         raise LevelExceeded(f"level {level} not in [0, {base.depth}]")
-    if sample < base.products[level]:
+    count = base.products[level]
+    if sample < count:
         raise ValidationError(
-            f"sample {sample} smaller than the {base.products[level]} level-{level} intervals"
+            f"sample {sample} smaller than the {count} level-{level} intervals"
         )
     depth = base.depth
+    total = base.products[depth]
     if source == "vdc":
-        points = van_der_corput(sample)
+        nums, q = _radical_inverses(sample, 2)
     elif source == "kronecker":
-        points = kronecker_golden(sample)
+        nums, q = _kronecker_numerators(sample)
     else:
-        points = grid_points(sample, base, depth)
-    images = [apply_truncated(pv, x, depth) for x in points]
+        nums, q = [n % total for n in range(sample)], total
+    scale = q * total
+    images = []
+    for p in nums:
+        y = apply_truncated(pv, Fraction(p, q), depth)
+        images.append(y.numerator * (scale // y.denominator))
 
-    count = base.products[level]
+    width = scale // count
     counts = [0] * count
     for y in images:
-        counts[(y.numerator * count) // y.denominator] += 1
+        counts[y // width] += 1
 
     grid_exact = None
-    if source == "grid" and sample % base.products[depth] == 0:
-        # Fractions are normalised: equal multisets of (num, den) are equal multisets
-        pair = operator.attrgetter("numerator", "denominator")
-        grid_exact = Counter(map(pair, points)) == Counter(map(pair, images))
+    if source == "grid" and sample % total == 0:
+        # inputs over q == B_K, images over B_K**2: equal multisets of points
+        grid_exact = sorted(p * total for p in nums) == sorted(images)
 
     return PreservationReport(
         source=source,
         sample_size=sample,
         level=level,
-        input_d_star=star_discrepancy(points).d_star,
-        image_d_star=star_discrepancy(images).d_star,
+        input_d_star=_dstar_cycled(nums, sample, q),
+        image_d_star=_dstar_cycled(images, sample, scale),
         counts=tuple(counts),
         expected=Fraction(sample, count),
         grid_exact=grid_exact,

@@ -4,7 +4,8 @@ import json
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cantorperm.cli import _json, main
+from cantorperm.cli import _json, build_parser, main
+from test_cli_golden import CASES, FORMATS, GOLDEN
 
 
 def run(capsys, *argv):
@@ -297,3 +298,20 @@ JSON_VALUES = st.recursive(
 @example({"a": [], "b": {}, "c": [[], {}, ()], "d": (True, False, None, 0)})
 def test_json_renderer_matches_stdlib_indent(value):
     assert _json(value) == json.dumps(value, indent=2)
+
+
+def test_one_parser_serves_every_golden_run_in_one_process(capsys):
+    # main reuses the parser build_parser caches; a usage error and --help
+    # in between runs must leave it as it was
+    golden = json.loads(GOLDEN.read_text())
+    runs = [(name, fmt) for name in sorted(CASES) for fmt in FORMATS]
+    for order in (runs, runs[::-1]):
+        for i, (name, fmt) in enumerate(order):
+            if i == len(order) // 2:
+                assert main(["check", "preserve", "--source", "sobol"]) == 2
+                assert main(["--help"]) == 0
+                assert "usage: cantorperm" in capsys.readouterr().out
+            code = main(CASES[name] + ["--format", fmt])
+            expected = golden[f"{name}/{fmt}"]
+            assert (code, capsys.readouterr().out) == (expected["code"], expected["stdout"])
+    assert build_parser() is build_parser()

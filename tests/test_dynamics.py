@@ -1,5 +1,7 @@
 """Orbit machinery: single application, random access, truncation."""
+import math
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from cantorperm import (
     PermutationVector,
     apply_map,
     apply_truncated,
+    as_fraction,
     encode,
     make_base,
     make_expansion,
@@ -21,6 +24,7 @@ from cantorperm import (
     parse_permutations,
     shift_vector,
 )
+from cantorperm.dynamics import _permute_index
 from cantorperm.errors import DepthMismatch, OutOfRange, ValidationError
 
 
@@ -273,3 +277,82 @@ def test_codec_extraction_matches_greedy_digits(setup, den, num, data):
     assert apply_truncated(pv, alpha, depth) == Fraction(
         image * q + rem, q * base.products[depth]
     )
+
+
+# --- differential oracle: the Fraction-compared apply_truncated it replaced ---
+
+def _fraction_apply_truncated(pv, x, depth):
+    """Range checked by two Fraction comparisons, the index through
+    ``digits_of``, one image per digit and ``index_of``."""
+    x = as_fraction(x)
+    if not 0 <= x < 1:
+        raise OutOfRange(f"{x} not in [0, 1)")
+    if depth > pv.depth or depth < 0:
+        raise DepthMismatch(f"depth {depth} not in [0, {pv.depth}]")
+    count, q = pv.base.products[depth], x.denominator
+    index, rem = divmod(x.numerator * count, q)
+    digits = pv.base.digits_of(depth, index)
+    image = pv.base.index_of([perm.image[b] for perm, b in zip(pv.perms, digits)])
+    return Fraction(image * q + rem, q * count)
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error's type and message are compared
+        return type(exc), str(exc)
+
+
+# every ordering of pairwise-coprime prime powers from 4, 8, 9, 25, 27 and 49
+PRIME_POWER_BASES = [
+    moduli
+    for length in (1, 2, 3)
+    for moduli in permutations((4, 8, 9, 25, 27, 49), length)
+    if all(math.gcd(a, b) == 1 for a, b in combinations(moduli, 2))
+]
+
+
+@st.composite
+def prime_power_vectors(draw, max_period=None):
+    """A base from ``PRIME_POWER_BASES`` (``B_K <= max_period`` if given),
+    with any bijection per level."""
+    moduli = draw(st.sampled_from(
+        [ms for ms in PRIME_POWER_BASES if max_period is None or math.prod(ms) <= max_period]
+    ))
+    base = make_base(moduli)
+    perms = tuple(make_unchecked(m, draw(st.permutations(range(m)))) for m in moduli)
+    return PermutationVector(perms, base)
+
+
+# inside and outside [0, 1), as Fractions, ints and strings
+POINTS = st.one_of(
+    st.builds(
+        Fraction,
+        st.integers(min_value=-10**6, max_value=10**18),
+        st.integers(min_value=1, max_value=10**15),
+    ),
+    st.integers(min_value=-2, max_value=2),
+    st.sampled_from(["1/2", "-1/3", "4/3", "0", "1", "29/30"]),
+)
+
+
+@given(prime_power_vectors(), POINTS, st.data())
+@settings(max_examples=400)
+def test_apply_truncated_matches_fraction_oracle(pv, x, data):
+    depth = data.draw(st.integers(min_value=-2, max_value=pv.depth + 2))
+    expected = outcome(_fraction_apply_truncated, pv, x, depth)
+    assert outcome(apply_truncated, pv, x, depth) == expected
+
+
+@given(prime_power_vectors(max_period=2000))
+@settings(max_examples=60, deadline=None)
+def test_permute_index_matches_digit_oracle(pv):
+    # the fused step that apply_truncated and modulus_of_continuity_check share
+    base = pv.base
+    for level in range(pv.depth + 1):
+        for index in range(base.products[level]):
+            digits = base.digits_of(level, index)
+            image = base.index_of([perm.image[b] for perm, b in zip(pv.perms, digits)])
+            assert _permute_index(pv, level, index) == image
+        assert modulus_of_continuity_check(pv, level) == Fraction(1, base.products[level])

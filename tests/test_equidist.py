@@ -1,4 +1,5 @@
 """Interval counting, membership equivalence, discrepancy, preservation."""
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from cantorperm import (
     PermutationVector,
     apply_map,
+    apply_truncated,
     encode,
     from_cycle,
     grid_points,
@@ -37,7 +39,9 @@ from cantorperm.errors import (
     UnknownSource,
     ValidationError,
 )
+from cantorperm.equidist import SOURCES, PreservationReport, _dstar_cycled
 from cantorperm.perms import identity_vector
+from test_dynamics import outcome, prime_power_vectors
 
 
 def _zero_orbit(moduli=(2, 3, 5)):
@@ -424,3 +428,196 @@ def test_membership_equivalence_rejects_a_planted_table(monkeypatch, sample, edi
     b, pv, spec = _zero_orbit((3, 4, 5))
     with pytest.raises(EquivalenceViolated, match=message):
         membership_equivalence(spec, 3, sample)
+
+
+# --- interval_counts over one period against the full scan it replaced ---
+
+def _full_scan_counts(spec, level, sample):
+    """Every one of the ``sample`` iterates by repeated apply_map."""
+    if level > spec.depth or level < 0:
+        raise LevelExceeded(f"level {level} not in [0, {spec.depth}]")
+    if sample < 1:
+        raise ValidationError("sample must be >= 1")
+    counts, x = [0] * spec.alpha_digits.base.products[level], spec.alpha_digits
+    for _ in range(sample):
+        counts[x.prefix_index(level)] += 1
+        x = apply_map(spec.pv, x)
+    return counts
+
+
+@given(prime_power_vectors(max_period=2000), st.data())
+@settings(max_examples=150, deadline=None)
+def test_interval_counts_matches_full_scan(pv, data):
+    # any bijections, so levels below ``level`` need not be full cycles
+    base = pv.base
+    depth = data.draw(st.integers(min_value=0, max_value=base.depth))
+    seed = tuple(data.draw(st.integers(min_value=0, max_value=m - 1)) for m in base.moduli[:depth])
+    spec = make_orbit(make_expansion(seed, base), pv)
+    level = data.draw(st.integers(min_value=-1, max_value=depth + 1))
+    period = spec.prefix_period(min(max(level, 0), depth))
+    sample = data.draw(st.one_of(
+        st.sampled_from([period - 1, period, period + 1, 2 * period, 2 * period + 1]),
+        st.integers(min_value=-1, max_value=3 * period + 7),
+    ))
+    expected = outcome(_full_scan_counts, spec, level, sample)
+    assert outcome(interval_counts, spec, level, sample) == expected
+
+
+@pytest.mark.parametrize(
+    "moduli, images, level, sample, period",
+    [
+        ((2, 3, 5), None, 2, 100_000, 6),
+        ((2, 3, 5), None, 0, 7, 1),
+        ((2, 3, 5), None, 3, 29, 30),
+        # digit 0 sits in a 2-cycle of (0 1)(2 3) at level 0: P = lcm(2, 9) < 36
+        ((4, 9), ((1, 0, 3, 2), (1, 2, 3, 4, 5, 6, 7, 8, 0)), 2, 40, 18),
+        ((4, 9), ((1, 0, 3, 2), tuple(range(9))), 2, 5, 2),
+        # 3-cycles through digit 0 at both levels: P = lcm(3, 3), not 3 * 3
+        ((4, 9), ((1, 2, 0, 3), (1, 2, 0, 3, 4, 5, 6, 7, 8)), 2, 40, 3),
+    ],
+)
+def test_interval_counts_scans_one_period(monkeypatch, moduli, images, level, sample, period):
+    calls = []
+
+    def counted(spec, n):
+        calls.append(n)
+        return orbit_point(spec, n)
+
+    b = make_base(moduli)
+    pv = shift_vector(b) if images is None else PermutationVector(
+        tuple(make_unchecked(m, im) for m, im in zip(moduli, images)), b
+    )
+    spec = make_orbit(encode(Fraction(0), b, len(moduli)), pv)
+    expected = _full_scan_counts(spec, level, sample)
+    monkeypatch.setattr(equidist_module, "orbit_point", counted)
+    assert interval_counts(spec, level, sample) == expected
+    assert spec.prefix_period(level) == period
+    assert calls == list(range(min(sample, period)))
+
+
+# --- the integer preservation probe against the Fraction probe it replaced ---
+
+def _fraction_van_der_corput(count, base=2):
+    if base < 2:
+        raise ValidationError(f"radix {base} < 2")
+    points = []
+    for n in range(count):
+        num, den = 0, 1
+        while n:
+            n, d = divmod(n, base)
+            num = num * base + d
+            den *= base
+        points.append(Fraction(num, den))
+    return points
+
+
+def _fraction_kronecker_golden(count):
+    a, b = 1, 2
+    while b <= 10**15:
+        a, b = b, a + b
+    return [(n * Fraction(a, b)) % 1 for n in range(count)]
+
+
+def _fraction_probe(pv, source, sample, level):
+    """Fraction source points, each through apply_truncated, counts by
+    Fraction floor, D* by star_discrepancy and grid_exact on (num, den)."""
+    base = pv.base
+    if source not in SOURCES:
+        raise UnknownSource(f"source {source!r}, expected one of {SOURCES}")
+    if level > base.depth or level < 0:
+        raise LevelExceeded(f"level {level} not in [0, {base.depth}]")
+    if sample < base.products[level]:
+        raise ValidationError(
+            f"sample {sample} smaller than the {base.products[level]} level-{level} intervals"
+        )
+    depth = base.depth
+    if source == "vdc":
+        points = _fraction_van_der_corput(sample)
+    elif source == "kronecker":
+        points = _fraction_kronecker_golden(sample)
+    else:
+        points = grid_points(sample, base, depth)
+    images = [apply_truncated(pv, x, depth) for x in points]
+    count = base.products[level]
+    counts = [0] * count
+    for y in images:
+        counts[(y.numerator * count) // y.denominator] += 1
+    grid_exact = None
+    if source == "grid" and sample % base.products[depth] == 0:
+        grid_exact = sorted(points) == sorted(images)
+    return PreservationReport(
+        source=source,
+        sample_size=sample,
+        level=level,
+        input_d_star=star_discrepancy(points).d_star,
+        image_d_star=star_discrepancy(images).d_star,
+        counts=tuple(counts),
+        expected=Fraction(sample, count),
+        grid_exact=grid_exact,
+    )
+
+
+@given(prime_power_vectors(max_period=1000), st.data())
+@settings(max_examples=150, deadline=None)
+def test_preservation_probe_matches_fraction_probe(pv, data):
+    base = pv.base
+    # mostly valid arguments; an unknown source or level out of range sometimes
+    source = data.draw(st.sampled_from(SOURCES * 4 + ("sobol",)))
+    level = data.draw(st.one_of(
+        st.integers(min_value=0, max_value=base.depth), st.sampled_from([-1, base.depth + 1])
+    ))
+    # N at, across and below B_level and B_K, or anywhere up to 2 B_K
+    low, high = base.products[min(max(level, 0), base.depth)], base.products[base.depth]
+    near = [low, low + 1, high - 1, high, high + 1, 2 * high, low - 1]
+    sample = data.draw(st.one_of(
+        st.sampled_from(near), st.integers(min_value=low, max_value=2 * high + 3)
+    ))
+    report = outcome(ud_preservation_probe, pv, source, sample, level)
+    assert report == outcome(_fraction_probe, pv, source, sample, level)
+
+
+@pytest.mark.parametrize("sample", [30, 60])
+def test_preservation_probe_grid_exact_sees_a_planted_non_bijection(monkeypatch, sample):
+    # the truncated map permutes the grid, so grid_exact is False only for a
+    # map that is not one: here grid point 1/30 is sent where 0 goes
+    def collapsed(pv, x, depth):
+        return apply_truncated(pv, x - Fraction(1, 30) if x == Fraction(1, 30) else x, depth)
+
+    b = make_base((2, 3, 5))
+    pv = shift_vector(b)
+    assert ud_preservation_probe(pv, "grid", sample, 1).grid_exact is True
+    monkeypatch.setattr(equidist_module, "apply_truncated", collapsed)
+    assert ud_preservation_probe(pv, "grid", sample, 1).grid_exact is False
+
+
+@given(st.integers(min_value=-2, max_value=700), st.sampled_from([0, 1, 2, 3, 5, 7]))
+@settings(max_examples=200)
+def test_reference_sequences_match_fraction_oracles(count, radix):
+    assert outcome(van_der_corput, count, radix) == outcome(_fraction_van_der_corput, count, radix)
+    assert kronecker_golden(count) == _fraction_kronecker_golden(count)
+
+
+def test_van_der_corput_builds_count_terms_for_any_radix():
+    # one digit of radix 10**6 covers three terms: no table of 10**6 of them
+    tracemalloc.start()
+    try:
+        points = van_der_corput(3, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points == [Fraction(0), Fraction(1, 10**6), Fraction(2, 10**6)]
+    assert peak < 100_000
+
+
+@given(st.integers(min_value=1, max_value=40), st.data())
+@settings(max_examples=300)
+def test_dstar_cycled_with_ties_matches_star_discrepancy(q, data):
+    # a small denominator repeats numerators, so the sample has ties
+    nums = data.draw(st.lists(st.integers(min_value=0, max_value=q - 1), min_size=1, max_size=30))
+    sample = data.draw(st.one_of(
+        st.just(len(nums)), st.integers(min_value=1, max_value=3 * len(nums) + 2)
+    ))
+    points = [Fraction(nums[n % len(nums)], q) for n in range(sample)]
+    assert _dstar_cycled(nums, sample, q) == star_discrepancy(points).d_star
+    if sample == len(nums):
+        assert _dstar_cycled(sorted(nums), sample, q) == star_discrepancy(points).d_star
