@@ -2,7 +2,8 @@
 
 Every subcommand is deterministic: identical arguments give byte-identical
 output (the version banner appears only in the human-readable table format).
-Exit codes: 0 success, 1 computation error, 2 validation error, 3 a
+Handlers compute, emit and raise; :func:`main` alone maps the exception to
+the exit code: 0 success, 1 computation error, 2 validation error, 3 a
 mathematical check ran and was falsified.
 """
 from __future__ import annotations
@@ -119,33 +120,30 @@ def emit(args, table_lines, rows, payload, header=None) -> None:
 
 # --- subcommand handlers ---
 
-def cmd_expand(args) -> int:
+def cmd_expand(args) -> None:
     _, seed = build_session(args)
     value = as_fraction(args.value)
     digits = encode(value, seed.base, seed.depth)
     row = {"digits": list(digits.digits), **frac_fields("value", value)}
     emit(args, [str(digits)], [row], row)
-    return 0
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> None:
     _, seed = build_session(args)
     value = make_expansion(args.digits, seed.base).value
     row = frac_fields("value", value)
     emit(args, [fmt_frac(value)], [row], row)
-    return 0
 
 
-def cmd_map(args) -> int:
+def cmd_map(args) -> None:
     pv, seed = build_session(args)
     image = apply_map(pv, encode(args.value, seed.base, seed.depth))
     value = image.value
     row = {"digits": list(image.digits), **frac_fields("value", value)}
     emit(args, [f"digits: {image}", f"value: {fmt_frac(value)}"], [row], row)
-    return 0
 
 
-def cmd_orbit(args) -> int:
+def cmd_orbit(args) -> None:
     pv, seed = build_session(args)
     spec = make_orbit(seed, pv)
     if args.at is not None:
@@ -166,13 +164,12 @@ def cmd_orbit(args) -> int:
         for r in rows
     )
     emit(args, table_lines, rows, rows)
-    return 0
 
 
 def _level_report(args):
-    """Run the membership equivalence for ``check ud``/``check equivalence``
-    and emit its report; raises (exit 3) on any index violating the
-    congruence."""
+    """The ``check equivalence`` handler, also run by ``check ud``: emit the
+    membership equivalence report and return it; raises (exit 3) on any
+    index violating the congruence."""
     pv, seed = build_session(args)
     report = membership_equivalence(make_orbit(seed, pv), args.level, args.count)
 
@@ -185,13 +182,14 @@ def _level_report(args):
             yield f"I_{s.index}: class {s.residue}  count {s.count}"
         yield f"d_star: {fmt_frac(report.d_star)}"
 
+    expected = frac_fields("expected", report.intervals[0].expected)
     rows = [
         {
             "j": s.index,
             "residue": s.residue.residue,
             "modulus": s.residue.modulus,
             "count": s.count,
-            **frac_fields("expected", s.expected),
+            **expected,
         }
         for s in report.intervals
     ]
@@ -205,24 +203,17 @@ def _level_report(args):
     return report
 
 
-def cmd_check_ud(args) -> int:
+def cmd_check_ud(args) -> None:
     counts = [s.count for s in _level_report(args).intervals]
     if args.count % len(counts) == 0:
         balanced = all(c == args.count // len(counts) for c in counts)
     else:
         balanced = max(counts) - min(counts) <= 1
     if not balanced:
-        print("check falsified: interval counts unbalanced", file=sys.stderr)
-        return 3
-    return 0
+        raise CheckFalsified("interval counts unbalanced")
 
 
-def cmd_check_equivalence(args) -> int:
-    _level_report(args)
-    return 0
-
-
-def cmd_check_preserve(args) -> int:
+def cmd_check_preserve(args) -> None:
     pv, _ = build_session(args)
     threshold = None if args.threshold is None else as_fraction(args.threshold)
     probe = ud_preservation_probe(pv, args.source, args.count, args.level)
@@ -246,22 +237,16 @@ def cmd_check_preserve(args) -> int:
     }
     emit(args, table_lines, rows, payload)
     if probe.grid_exact is False:
-        print("check falsified: grid image differs from grid", file=sys.stderr)
-        return 3
+        raise CheckFalsified("grid image differs from grid")
     if probe.grid_exact and probe.input_d_star != probe.image_d_star:
-        print("check falsified: grid discrepancy changed", file=sys.stderr)
-        return 3
+        raise CheckFalsified("grid discrepancy changed")
     if threshold is not None and probe.image_d_star > threshold:
-        print(
-            f"check falsified: image d_star {fmt_frac(probe.image_d_star)} "
-            f"above threshold {args.threshold}",
-            file=sys.stderr,
+        raise CheckFalsified(
+            f"image d_star {fmt_frac(probe.image_d_star)} above threshold {args.threshold}"
         )
-        return 3
-    return 0
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> None:
     ps = parse_periodic_set(args.set)
     if args.intersect:
         ps = intersect(ps, parse_periodic_set(args.intersect))
@@ -273,10 +258,9 @@ def cmd_density(args) -> int:
         rows=[{"residues": residues, "modulus": ps.modulus, **frac_fields("density", d)}],
         payload={"modulus": ps.modulus, "residues": residues, **frac_fields("density", d)},
     )
-    return 0
 
 
-def cmd_probe_monotone(args) -> int:
+def cmd_probe_monotone(args) -> None:
     pv, _ = build_session(args)
     witness = find_witness_descending(
         pv, args.level, args.interval, max_descent=args.max_descend
@@ -312,7 +296,6 @@ def cmd_probe_monotone(args) -> int:
         "images": [fmt_frac(im) for im in witness.images],
     }
     emit(args, table_lines, rows, payload)
-    return 0
 
 
 QUOTIENT_HEADER = ("s", "a_s", "ell", "quot_num", "quot_den")
@@ -324,15 +307,14 @@ def _quotient_row(sample) -> dict:
     return dict(zip(QUOTIENT_HEADER, (*fields, q.numerator, q.denominator)))
 
 
-def cmd_probe_quotient(args) -> int:
+def cmd_probe_quotient(args) -> None:
     pv, seed = build_session(args)
     sample = difference_quotient(pv, seed, args.digit, args.ell)
     row = _quotient_row(sample)
     emit(args, [fmt_frac(sample.quotient)], [row], row)
-    return 0
 
 
-def cmd_probe_derivative(args) -> int:
+def cmd_probe_derivative(args) -> None:
     pv, seed = build_session(args)
     report = derivative_probe(pv, seed, args.max_level)
     rows = [
@@ -357,7 +339,6 @@ def cmd_probe_derivative(args) -> int:
         level["quotients"] = [fmt_frac(q) for q in level["quotients"]]
     # --max-level 0 probes no level and leaves no rows
     emit(args, table_lines, rows, payload, header=QUOTIENT_HEADER)
-    return 0
 
 
 # --- parser ---
@@ -419,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.set_defaults(func=cmd_check_equivalence)
+    p.set_defaults(func=_level_report)
     p = check_sub.add_parser(
         "preserve", parents=[common], help="distribution preservation probe"
     )
@@ -464,12 +445,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # usage errors exit 2, --help exits 0
         return exc.code
-    # argparse turns an option value of "--" into an empty list
-    if [] in vars(args).values():
-        print("error: '--' is not an option value", file=sys.stderr)
-        return 2
     try:
-        return args.func(args)
+        # argparse turns an option value of "--" into an empty list
+        if [] in vars(args).values():
+            raise ValidationError("'--' is not an option value")
+        args.func(args)
     except ValidationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -479,6 +459,7 @@ def main(argv=None) -> int:
     except CantorPermError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -286,11 +286,13 @@ def ud_preservation_probe(
 
     Source points are numerators over one denominator ``Q``: ``2**L >=
     sample`` for ``vdc``, the convergent's denominator for ``kronecker``,
-    ``B_K`` for ``grid``.  Each goes through :func:`apply_truncated`, and
-    its image becomes a numerator over ``Q·B_K``.  Counts are floor
-    divisions by ``Q·B_K / B_level``, and both D* values come from the
-    kernel :func:`membership_equivalence` uses: no ``Fraction`` is compared
-    or sorted.
+    ``B_K`` for ``grid``.  The grid repeats with period ``B_K``, so only its
+    first ``min(sample, B_K)`` points are built, each weighted by how often
+    it occurs among the ``sample``.  Each built point goes through
+    :func:`apply_truncated`, and its image becomes a numerator over
+    ``Q·B_K``.  Counts are floor divisions by ``Q·B_K / B_level``, and both
+    D* values come from the kernel :func:`membership_equivalence` uses: no
+    ``Fraction`` is compared or sorted.
     """
     base = pv.base
     if source not in SOURCES:
@@ -309,7 +311,7 @@ def ud_preservation_probe(
     elif source == "kronecker":
         nums, q = _kronecker_numerators(sample)
     else:
-        nums, q = [n % total for n in range(sample)], total
+        nums, q = list(range(min(sample, total))), total
     scale = q * total
     images = []
     for p in nums:
@@ -317,13 +319,16 @@ def ud_preservation_probe(
         images.append(y.numerator * (scale // y.denominator))
 
     width = scale // count
+    copies, extra = divmod(sample, len(images))
     counts = [0] * count
     for y in images:
+        counts[y // width] += copies
+    for y in images[:extra]:
         counts[y // width] += 1
 
     grid_exact = None
     if source == "grid" and sample % total == 0:
-        # inputs over q == B_K, images over B_K**2: equal multisets of points
+        # one period of inputs over q == B_K, images over B_K**2: equal multisets
         grid_exact = sorted(p * total for p in nums) == sorted(images)
 
     return PreservationReport(

@@ -1,9 +1,13 @@
 """Command-line interface: formats, exit codes, determinism."""
+import dataclasses
 import json
+from fractions import Fraction
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import cantorperm.cli
+import cantorperm.equidist
 from cantorperm.cli import _json, build_parser, main
 from test_cli_golden import CASES, FORMATS, GOLDEN
 
@@ -118,14 +122,62 @@ def test_check_preserve_grid(capsys):
     assert payload["input_d_star_den"] == payload["image_d_star_den"] == 30
 
 
+def falsified(capsys, *argv):
+    """Exit 3 with the report, as JSON, on stdout and one ``check
+    falsified:`` line on stderr; returns the report."""
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("check falsified: ")
+    return json.loads(out)
+
+
 def test_check_preserve_threshold_falsified(capsys):
-    code, out, err = run(
+    report = falsified(
         capsys,
         "check", "preserve", "--bases", "2,3,5", "--source", "vdc",
         "--level", "1", "--count", "64", "--threshold", "1/1000000",
     )
-    assert code == 3
-    assert "falsified" in err
+    assert report["N"] == 64 and report["grid_exact"] is None
+
+
+def test_check_ud_unbalanced_counts_falsified(capsys, monkeypatch):
+    real = cantorperm.cli.membership_equivalence
+
+    def off_by_one(spec, level, sample):
+        report = real(spec, level, sample)
+        first = dataclasses.replace(report.intervals[0], count=report.intervals[0].count + 1)
+        return dataclasses.replace(report, intervals=(first,) + report.intervals[1:])
+
+    monkeypatch.setattr(cantorperm.cli, "membership_equivalence", off_by_one)
+    report = falsified(capsys, "check", "ud", "--bases", "2,3,5", "--level", "2", "--count", "30")
+    assert [row["count"] for row in report["intervals"]] == [6] + [5] * 5
+
+
+GRID = ("check", "preserve", "--bases", "2,3,5", "--source", "grid", "--level", "1", "--count", "60")
+
+
+def test_check_preserve_grid_not_permuted_falsified(capsys, monkeypatch):
+    # the planted map sends grid point 1/30 where 0 goes
+    real = cantorperm.equidist.apply_truncated
+
+    def collapsed(pv, x, depth):
+        return real(pv, x - Fraction(1, 30) if x == Fraction(1, 30) else x, depth)
+
+    monkeypatch.setattr(cantorperm.equidist, "apply_truncated", collapsed)
+    assert falsified(capsys, *GRID)["grid_exact"] is False
+
+
+def test_check_preserve_grid_dstar_changed_falsified(capsys, monkeypatch):
+    real = cantorperm.cli.ud_preservation_probe
+
+    def shifted(*args):
+        probe = real(*args)
+        return dataclasses.replace(probe, image_d_star=probe.image_d_star * 2)
+
+    monkeypatch.setattr(cantorperm.cli, "ud_preservation_probe", shifted)
+    report = falsified(capsys, *GRID)
+    assert report["grid_exact"] is True
+    assert (report["image_d_star_num"], report["image_d_star_den"]) == (1, 15)
 
 
 def test_density_basic(capsys):

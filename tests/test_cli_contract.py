@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cantorperm
@@ -122,3 +122,76 @@ def test_perm_lines_beyond_depth_are_dropped_with_their_moduli(capsys):
     dropped = capsys.readouterr().out
     assert main(["orbit", "--bases", "2,3", "--perms", "2:1,0;3:1,2,0", *tail]) == 0
     assert dropped == capsys.readouterr().out
+
+
+# whole command lines: a subcommand with its required options and any of its
+# optional ones, in any order, spelled "--name=value" or "--name value"; small
+# values (moduli <= 30, counts <= 100), about one in ten of them malformed
+MALFORMED_VALUE = st.sampled_from(["", "x", "1/0", "--", "-", "1.5", "2,,3", "1/2/3"])
+
+
+def _or_malformed(valid):
+    return st.integers(0, 9).flatmap(lambda i: valid if i else MALFORMED_VALUE)
+
+
+INT = _or_malformed(st.integers(min_value=-1, max_value=4).map(str))
+COUNT = _or_malformed(st.integers(min_value=-1, max_value=100).map(str))
+FRACTION = _or_malformed(st.sampled_from(["0", "1/2", "29/30", "7/10", "1", "-1/3", "3"]))
+INTS = st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=3).map(
+    lambda xs: ",".join(map(str, xs))
+)
+PERIODIC_SET = _or_malformed(st.builds("{}({})".format, INTS, st.integers(0, 30)))
+COMMON_OPTIONS = {
+    "bases": _or_malformed(st.sampled_from(["2,3,5", "2,3", "4,9,5", "7"]) | INTS),
+    "perms": _or_malformed(st.sampled_from([
+        "shift", "2:1,0;3:1,2,0", "2:0,1", "2:1,0;3:2,0,1;5:1,2,3,4,0", "3:1,1,0",
+        "missing-perms.txt",
+    ])),
+    "alpha": FRACTION,
+    "depth": INT,
+    "format": _or_malformed(st.sampled_from(["table", "csv", "json"])),
+}
+# (words, required options, optional options besides the common ones)
+COMMANDS = [
+    (["expand"], {"value": FRACTION}, {}),
+    (["decode"], {"digits": _or_malformed(INTS)}, {}),
+    (["map"], {"value": FRACTION}, {}),
+    (["orbit"], {"count": COUNT}, {"at": COUNT}),
+    (["check", "ud"], {"level": INT, "count": COUNT}, {}),
+    (["check", "equivalence"], {"level": INT, "count": COUNT}, {}),
+    (["check", "preserve"],
+     {"source": st.sampled_from(["vdc", "kronecker", "grid", "sobol"]), "level": INT,
+      "count": COUNT},
+     {"threshold": FRACTION}),
+    (["density"], {"set": PERIODIC_SET}, {"intersect": PERIODIC_SET}),
+    (["probe", "monotone"], {"level": INT, "interval": COUNT}, {"max-descend": INT}),
+    (["probe", "quotient"], {"digit": INT, "ell": INT}, {}),
+    (["probe", "derivative"], {"max-level": INT}, {}),
+]
+
+
+@st.composite
+def command_lines(draw):
+    words, required, optional = draw(st.sampled_from(COMMANDS))
+    options = {**COMMON_OPTIONS, **optional, **required}
+    extra = draw(st.lists(st.sampled_from(sorted(COMMON_OPTIONS.keys() | optional.keys())),
+                          unique=True))
+    argv = list(words)
+    for name in draw(st.permutations([*required, *extra])):
+        value = draw(options[name])
+        argv += [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=command_lines())
+@example(argv=["probe", "monotone", "--bases", "2,3", "--level", "0", "--interval", "0",
+               "--max-descend", "0"])
+def test_whole_command_lines_keep_exit_contract(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()
+    if code in {1, 2}:
+        assert out.getvalue() == ""

@@ -590,6 +590,23 @@ def test_preservation_probe_grid_exact_sees_a_planted_non_bijection(monkeypatch,
     assert ud_preservation_probe(pv, "grid", sample, 1).grid_exact is False
 
 
+@pytest.mark.parametrize("sample", [6, 29, 30, 31, 61, 95])
+def test_preservation_probe_maps_one_grid_period(monkeypatch, sample):
+    # the grid repeats with period B_K = 30: no point past the first period
+    # goes through the truncated map, and the weighted report is unchanged
+    calls = []
+
+    def counted(pv, x, depth):
+        calls.append(x)
+        return apply_truncated(pv, x, depth)
+
+    pv = shift_vector(make_base((2, 3, 5)))
+    monkeypatch.setattr(equidist_module, "apply_truncated", counted)
+    report = ud_preservation_probe(pv, "grid", sample, 1)
+    assert len(calls) == min(sample, 30)
+    assert report == _fraction_probe(pv, "grid", sample, 1)
+
+
 @given(st.integers(min_value=-2, max_value=700), st.sampled_from([0, 1, 2, 3, 5, 7]))
 @settings(max_examples=200)
 def test_reference_sequences_match_fraction_oracles(count, radix):
