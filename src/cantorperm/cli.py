@@ -62,7 +62,7 @@ def _build_perms(spec: str, base: BaseSequence, moduli_given: int) -> Permutatio
         text = spec.replace(";", "\n")
     else:
         try:
-            text = Path(spec).read_text(encoding="utf-8")
+            text = Path(spec).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read permutation file {spec!r}: {exc}") from exc
     lines = _perm_lines(text)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, repeat
 from typing import Sequence
 
 # prefix_of_interval and prefix_residue are not called here; they stay bound
@@ -92,14 +92,11 @@ def star_discrepancy(points: Sequence[Fraction]) -> DiscrepancyResult:
     return DiscrepancyResult(len(pairs), _dstar(pairs))
 
 
-def _orbit_scan(spec: OrbitSpec, level: int, sample: int):
-    """Check ``level`` and ``sample`` now; return a lazy iterator over the
-    level-``level`` interval of each of the first ``sample`` orbit points."""
+def _check_level_and_sample(spec: OrbitSpec, level: int, sample: int) -> None:
     if level > spec.depth or level < 0:
         raise LevelExceeded(f"level {level} not in [0, {spec.depth}]")
     if sample < 1:
         raise ValidationError("sample must be >= 1")
-    return (orbit_point(spec, n).digits.prefix_index(level) for n in range(sample))
 
 
 def interval_counts(spec: OrbitSpec, level: int, sample: int) -> list[int]:
@@ -109,15 +106,19 @@ def interval_counts(spec: OrbitSpec, level: int, sample: int) -> list[int]:
     The interval of iterate ``n`` depends only on ``n mod P``, ``P`` the
     :meth:`OrbitSpec.prefix_period` of ``level``, so iterate ``n < P``
     counts ``sample // P`` times, once more if ``n < sample mod P``.
+    The iterates are the :func:`orbit_prefix` numerators over ``B_K`` that
+    D* reads, and numerator ``p`` lies in interval ``p // (B_K / B_level)``.
     With full cycles and ``sample`` a multiple of the interval count, every
     entry equals ``sample / products[level]`` exactly.
     """
-    scan = _orbit_scan(spec, level, sample)
+    _check_level_and_sample(spec, level, sample)
+    products = spec.alpha_digits.base.products
+    width = products[spec.depth] // products[level]
     period = spec.prefix_period(level)
     copies, extra = divmod(sample, period)
-    counts = [0] * spec.alpha_digits.base.products[level]
-    for n, idx in enumerate(islice(scan, period)):
-        counts[idx] += copies + (n < extra)
+    counts = [0] * products[level]
+    for n, (num, _) in enumerate(orbit_prefix(spec, min(sample, period))):
+        counts[num // width] += copies + (n < extra)
     return counts
 
 
@@ -164,20 +165,20 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
     lengths, and is injective within a period, so D* comes from the first
     ``min(sample, P)`` numerators over ``B_K`` with their multiplicities.
     """
-    scan = _orbit_scan(spec, level, sample)
-    pv = spec.pv
-    for perm in pv.perms[:level]:
+    _check_level_and_sample(spec, level, sample)
+    for perm in spec.pv.perms[:level]:
         if not perm.full_cycle:
             raise NotFullCycle("membership equivalence needs full cycles at every level")
     base = spec.alpha_digits.base
     count = base.products[level]
-    table = residue_table(pv, spec.alpha_digits.digits[:level])
+    table = residue_table(spec.pv, spec.alpha_digits.digits[:level])
     if len(set(table)) != count:
         raise EquivalenceViolated(
             f"residues at level {level} do not form a complete system mod {count}"
         )
 
-    for n, idx in enumerate(islice(scan, count)):
+    for n in range(min(sample, count)):
+        idx = orbit_point(spec, n).digits.prefix_index(level)
         if n != table[idx]:
             raise EquivalenceViolated(
                 f"iterate {n} lies in interval {idx} but {n} mod {count} != {table[idx]}"

@@ -168,11 +168,6 @@ class ResidueCondition:
         return f"{self.residue}+({self.modulus})"
 
 
-def _crt(pairs: Iterable[tuple[int, int]], modulus: int) -> int:
-    # pairwise coprime m with product `modulus`; c * (c^-1 mod m) is 1 mod m, 0 mod the rest
-    return sum(r * (c := modulus // m) * pow(c, -1, m) for r, m in pairs) % modulus
-
-
 def combine_crt(conditions: Iterable[ResidueCondition]) -> ResidueCondition:
     """Collapse congruences ``n == r_j (mod m_j)`` with pairwise coprime moduli
     into one class mod ``M = prod m_j``: the idempotent sum ``sum r_j * c_j *
@@ -185,7 +180,9 @@ def combine_crt(conditions: Iterable[ResidueCondition]) -> ResidueCondition:
         if math.gcd(modulus, m) != 1:
             raise ModuliNotCoprime(f"modulus {m} not coprime to accumulated {modulus}")
         modulus *= m
-    return ResidueCondition(_crt(pairs, modulus), modulus)
+    # pairwise coprime m with product `modulus`; c * (c^-1 mod m) is 1 mod m, 0 mod the rest
+    residue = sum(r * (c := modulus // m) * pow(c, -1, m) for r, m in pairs) % modulus
+    return ResidueCondition(residue, modulus)
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,21 +300,12 @@ def residue_table(pv: PermutationVector, from_digits: Sequence[int]) -> list[int
     interval order.  Discrete logs and CRT only; no orbit is evaluated.
     Faults raise what :func:`prefix_residue` raises for them.
     """
-    if len(from_digits) > pv.depth:
-        raise LengthMismatch(
-            f"prefix length {len(from_digits)} exceeds vector depth {pv.depth}"
-        )
-    length = len(from_digits)
-    tables = pv._weights.get(length)
-    if tables is None:
-        tables = _weight_tables(pv, length)
-    # a level without a table or a seed digit outside it raises here, first level first
-    for perm, r in zip(pv.perms, from_digits):
-        discrete_log(perm, r, r)
+    # checks the seed, first faulty level first, and caches its weight tables
+    modulus = prefix_residue(pv, from_digits, from_digits).modulus
+    tables = pv._weights[len(from_digits)]
     sums = [-sum(map(getitem, tables, from_digits))]
     for table in tables:
         sums = [x + w for x in sums for w in table]
-    modulus = pv.base.products[length]
     return [x % modulus for x in sums]
 
 

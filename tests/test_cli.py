@@ -282,6 +282,17 @@ def test_perm_file_input(tmp_path, capsys):
     assert json.loads(out)["digits"] == [1, 2, 4]
 
 
+def test_perm_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    outputs = []
+    for name, prefix in (("plain.txt", b""), ("bom.txt", b"\xef\xbb\xbf")):
+        pf = tmp_path / name
+        pf.write_bytes(prefix + b"2: 1,0\n3: 2,0,1\n")
+        code, out, err = run(capsys, "map", "--bases", "2,3", "--perms", str(pf), "--value", "1/3")
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_missing_perm_file(capsys):
     code, out, err = run(
         capsys, "map", "--bases", "2,3,5", "--perms", "/nonexistent/p.txt",

@@ -1,7 +1,9 @@
 """Exit-code contract on malformed input: exit 2 with an ``error:`` line,
-never a traceback, and nothing on stdout."""
+never a traceback, and nothing on stdout.  Also: the CLI runs on the
+standard library alone."""
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -43,6 +45,33 @@ def test_malformed_input_exits_2(argv):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# -I -S: no site-packages and no PYTHON* variables, so only the standard library
+# and the source tree are importable; the test extras could not hide a runtime import
+STDLIB_ONLY = """
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+from cantorperm.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in {argvs!r}]
+tops = {{name.partition(".")[0] for name in sys.modules}}
+print(json.dumps([codes, sorted(tops - set(sys.stdlib_module_names) - {{"__main__"}})]))
+"""
+
+
+def test_cli_runs_on_the_standard_library_alone():
+    src = str(Path(cantorperm.__file__).resolve().parents[1])
+    argvs = [
+        ["check", "equivalence", "--bases", "2,3,5", "--level", "2", "--count", "60"],
+        ["orbit", "--bases", "2,3,5", "--count", "5", "--format", "csv"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", STDLIB_ONLY.format(src=src, argvs=argvs)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0], ["cantorperm"]]
 
 
 @pytest.mark.parametrize("argv", [["orbit"], ["orbit", "--at", "3", "--count", "4"]], ids=" ".join)

@@ -463,6 +463,17 @@ def test_interval_counts_matches_full_scan(pv, data):
     assert outcome(interval_counts, spec, level, sample) == expected
 
 
+@given(full_cycle_orbits(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_interval_counts_matches_the_closed_form_far_past_one_period(orbit, data):
+    # both sides read at most one period, so a sample past 10**12 stays cheap
+    pv, spec = orbit
+    level = data.draw(st.integers(min_value=0, max_value=pv.base.depth))
+    sample = 10**12 + data.draw(st.integers(min_value=0, max_value=2 * pv.base.products[level]))
+    report = membership_equivalence(spec, level, sample)
+    assert interval_counts(spec, level, sample) == [s.count for s in report.intervals]
+
+
 @pytest.mark.parametrize(
     "moduli, images, level, sample, period",
     [
@@ -479,9 +490,9 @@ def test_interval_counts_matches_full_scan(pv, data):
 def test_interval_counts_scans_one_period(monkeypatch, moduli, images, level, sample, period):
     calls = []
 
-    def counted(spec, n):
-        calls.append(n)
-        return orbit_point(spec, n)
+    def counted(spec, count):
+        calls.append(count)
+        return orbit_prefix(spec, count)
 
     b = make_base(moduli)
     pv = shift_vector(b) if images is None else PermutationVector(
@@ -489,10 +500,10 @@ def test_interval_counts_scans_one_period(monkeypatch, moduli, images, level, sa
     )
     spec = make_orbit(encode(Fraction(0), b, len(moduli)), pv)
     expected = _full_scan_counts(spec, level, sample)
-    monkeypatch.setattr(equidist_module, "orbit_point", counted)
+    monkeypatch.setattr(equidist_module, "orbit_prefix", counted)
     assert interval_counts(spec, level, sample) == expected
     assert spec.prefix_period(level) == period
-    assert calls == list(range(min(sample, period)))
+    assert calls == [min(sample, period)]
 
 
 # --- the integer preservation probe against the Fraction probe it replaced ---
