@@ -1,5 +1,6 @@
 """The summary step of ``tools/bench_pairs.py`` on hand-made run lists."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -63,3 +64,29 @@ def test_summary_needs_paired_runs(sizes):
     runs = {side: [_run(1, 1)] * n for side, n in zip(("parent", "change"), sizes)}
     with pytest.raises(ValueError):
         bench_pairs.summarise(runs, END_TO_END)
+
+
+def _checkout(root, name, spec):
+    (root / name).mkdir()
+    (root / name / "BENCHMARK.json").write_text(json.dumps(spec))
+    return root / name
+
+
+def test_benchmark_spec_comes_from_the_parent(tmp_path):
+    spec = {"workloads": [{"name": "w"}], "end_to_end": END_TO_END, "paths": ["bench"]}
+    parent = _checkout(tmp_path, "parent", spec)
+    change = _checkout(tmp_path, "change", {**spec, "paths": ["bench", "tools"]})
+    assert bench_pairs.benchmark_spec(parent, change) == spec
+
+
+@pytest.mark.parametrize("key, value", [
+    ("end_to_end", [{**END_TO_END[0], "bound": 0.5}, END_TO_END[1]]),
+    ("end_to_end", END_TO_END[:1]),
+    ("workloads", []),
+])
+def test_benchmark_spec_refuses_a_change_that_moves_the_bounds(tmp_path, key, value):
+    spec = {"workloads": [{"name": "w"}], "end_to_end": END_TO_END}
+    parent = _checkout(tmp_path, "parent", spec)
+    change = _checkout(tmp_path, "change", {**spec, key: value})
+    with pytest.raises(ValueError, match=key):
+        bench_pairs.benchmark_spec(parent, change)

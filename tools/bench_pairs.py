@@ -4,18 +4,21 @@
 Usage (from the repository root):
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_12.json \\
-        [--pairs 10] [--seed 1] [--seconds 20] [--workload NAME ...] [--what TEXT]
+        [--what TEXT]
 
 ``PARENT_DIR`` and ``CHANGE_DIR`` are two checkouts, each with its own
-``bench/`` and ``src/``.  Pair ``i`` of a workload runs
+``bench/`` and ``src/``.  Every workload gets ``PAIRS`` pairs; pair ``i``
+runs
 
-    python3 bench/run.py --workload W --seed S --seconds N --trace 0
+    python3 bench/run.py --workload W --seed 1 --seconds 20 --trace 0
 
 once in each directory, one run at a time: the parent first when ``i`` is
 even, the change first when it is odd.  The metrics are read from the last
-stdout line of each run.  The end-to-end metrics, their units, directions
-and bounds come from ``BENCHMARK.json`` in ``CHANGE_DIR``, and so do the
-workloads unless ``--workload`` names some.  Nothing under either
+stdout line of each run.  The workloads and the end-to-end metrics, their
+units, directions and bounds, come from ``BENCHMARK.json`` in
+``PARENT_DIR``; the script stops before any run if ``CHANGE_DIR``'s
+``BENCHMARK.json`` lists other workloads or end-to-end metrics, so a change
+cannot be judged against bounds it set itself.  Nothing under either
 directory's ``bench/`` is changed by this script (``bench/run.py`` itself
 writes its details under ``bench/results/``).
 
@@ -39,13 +42,26 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
+SEED = 1
+SECONDS = 20
 
 
-def run_once(directory: Path, workload: str, seed: int, seconds: int) -> dict:
+def benchmark_spec(parent: Path, change: Path) -> dict:
+    """The parent's ``BENCHMARK.json``, once the change's is seen to list the
+    same workloads and end-to-end metrics."""
+    specs = [json.loads((d / "BENCHMARK.json").read_text()) for d in (parent, change)]
+    for key in ("workloads", "end_to_end"):
+        if specs[0][key] != specs[1][key]:
+            raise ValueError(f"BENCHMARK.json {key} differ between {parent} and {change}")
+    return specs[0]
+
+
+def run_once(directory: Path, workload: str) -> dict:
     """One ``bench/run.py`` run in ``directory``: its last stdout line."""
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=directory, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -92,24 +108,20 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=20)
-    parser.add_argument("--workload", action="append")
     parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
+    try:
+        spec = benchmark_spec(args.parent, args.change)
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
     dirs = {"parent": args.parent, "change": args.change}
     summaries = {}
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         runs = {side: [] for side in SIDES}
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                result = run_once(dirs[side], workload, args.seed, args.seconds)
+                result = run_once(dirs[side], workload)
                 runs[side].append(result)
                 print(f"{workload} pair {pair} {side}: "
                       f"{json.dumps(result['metrics'].get('items_per_s'))}", file=sys.stderr)
@@ -118,9 +130,9 @@ def main(argv=None) -> int:
     report = {
         "what": args.what,
         "method": (
-            f"python3 bench/run.py --workload W --seed {args.seed} --seconds {args.seconds} "
+            f"python3 bench/run.py --workload W --seed {SEED} --seconds {SECONDS} "
             f"--trace 0, run from a parent and a change checkout by tools/bench_pairs.py; "
-            f"{args.pairs} pairs per workload, parent first in even pairs and change first "
+            f"{PAIRS} pairs per workload, parent first in even pairs and change first "
             f"in odd pairs, one run at a time; Python {platform.python_version()}, "
             f"{os.cpu_count()} CPUs; metrics as printed on the last stdout line (times "
             f"rescaled to the reference machine by bench/calibrate.py); quartiles by "
