@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .base import DigitExpansion, as_fraction
 from .errors import CheckFalsified, DepthMismatch, LevelExceeded, OutOfRange, ValidationError
@@ -104,10 +104,10 @@ def orbit_point(spec: OrbitSpec, n: int) -> OrbitPoint:
     return OrbitPoint(n, DigitExpansion(digits, spec.alpha_digits.base))
 
 
-def orbit_prefix(spec: OrbitSpec, count: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+def orbit_numerators(spec: OrbitSpec, count: int) -> Iterator[int]:
     """The first ``count`` iterates, indices ``0 .. count-1``, lazily, as
-    ``(numerator, digits)`` pairs: iterate ``n`` is ``numerator / B_K`` with
-    ``K = spec.depth`` and has the digits ``orbit_point(spec, n)`` has.
+    numerators over ``B_K`` with ``K = spec.depth``: iterate ``n`` is
+    ``numerator / B_K``, the value of ``orbit_point(spec, n)``.
 
     Every level steps through its rotated cycle in turn, and the numerator
     sums the levels' contributions ``cycle[t] * B_K / B_{j+1}`` (the
@@ -116,28 +116,76 @@ def orbit_prefix(spec: OrbitSpec, count: int) -> Iterator[tuple[int, tuple[int, 
     if count < 1:
         raise ValidationError("count must be >= 1")
     if not spec._tables:
-        return itertools.repeat((0, ()), count)
+        return itertools.repeat(0, count)
     products = spec.alpha_digits.base.products
     total = products[spec.depth]
     terms = [
         [b * (total // products[j + 1]) for b in table]
         for j, table in enumerate(spec._tables)
     ]
-    digits = zip(*map(itertools.cycle, spec._tables))
-    numerators = map(sum, zip(*map(itertools.cycle, terms)))
-    return itertools.islice(zip(numerators, digits), count)
+    return itertools.islice(map(sum, zip(*map(itertools.cycle, terms))), count)
 
 
-def _permute_index(pv: PermutationVector, level: int, index: int) -> int:
-    """Index of the level-``level`` interval the map sends interval ``index``
-    onto: ``divmod`` peels the digits off from the least significant level
-    up, and each digit's image enters at that digit's mixed-radix weight."""
-    image_index, weight = 0, 1
-    for perm in reversed(pv.perms[:level]):
-        index, b = divmod(index, perm.modulus)
-        image_index += perm.image[b] * weight
-        weight *= perm.modulus
-    return image_index
+def orbit_prefix(spec: OrbitSpec, count: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The :func:`orbit_numerators` stream zipped with each iterate's
+    digits: ``(numerator, digits)`` pairs, ``digits`` those of
+    ``orbit_point(spec, n)``."""
+    numerators = orbit_numerators(spec, count)
+    digits = zip(*map(itertools.cycle, spec._tables)) if spec._tables else itertools.repeat(())
+    return zip(numerators, digits)
+
+
+def _image_tables(pv: PermutationVector, depth: int, cap: int) -> list[tuple[int, Sequence[int]]]:
+    """The first ``depth`` levels in groups of consecutive levels, most
+    significant first: a level joins the group before it while the group's
+    interval count stays at most ``cap``, else it starts a group.
+
+    Each group is ``(size, table)``: ``table[i]`` is the index of the
+    group interval that group interval ``i`` maps onto.  Joining a level of
+    modulus ``m`` is the product-sum ``idx = [x·m + image[b] for x in idx
+    for b in range(m)]`` that :func:`residue_table` uses.  A one-level
+    group is that level's ``perm.image``, not a copy, so every table built
+    has at most ``cap`` entries and the ``depth`` levels cost at most
+    O(``depth·cap``).
+    """
+    tables: list[tuple[int, Sequence[int]]] = []
+    for perm in pv.perms[:depth]:
+        m = perm.modulus
+        if tables and tables[-1][0] * m <= cap:
+            size, table = tables[-1]
+            tables[-1] = (size * m, [x * m + i for x in table for i in perm.image])
+        else:
+            tables.append((m, perm.image))
+    return tables
+
+
+def _truncated_numerators(
+    pv: PermutationVector, nums: Sequence[int], q: int, depth: int
+) -> list[int]:
+    """The depth-``depth`` truncated map on the points ``p / q``, ``p`` in
+    ``nums`` with ``0 <= p < q``: the image numerators over ``q·B_depth``.
+
+    Point ``p`` lies in interval ``index`` with tail ``rem``, ``(index,
+    rem) = divmod(p·B_depth, q)``, and maps to ``image_index·q + rem``.
+    The levels are grouped by :func:`_image_tables` with ``cap =
+    len(nums)``, so the tables cost no more than the points do, and
+    ``image_index`` takes one ``divmod`` and one lookup per group, least
+    significant group first, each image entering at its group's weight.
+    """
+    total = pv.base.products[depth]
+    steps, weight = [], 1
+    for size, table in reversed(_image_tables(pv, depth, len(nums))):
+        steps.append((size, table, weight))
+        weight *= size
+    images = []
+    for p in nums:
+        index, rem = divmod(p * total, q)
+        image_index = 0
+        for size, table, weight in steps:
+            index, digit = divmod(index, size)
+            image_index += table[digit] * weight
+        images.append(image_index * q + rem)
+    return images
 
 
 def apply_truncated(pv: PermutationVector, x, depth: int) -> Fraction:
@@ -155,9 +203,10 @@ def apply_truncated(pv: PermutationVector, x, depth: int) -> Fraction:
         raise OutOfRange(f"{x} not in [0, 1)")
     if depth > pv.depth or depth < 0:
         raise DepthMismatch(f"depth {depth} not in [0, {pv.depth}]")
-    count, q = pv.base.products[depth], x.denominator
-    index, rem = divmod(x.numerator * count, q)
-    return Fraction(_permute_index(pv, depth, index) * q + rem, q * count)
+    # one point: cap 1, so every level is its own group over perm.image
+    q = x.denominator
+    (image,) = _truncated_numerators(pv, [x.numerator], q, depth)
+    return Fraction(image, q * pv.base.products[depth])
 
 
 def modulus_of_continuity_check(pv: PermutationVector, level: int) -> Fraction:
@@ -175,12 +224,14 @@ def modulus_of_continuity_check(pv: PermutationVector, level: int) -> Fraction:
     if level == 0:
         return Fraction(1)
     count = base.products[level]
-    seen = [False] * count
-    for index in range(count):
-        image_index = _permute_index(pv, level, index)
-        if seen[image_index]:
-            raise CheckFalsified(
-                f"interval map not injective at level {level}: index {image_index} hit twice"
-            )
-        seen[image_index] = True
+    # cap B_level puts every level into one group: the induced map itself
+    ((_, table),) = _image_tables(pv, level, count)
+    if len(set(table)) != count:
+        seen = set()
+        for image_index in table:
+            if image_index in seen:
+                raise CheckFalsified(
+                    f"interval map not injective at level {level}: index {image_index} hit twice"
+                )
+            seen.add(image_index)
     return Fraction(1, count)

@@ -10,11 +10,15 @@ from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from typing import Sequence
 
-# prefix_of_interval and prefix_residue are not called here; they stay bound
-# because bench/tracing.py wraps them under these names in this module
+# bench/tracing.py wraps prefix_of_interval, prefix_residue and
+# apply_truncated under these names in this module: the first two are not
+# called here, and apply_truncated only once per preservation probe
 from .base import BaseSequence, prefix_of_interval  # noqa: F401
-from .dynamics import OrbitSpec, apply_truncated, orbit_point, orbit_prefix
+from .dynamics import (
+    OrbitSpec, _truncated_numerators, apply_truncated, orbit_numerators, orbit_point
+)
 from .errors import (
+    ComputationError,
     EquivalenceViolated,
     LevelExceeded,
     NotFullCycle,
@@ -106,8 +110,8 @@ def interval_counts(spec: OrbitSpec, level: int, sample: int) -> list[int]:
     The interval of iterate ``n`` depends only on ``n mod P``, ``P`` the
     :meth:`OrbitSpec.prefix_period` of ``level``, so iterate ``n < P``
     counts ``sample // P`` times, once more if ``n < sample mod P``.
-    The iterates are the :func:`orbit_prefix` numerators over ``B_K`` that
-    D* reads, and numerator ``p`` lies in interval ``p // (B_K / B_level)``.
+    The iterates are the :func:`orbit_numerators` over ``B_K`` that D*
+    reads, and numerator ``p`` lies in interval ``p // (B_K / B_level)``.
     With full cycles and ``sample`` a multiple of the interval count, every
     entry equals ``sample / products[level]`` exactly.
     """
@@ -117,7 +121,7 @@ def interval_counts(spec: OrbitSpec, level: int, sample: int) -> list[int]:
     period = spec.prefix_period(level)
     copies, extra = divmod(sample, period)
     counts = [0] * products[level]
-    for n, (num, _) in enumerate(orbit_prefix(spec, min(sample, period))):
+    for n, num in enumerate(orbit_numerators(spec, min(sample, period))):
         counts[num // width] += copies + (n < extra)
     return counts
 
@@ -194,7 +198,7 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
         )
         for j, r in enumerate(table)
     )
-    nums = [num for num, _ in orbit_prefix(spec, min(sample, spec.period))]
+    nums = list(orbit_numerators(spec, min(sample, spec.period)))
     return LevelReport(
         level=level,
         sample_size=sample,
@@ -289,11 +293,15 @@ def ud_preservation_probe(
     sample`` for ``vdc``, the convergent's denominator for ``kronecker``,
     ``B_K`` for ``grid``.  The grid repeats with period ``B_K``, so only its
     first ``min(sample, B_K)`` points are built, each weighted by how often
-    it occurs among the ``sample``.  Each built point goes through
-    :func:`apply_truncated`, and its image becomes a numerator over
-    ``Q·B_K``.  Counts are floor divisions by ``Q·B_K / B_level``, and both
-    D* values come from the kernel :func:`membership_equivalence` uses: no
-    ``Fraction`` is compared or sorted.
+    it occurs among the ``sample``.  The built points go through the
+    truncated map by grouped image tables (:func:`_truncated_numerators`,
+    no table larger than about the number of points), which give each image
+    as a numerator over ``Q·B_K``; the first point also goes through
+    :func:`apply_truncated`, and a disagreement raises
+    ``ComputationError``.  Counts are floor divisions by ``Q·B_K /
+    B_level``, and both D* values come from the kernel
+    :func:`membership_equivalence` uses: no ``Fraction`` is compared or
+    sorted.
     """
     base = pv.base
     if source not in SOURCES:
@@ -314,10 +322,13 @@ def ud_preservation_probe(
     else:
         nums, q = list(range(min(sample, total))), total
     scale = q * total
-    images = []
-    for p in nums:
-        y = apply_truncated(pv, Fraction(p, q), depth)
-        images.append(y.numerator * (scale // y.denominator))
+    images = _truncated_numerators(pv, nums, q, depth)
+    first = apply_truncated(pv, Fraction(nums[0], q), depth)
+    if first != Fraction(images[0], scale):
+        raise ComputationError(
+            f"image tables send {nums[0]}/{q} to {images[0]}/{scale}, "
+            f"apply_truncated to {first}"
+        )
 
     width = scale // count
     copies, extra = divmod(sample, len(images))

@@ -1,7 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 import dataclasses
 import json
-from fractions import Fraction
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -10,6 +9,7 @@ import cantorperm.cli
 import cantorperm.equidist
 from cantorperm.cli import _json, build_parser, main
 from test_cli_golden import CASES, FORMATS, GOLDEN
+from test_equidist import collapsed
 
 
 def run(capsys, *argv):
@@ -157,13 +157,8 @@ GRID = ("check", "preserve", "--bases", "2,3,5", "--source", "grid", "--level", 
 
 
 def test_check_preserve_grid_not_permuted_falsified(capsys, monkeypatch):
-    # the planted map sends grid point 1/30 where 0 goes
-    real = cantorperm.equidist.apply_truncated
-
-    def collapsed(pv, x, depth):
-        return real(pv, x - Fraction(1, 30) if x == Fraction(1, 30) else x, depth)
-
-    monkeypatch.setattr(cantorperm.equidist, "apply_truncated", collapsed)
+    # the planted image tables send grid point 1/30 where 0 goes
+    monkeypatch.setattr(cantorperm.equidist, "_truncated_numerators", collapsed)
     assert falsified(capsys, *GRID)["grid_exact"] is False
 
 

@@ -1,5 +1,7 @@
 """Orbit machinery: single application, random access, truncation."""
+import dataclasses
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -24,8 +26,14 @@ from cantorperm import (
     parse_permutations,
     shift_vector,
 )
-from cantorperm.dynamics import _permute_index
-from cantorperm.errors import DepthMismatch, OutOfRange, ValidationError
+from cantorperm.dynamics import _truncated_numerators
+from cantorperm.errors import (
+    CheckFalsified,
+    DepthMismatch,
+    LevelExceeded,
+    OutOfRange,
+    ValidationError,
+)
 
 
 def _shift_setup():
@@ -345,14 +353,91 @@ def test_apply_truncated_matches_fraction_oracle(pv, x, data):
     assert outcome(apply_truncated, pv, x, depth) == expected
 
 
+# --- differential oracles: the digit loop and the seen-list check the image tables replaced ---
+
+def _permute_index(pv, level, index):
+    """Index of the level-``level`` interval the map sends interval
+    ``index`` onto, one ``divmod`` per level from the least significant up."""
+    image_index, weight = 0, 1
+    for perm in reversed(pv.perms[:level]):
+        index, b = divmod(index, perm.modulus)
+        image_index += perm.image[b] * weight
+        weight *= perm.modulus
+    return image_index
+
+
+def _seen_modulus_of_continuity_check(pv, level):
+    base = pv.base
+    if level > base.depth or level < 0:
+        raise LevelExceeded(f"level {level} not in [0, {base.depth}]")
+    if level == 0:
+        return Fraction(1)
+    count = base.products[level]
+    seen = [False] * count
+    for index in range(count):
+        image_index = _permute_index(pv, level, index)
+        if seen[image_index]:
+            raise CheckFalsified(
+                f"interval map not injective at level {level}: index {image_index} hit twice"
+            )
+        seen[image_index] = True
+    return Fraction(1, count)
+
+
 @given(prime_power_vectors(max_period=2000))
 @settings(max_examples=60, deadline=None)
 def test_permute_index_matches_digit_oracle(pv):
-    # the fused step that apply_truncated and modulus_of_continuity_check share
+    # the digit loop against digits_of/index_of, and the image tables
+    # against both, with every level in one group
     base = pv.base
     for level in range(pv.depth + 1):
-        for index in range(base.products[level]):
+        count = base.products[level]
+        images = []
+        for index in range(count):
             digits = base.digits_of(level, index)
             image = base.index_of([perm.image[b] for perm, b in zip(pv.perms, digits)])
             assert _permute_index(pv, level, index) == image
-        assert modulus_of_continuity_check(pv, level) == Fraction(1, base.products[level])
+            images.append(image)
+        assert _truncated_numerators(pv, range(count), count, level) == [y * count for y in images]
+        assert modulus_of_continuity_check(pv, level) == Fraction(1, count)
+
+
+@given(prime_power_vectors(max_period=2000), st.data())
+@settings(max_examples=100, deadline=None)
+def test_modulus_of_continuity_matches_seen_oracle_on_non_bijections(pv, data):
+    # plant a level whose image sends one digit where another goes: the
+    # check fails at that level and above, naming the first index hit twice
+    j = data.draw(st.integers(min_value=0, max_value=pv.depth - 1))
+    perm = pv.perms[j]
+    a, b = data.draw(st.lists(
+        st.integers(min_value=0, max_value=perm.modulus - 1), min_size=2, max_size=2, unique=True
+    ))
+    image = list(perm.image)
+    image[a] = image[b]
+    perms = list(pv.perms)
+    perms[j] = dataclasses.replace(perm, image=tuple(image))
+    planted = PermutationVector(tuple(perms), pv.base)
+    for level in range(-1, pv.depth + 2):
+        expected = outcome(_seen_modulus_of_continuity_check, planted, level)
+        assert outcome(modulus_of_continuity_check, planted, level) == expected
+        if 0 <= level <= pv.depth:
+            assert isinstance(expected, Fraction) == (level <= j)
+
+
+@given(prime_power_vectors(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_truncated_numerators_match_fraction_oracle(pv, data):
+    # point lists: empty, one point, fewer points than some level's modulus
+    # (that level is a group of its own), and at least B_depth points (one
+    # group spans every level)
+    depth = data.draw(st.integers(min_value=0, max_value=pv.depth))
+    total = pv.base.products[depth]
+    widest = max(pv.base.moduli[:depth], default=1)
+    length = data.draw(st.sampled_from([0, 1, max(widest - 1, 0), total, total + 1]))
+    q = data.draw(st.integers(min_value=1, max_value=10**15))
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+    nums = [rng.randrange(q) for _ in range(length)]
+    images = _truncated_numerators(pv, nums, q, depth)
+    assert images == [
+        _fraction_apply_truncated(pv, Fraction(p, q), depth) * (q * total) for p in nums
+    ]

@@ -31,7 +31,9 @@ from cantorperm import (
     van_der_corput,
 )
 import cantorperm.equidist as equidist_module
+from cantorperm.dynamics import _truncated_numerators, orbit_numerators
 from cantorperm.errors import (
+    ComputationError,
     EquivalenceViolated,
     LevelExceeded,
     NotFullCycle,
@@ -285,6 +287,7 @@ def test_orbit_prefix_matches_orbit_point(orbit, data):
     count = data.draw(st.integers(min_value=1, max_value=4 * base.products[depth] + 3))
     pairs = list(orbit_prefix(spec, count))
     assert len(pairs) == count
+    assert list(orbit_numerators(spec, count)) == [numerator for numerator, _ in pairs]
     for n, (numerator, digits) in enumerate(pairs):
         assert digits == orbit_point(spec, n).digits.digits
         assert numerator == base.index_of(digits)
@@ -492,7 +495,7 @@ def test_interval_counts_scans_one_period(monkeypatch, moduli, images, level, sa
 
     def counted(spec, count):
         calls.append(count)
-        return orbit_prefix(spec, count)
+        return orbit_numerators(spec, count)
 
     b = make_base(moduli)
     pv = shift_vector(b) if images is None else PermutationVector(
@@ -500,7 +503,7 @@ def test_interval_counts_scans_one_period(monkeypatch, moduli, images, level, sa
     )
     spec = make_orbit(encode(Fraction(0), b, len(moduli)), pv)
     expected = _full_scan_counts(spec, level, sample)
-    monkeypatch.setattr(equidist_module, "orbit_prefix", counted)
+    monkeypatch.setattr(equidist_module, "orbit_numerators", counted)
     assert interval_counts(spec, level, sample) == expected
     assert spec.prefix_period(level) == period
     assert calls == [min(sample, period)]
@@ -587,17 +590,20 @@ def test_preservation_probe_matches_fraction_probe(pv, data):
     assert report == outcome(_fraction_probe, pv, source, sample, level)
 
 
+def collapsed(pv, nums, q, depth):
+    """The image tables with grid point 1/30 sent where 0 goes: a map that
+    does not permute the grid, and agrees with ``apply_truncated`` at 0."""
+    return _truncated_numerators(pv, [p - 1 if 30 * p == q else p for p in nums], q, depth)
+
+
 @pytest.mark.parametrize("sample", [30, 60])
 def test_preservation_probe_grid_exact_sees_a_planted_non_bijection(monkeypatch, sample):
     # the truncated map permutes the grid, so grid_exact is False only for a
-    # map that is not one: here grid point 1/30 is sent where 0 goes
-    def collapsed(pv, x, depth):
-        return apply_truncated(pv, x - Fraction(1, 30) if x == Fraction(1, 30) else x, depth)
-
+    # map that is not one
     b = make_base((2, 3, 5))
     pv = shift_vector(b)
     assert ud_preservation_probe(pv, "grid", sample, 1).grid_exact is True
-    monkeypatch.setattr(equidist_module, "apply_truncated", collapsed)
+    monkeypatch.setattr(equidist_module, "_truncated_numerators", collapsed)
     assert ud_preservation_probe(pv, "grid", sample, 1).grid_exact is False
 
 
@@ -607,15 +613,46 @@ def test_preservation_probe_maps_one_grid_period(monkeypatch, sample):
     # goes through the truncated map, and the weighted report is unchanged
     calls = []
 
-    def counted(pv, x, depth):
-        calls.append(x)
-        return apply_truncated(pv, x, depth)
+    def counted(pv, nums, q, depth):
+        calls.append(list(nums))
+        return _truncated_numerators(pv, nums, q, depth)
 
     pv = shift_vector(make_base((2, 3, 5)))
-    monkeypatch.setattr(equidist_module, "apply_truncated", counted)
+    monkeypatch.setattr(equidist_module, "_truncated_numerators", counted)
     report = ud_preservation_probe(pv, "grid", sample, 1)
-    assert len(calls) == min(sample, 30)
+    assert [len(nums) for nums in calls] == [min(sample, 30)]
     assert report == _fraction_probe(pv, "grid", sample, 1)
+
+
+def test_preservation_probe_raises_when_tables_and_apply_truncated_disagree(monkeypatch):
+    # the first point also goes through apply_truncated; an image table that
+    # moves it is a computation fault, not a falsified check
+    def off_by_one(pv, nums, q, depth):
+        images = _truncated_numerators(pv, nums, q, depth)
+        return [images[0] + 1] + images[1:]
+
+    pv = shift_vector(make_base((2, 3, 5)))
+    monkeypatch.setattr(equidist_module, "_truncated_numerators", off_by_one)
+    for source in SOURCES:
+        with pytest.raises(ComputationError, match="apply_truncated"):
+            ud_preservation_probe(pv, source, 60, 1)
+
+
+FIRST_16_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def test_preservation_probe_tables_stay_as_small_as_the_sample():
+    # B_K is about 3.3e19: tables split at sqrt(B_K) would hold billions of
+    # entries, tables capped at the 64 points hold a few dozen
+    pv = shift_vector(make_base(FIRST_16_PRIMES))
+    tracemalloc.start()
+    try:
+        report = ud_preservation_probe(pv, "vdc", 64, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == _fraction_probe(pv, "vdc", 64, 3)
+    assert peak < 100_000
 
 
 @given(st.integers(min_value=-2, max_value=700), st.sampled_from([0, 1, 2, 3, 5, 7]))
