@@ -135,28 +135,33 @@ def orbit_prefix(spec: OrbitSpec, count: int) -> Iterator[tuple[int, tuple[int, 
     return zip(numerators, digits)
 
 
-def _image_tables(pv: PermutationVector, depth: int, cap: int) -> list[tuple[int, Sequence[int]]]:
-    """The first ``depth`` levels in groups of consecutive levels, most
-    significant first: a level joins the group before it while the group's
+def _image_tables(
+    pv: PermutationVector, depth: int, cap: int
+) -> list[tuple[int, Sequence[int], int]]:
+    """The first ``depth`` levels in groups of consecutive levels, least
+    significant first: a level joins the group after it while the group's
     interval count stays at most ``cap``, else it starts a group.
 
-    Each group is ``(size, table)``: ``table[i]`` is the index of the
-    group interval that group interval ``i`` maps onto.  Joining a level of
-    modulus ``m`` is the product-sum ``idx = [x·m + image[b] for x in idx
-    for b in range(m)]`` that :func:`residue_table` uses.  A one-level
-    group is that level's ``perm.image``, not a copy, so every table built
-    has at most ``cap`` entries and the ``depth`` levels cost at most
-    O(``depth·cap``).
+    Each group is ``(size, table, weight)``: ``table[i]`` is the index of
+    the group interval that group interval ``i`` maps onto, and ``weight``
+    is the interval count of the levels below the group.  Joining a level
+    of modulus ``m`` above a group of ``size`` intervals is the product-sum
+    ``idx = [i·size + x for i in image for x in idx]``, the one
+    :func:`residue_table` uses.  A one-level group is that level's
+    ``perm.image``, not a copy, so every table built has at most ``cap``
+    entries and the ``depth`` levels cost at most O(``depth·cap``).
     """
-    tables: list[tuple[int, Sequence[int]]] = []
-    for perm in pv.perms[:depth]:
+    groups: list[tuple[int, Sequence[int], int]] = []
+    weight = 1
+    for perm in reversed(pv.perms[:depth]):
         m = perm.modulus
-        if tables and tables[-1][0] * m <= cap:
-            size, table = tables[-1]
-            tables[-1] = (size * m, [x * m + i for x in table for i in perm.image])
+        if groups and groups[-1][0] * m <= cap:
+            size, table, below = groups[-1]
+            groups[-1] = (size * m, [i * size + x for i in perm.image for x in table], below)
         else:
-            tables.append((m, perm.image))
-    return tables
+            groups.append((m, perm.image, weight))
+        weight *= m
+    return groups
 
 
 def _truncated_numerators(
@@ -173,15 +178,12 @@ def _truncated_numerators(
     significant group first, each image entering at its group's weight.
     """
     total = pv.base.products[depth]
-    steps, weight = [], 1
-    for size, table in reversed(_image_tables(pv, depth, len(nums))):
-        steps.append((size, table, weight))
-        weight *= size
+    groups = _image_tables(pv, depth, len(nums))
     images = []
     for p in nums:
         index, rem = divmod(p * total, q)
         image_index = 0
-        for size, table, weight in steps:
+        for size, table, weight in groups:
             index, digit = divmod(index, size)
             image_index += table[digit] * weight
         images.append(image_index * q + rem)
@@ -225,13 +227,12 @@ def modulus_of_continuity_check(pv: PermutationVector, level: int) -> Fraction:
         return Fraction(1)
     count = base.products[level]
     # cap B_level puts every level into one group: the induced map itself
-    ((_, table),) = _image_tables(pv, level, count)
-    if len(set(table)) != count:
-        seen = set()
-        for image_index in table:
-            if image_index in seen:
-                raise CheckFalsified(
-                    f"interval map not injective at level {level}: index {image_index} hit twice"
-                )
-            seen.add(image_index)
+    ((_, table, _),) = _image_tables(pv, level, count)
+    seen = [False] * count
+    for image_index in table:
+        if seen[image_index]:
+            raise CheckFalsified(
+                f"interval map not injective at level {level}: index {image_index} hit twice"
+            )
+        seen[image_index] = True
     return Fraction(1, count)
