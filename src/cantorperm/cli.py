@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .base import BaseSequence, DigitExpansion, as_fraction, encode, make_base, make_expansion
@@ -31,6 +35,10 @@ from .errors import (
     ValidationError,
 )
 from .perms import PermutationVector, _perm_lines, parse_permutations, shift_vector
+
+
+def frac(f: Fraction) -> tuple[int, int]:
+    return f.numerator, f.denominator
 
 
 def fmt_frac(f: Fraction) -> str:
@@ -71,51 +79,103 @@ def _build_perms(spec: str, base: BaseSequence, moduli_given: int) -> Permutatio
     return parse_permutations("\n".join(lines[: base.depth]), base)
 
 
-def _json(value, pad: str = "") -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for str-keyed values;
-    written out here because before Python 3.13 ``indent`` makes ``json``
-    fall back to its pure-Python encoder.  ``int`` leaves, most of any
-    report, are written in place rather than through a call each."""
-    if type(value) is int:
-        return str(value)
+def _json_pieces(value, pad: str = "") -> Iterator[str]:
+    """``json.dumps(value, indent=2)`` in pieces, byte for byte, for str-keyed
+    values, with each :class:`Table` as the list of its rows; written out
+    here because before Python 3.13 ``indent`` makes ``json`` fall back to
+    its pure-Python encoder."""
     inner = pad + "  "
-    if isinstance(value, dict) and value:
-        items = (
-            f"{encode_basestring_ascii(k)}: {v if type(v) is int else _json(v, inner)}"
-            for k, v in value.items()
-        )
-        brackets = "{}"
+    if isinstance(value, Table):
+        yield from _rendered(value, csv=False, pad=pad)
+    elif isinstance(value, dict) and value:
+        for i, (key, item) in enumerate(value.items()):
+            yield f"{',' if i else '{'}\n{inner}{encode_basestring_ascii(key)}: "
+            yield from _json_pieces(item, inner)
+        yield f"\n{pad}}}"
     elif isinstance(value, (list, tuple)) and value:
-        items = (str(v) if type(v) is int else _json(v, inner) for v in value)
-        brackets = "[]"
+        for i, item in enumerate(value):
+            yield f"{',' if i else '['}\n{inner}"
+            yield from _json_pieces(item, inner)
+        yield f"\n{pad}]"
     else:
-        return json.dumps(value)
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+        yield json.dumps(value)
 
 
-def _cell(value) -> str:
-    return ";".join(map(str, value)) if isinstance(value, list) else str(value)
+def _json(value, pad: str = "") -> str:
+    return "".join(_json_pieces(value, pad))
 
 
-def emit(args, table_lines, rows, payload, header=None) -> None:
-    """Write the requested format: ``table_lines`` (any iterable) under the
-    version banner, ``rows`` as CSV with the first row's keys as header (or
-    ``header`` when there may be no rows), or ``payload`` as JSON."""
+class Table(NamedTuple):
+    """A header and its rows: flat tuples of ints and strs (or bools), each
+    row with the first row's cell kinds.  With ``ints = (i, width)``, column
+    ``i`` is an int sequence: the ``width`` cells from cell ``i`` on."""
+
+    header: tuple[str, ...]
+    rows: Iterable[tuple]
+    ints: tuple[int, int] | None = None
+
+
+def _row_renderer(table: Table, first: tuple, csv: bool, pad: str = ""):
+    """One ``%`` template for the rows shaped like ``first``, as the function
+    that renders a row with it: a CSV line, or the ``_json`` object at ``pad``."""
+    pieces = ["%d" if type(v) is int else "%s" for v in first]
+    if table.ints:
+        i, width = table.ints
+        ints = pieces[i : i + width]
+        pieces[i : i + width] = [";".join(ints) if csv else ints]
+    if csv:
+        return (",".join(pieces) + "\n").__mod__
+    # quoted placeholders become bare ones; a key's own "%" is doubled
+    cells = {key.replace("%", "%%"): piece for key, piece in zip(table.header, pieces)}
+    template = _json(cells, pad).replace('"%d"', "%d").replace('"%s"', "%s")
+    if all(type(v) is int for v in first):
+        return template.__mod__
+    return lambda row: template % tuple(v if type(v) is int else json.dumps(v) for v in row)
+
+
+def _rendered(table: Table, csv: bool, pad: str = "") -> Iterator[str]:
+    """``table`` in pieces: CSV under its header, or the JSON list of its
+    rows at ``pad``."""
+    rows = iter(table.rows)
+    first = next(rows, None)
+    header = ",".join(table.header) + "\n"
+    if first is None:
+        return iter([header if csv else "[]"])
+    inner = pad + "  "
+    render = _row_renderer(table, first, csv, inner)
+    if csv:
+        return itertools.chain([header, render(first)], map(render, rows))
+    rest = map(f",\n{inner}".__add__, map(render, rows))
+    return itertools.chain([f"[\n{inner}", render(first)], rest, [f"\n{pad}]"])
+
+
+def emit(args, table_lines, table: Table, payload=None) -> None:
+    """Write the requested format as it is rendered: ``table_lines`` (any
+    iterable) under the version banner, ``table`` as CSV, or ``payload`` (a
+    dict or a :class:`Table`) as JSON; with no ``payload``, ``table``'s one
+    row as a JSON object."""
     if args.format == "table":
-        text = "\n".join([f"# cantorperm {__version__}", *table_lines]) + "\n"
+        pieces = map("%s\n".__mod__, itertools.chain([f"# cantorperm {__version__}"], table_lines))
     elif args.format == "csv":
-        lines = [",".join(rows[0] if rows else header)]
-        lines += [",".join(_cell(v) for v in row.values()) for row in rows]
-        text = "\n".join(lines) + "\n"
+        pieces = _rendered(table, csv=True)
+    elif payload is None:
+        (row,) = table.rows
+        pieces = [_row_renderer(table, row, csv=False)(row), "\n"]
     else:
-        text = _json(payload) + "\n"
-    if args.out:
+        pieces = itertools.chain(_json_pieces(payload), "\n")
+    if not args.out:
         try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            raise ValidationError(f"cannot write {args.out!r}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
+            sys.stdout.writelines(pieces)
+        except BrokenPipeError:
+            # the reader has gone, as with `| head`: what stdout still holds
+            # is flushed at exit, into the null device instead of the pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return
+    try:
+        with open(args.out, "w") as out:
+            out.writelines(pieces)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.out!r}: {exc.strerror}") from exc
 
 
 # --- subcommand handlers ---
@@ -124,23 +184,23 @@ def cmd_expand(args) -> None:
     _, seed = build_session(args)
     value = as_fraction(args.value)
     digits = encode(value, seed.base, seed.depth)
-    row = {"digits": list(digits.digits), **frac_fields("value", value)}
-    emit(args, [str(digits)], [row], row)
+    row = (*digits.digits, *frac(value))
+    emit(args, [str(digits)], Table(("digits", "value_num", "value_den"), [row], (0, seed.depth)))
 
 
 def cmd_decode(args) -> None:
     _, seed = build_session(args)
     value = make_expansion(args.digits, seed.base).value
-    row = frac_fields("value", value)
-    emit(args, [fmt_frac(value)], [row], row)
+    emit(args, [fmt_frac(value)], Table(("value_num", "value_den"), [frac(value)]))
 
 
 def cmd_map(args) -> None:
     pv, seed = build_session(args)
     image = apply_map(pv, encode(args.value, seed.base, seed.depth))
     value = image.value
-    row = {"digits": list(image.digits), **frac_fields("value", value)}
-    emit(args, [f"digits: {image}", f"value: {fmt_frac(value)}"], [row], row)
+    row = (*image.digits, *frac(value))
+    table = Table(("digits", "value_num", "value_den"), [row], (0, seed.depth))
+    emit(args, [f"digits: {image}", f"value: {fmt_frac(value)}"], table)
 
 
 def cmd_orbit(args) -> None:
@@ -153,17 +213,14 @@ def cmd_orbit(args) -> None:
         start, pairs = 0, orbit_prefix(spec, args.count)
     # every iterate is a numerator over B_K; reduce it as Fraction would
     total = seed.base.products[seed.depth]
-    rows = []
-    for n, (num, digits) in enumerate(pairs, start):
-        g = math.gcd(num, total)
-        rows.append(
-            {"n": n, "value_num": num // g, "value_den": total // g, "digits": list(digits)}
-        )
-    table_lines = (
-        f"n={r['n']}  value={r['value_num']}/{r['value_den']}  digits={_cell(r['digits'])}"
-        for r in rows
+    gcd = math.gcd
+    rows = (
+        (n, num // (g := gcd(num, total)), total // g, *digits)
+        for n, (num, digits) in enumerate(pairs, start)
     )
-    emit(args, table_lines, rows, rows)
+    table = Table(("n", "value_num", "value_den", "digits"), rows, (3, seed.depth))
+    line = "n=%d  value=%d/%d  digits=" + ";".join(["%d"] * seed.depth)
+    emit(args, map(line.__mod__, rows), table, table)
 
 
 def _level_report(args):
@@ -182,24 +239,19 @@ def _level_report(args):
             yield f"I_{s.index}: class {s.residue}  count {s.count}"
         yield f"d_star: {fmt_frac(report.d_star)}"
 
-    expected = frac_fields("expected", report.intervals[0].expected)
-    rows = [
-        {
-            "j": s.index,
-            "residue": s.residue.residue,
-            "modulus": s.residue.modulus,
-            "count": s.count,
-            **expected,
-        }
-        for s in report.intervals
-    ]
+    expected = report.intervals[0].expected
+    table = Table(
+        ("j", "residue", "modulus", "count", "expected_num", "expected_den"),
+        ((s.index, s.residue.residue, s.residue.modulus, s.count, *frac(expected))
+         for s in report.intervals),
+    )
     payload = {
         "level": report.level,
         "N": report.sample_size,
-        "intervals": rows,
+        "intervals": table,
         **frac_fields("d_star", report.d_star),
     }
-    emit(args, table_lines(), rows, payload)
+    emit(args, table_lines(), table, payload)
     return report
 
 
@@ -224,18 +276,20 @@ def cmd_check_preserve(args) -> None:
     ]
     if probe.grid_exact is not None:
         table_lines.append(f"grid image equals grid: {probe.grid_exact}")
-    expected = frac_fields("expected", probe.expected)
-    rows = [{"j": j, "count": c, **expected} for j, c in enumerate(probe.counts)]
+    table = Table(
+        ("j", "count", "expected_num", "expected_den"),
+        ((j, c, *frac(probe.expected)) for j, c in enumerate(probe.counts)),
+    )
     payload = {
         "source": probe.source,
         "N": probe.sample_size,
         "level": probe.level,
         **frac_fields("input_d_star", probe.input_d_star),
         **frac_fields("image_d_star", probe.image_d_star),
-        "intervals": rows,
+        "intervals": table,
         "grid_exact": probe.grid_exact,
     }
-    emit(args, table_lines, rows, payload)
+    emit(args, table_lines, table, payload)
     if probe.grid_exact is False:
         raise CheckFalsified("grid image differs from grid")
     if probe.grid_exact and probe.input_d_star != probe.image_d_star:
@@ -252,12 +306,10 @@ def cmd_density(args) -> None:
         ps = intersect(ps, parse_periodic_set(args.intersect))
     d = density(ps)
     residues = sorted(ps.residues)
-    emit(
-        args,
-        table_lines=[f"set: {ps}", f"density: {fmt_frac(d)}"],
-        rows=[{"residues": residues, "modulus": ps.modulus, **frac_fields("density", d)}],
-        payload={"modulus": ps.modulus, "residues": residues, **frac_fields("density", d)},
-    )
+    row = (*residues, ps.modulus, *frac(d))
+    table = Table(("residues", "modulus", "density_num", "density_den"), [row], (0, len(residues)))
+    payload = {"modulus": ps.modulus, "residues": residues, **frac_fields("density", d)}
+    emit(args, [f"set: {ps}", f"density: {fmt_frac(d)}"], table, payload)
 
 
 def cmd_probe_monotone(args) -> None:
@@ -276,15 +328,9 @@ def cmd_probe_monotone(args) -> None:
         f"{role}: point {fmt_frac(point)} -> image {fmt_frac(image)}"
         for role, point, image in zip(roles, witness.points, witness.images)
     ]
-    rows = [
-        {
-            "role": role,
-            "digit": digit,
-            **frac_fields("point", point),
-            **frac_fields("image", image),
-        }
-        for role, digit, point, image in zip(roles, digits, witness.points, witness.images)
-    ]
+    header = ("role", "digit", "point_num", "point_den", "image_num", "image_den")
+    rows = [(role, digit, *frac(point), *frac(image))
+            for role, digit, point, image in zip(roles, digits, witness.points, witness.images)]
     payload = {
         "requested_level": args.level,
         "requested_interval": args.interval,
@@ -295,23 +341,21 @@ def cmd_probe_monotone(args) -> None:
         "points": [fmt_frac(p) for p in witness.points],
         "images": [fmt_frac(im) for im in witness.images],
     }
-    emit(args, table_lines, rows, payload)
+    emit(args, table_lines, Table(header, rows), payload)
 
 
 QUOTIENT_HEADER = ("s", "a_s", "ell", "quot_num", "quot_den")
 
 
-def _quotient_row(sample) -> dict:
+def _quotient_row(sample) -> tuple:
     q = sample.quotient
-    fields = (sample.digit_level, sample.original_digit, sample.perturbed_digit)
-    return dict(zip(QUOTIENT_HEADER, (*fields, q.numerator, q.denominator)))
+    return sample.digit_level, sample.original_digit, sample.perturbed_digit, *frac(q)
 
 
 def cmd_probe_quotient(args) -> None:
     pv, seed = build_session(args)
     sample = difference_quotient(pv, seed, args.digit, args.ell)
-    row = _quotient_row(sample)
-    emit(args, [fmt_frac(sample.quotient)], [row], row)
+    emit(args, [fmt_frac(sample.quotient)], Table(QUOTIENT_HEADER, [_quotient_row(sample)]))
 
 
 def cmd_probe_derivative(args) -> None:
@@ -337,8 +381,7 @@ def cmd_probe_derivative(args) -> None:
     payload = asdict(report)
     for level in payload["levels"]:
         level["quotients"] = [fmt_frac(q) for q in level["quotients"]]
-    # --max-level 0 probes no level and leaves no rows
-    emit(args, table_lines, rows, payload, header=QUOTIENT_HEADER)
+    emit(args, table_lines, Table(QUOTIENT_HEADER, rows), payload)
 
 
 # --- parser ---

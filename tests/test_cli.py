@@ -1,13 +1,18 @@
 """Command-line interface: formats, exit codes, determinism."""
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import tracemalloc
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cantorperm.cli
 import cantorperm.equidist
-from cantorperm.cli import _json, build_parser, main
+from cantorperm.cli import Table, _json, build_parser, emit, main
 from test_cli_golden import CASES, FORMATS, GOLDEN
 from test_equidist import collapsed
 
@@ -356,6 +361,89 @@ JSON_VALUES = st.recursive(
 @example({"a": [], "b": {}, "c": [[], {}, ()], "d": (True, False, None, 0)})
 def test_json_renderer_matches_stdlib_indent(value):
     assert _json(value) == json.dumps(value, indent=2)
+
+
+def _emitted(fmt, table, payload=None):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        emit(argparse.Namespace(format=fmt, out=None), [], table, payload)
+    return out.getvalue()
+
+
+def _old_cell(value):
+    return ";".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+# a cell of each kind a CLI table holds; bools print as true/false in JSON,
+# where a bare %d would print 1 and 0
+INT = st.integers(min_value=-(10**40), max_value=10**40)
+CELLS = {
+    "int": INT,
+    "bool": st.booleans(),
+    "str": st.text(st.sampled_from('ab"\\%/\n\x00é€😀 '), max_size=6),
+}
+KEYS = st.text(st.sampled_from('ab"\\%dsé😀 '), min_size=1, max_size=4)
+
+
+@st.composite
+def tables(draw):
+    """``(header, rows, table)``: ``rows`` nested, one value per header name,
+    and ``table`` the same rows flat, with at most one int sequence column."""
+    header = tuple(draw(st.lists(KEYS, min_size=1, max_size=5, unique=True)))
+    cells = [CELLS[draw(st.sampled_from(sorted(CELLS)))] for _ in header]
+    ints = None
+    if draw(st.booleans()):
+        ints = i, width = draw(st.integers(0, len(header) - 1)), draw(st.integers(0, 3))
+        cells[i] = st.lists(INT, min_size=width, max_size=width)
+    rows = draw(st.lists(st.tuples(*cells), max_size=4))
+    if ints:
+        return header, rows, Table(header, [(*r[:i], *r[i], *r[i + 1:]) for r in rows], ints)
+    return header, rows, Table(header, rows)
+
+
+@given(tables())
+@example((("%d", '"%s"'), [(1, "%s")], Table(("%d", '"%s"'), [(1, "%s")])))
+@example((("residues", "n"), [([], 4)], Table(("residues", "n"), [(4,)], (0, 0))))
+def test_row_renderer_matches_dicts_through_stdlib_json_and_old_csv_cells(case):
+    header, rows, table = case
+    dicts = [dict(zip(header, row)) for row in rows]
+    old_csv = [",".join(header)] + [",".join(_old_cell(v) for v in d.values()) for d in dicts]
+    assert _emitted("csv", table) == "\n".join(old_csv) + "\n"
+    assert _emitted("json", table, table) == json.dumps(dicts, indent=2) + "\n"
+    nested = {"N": len(rows), "intervals": table, "flag": None}
+    expected = json.dumps({**nested, "intervals": dicts}, indent=2)
+    assert _emitted("json", table, nested) == expected + "\n"
+    if len(rows) == 1:
+        assert _emitted("json", table) == json.dumps(dicts[0], indent=2) + "\n"
+
+
+def test_empty_table_renders_its_header_in_csv_and_an_empty_list_in_json():
+    # a generator is truthy even when it yields nothing
+    assert _emitted("csv", Table(("a", "b"), iter(()))) == "a,b\n"
+    assert _emitted("json", Table(("a", "b"), iter(())), Table(("a", "b"), iter(()))) == "[]\n"
+    table = Table(("a", "b"), iter(()))
+    assert _emitted("json", table, {"rows": table}) == '{\n  "rows": []\n}\n'
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_orbit_export_memory_does_not_grow_with_count(fmt):
+    argv = ["orbit", "--bases", "2,3,5,7,11,13,17,19,23", "--format", fmt, "--count"]
+    peaks = []
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(argv + ["10"]) == 0  # first-call caches, outside the peaks
+            for count in (4_000, 40_000):
+                tracemalloc.reset_peak()
+                assert main(argv + [str(count)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_one_parser_serves_every_golden_run_in_one_process(capsys):

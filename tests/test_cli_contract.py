@@ -32,19 +32,37 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
-def test_malformed_input_exits_2(argv):
+def _cli_env() -> dict:
+    """The environment for ``python -m cantorperm`` from this source tree."""
     env = dict(os.environ)
     src = str(Path(cantorperm.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_input_exits_2(argv):
     proc = subprocess.run(
         [sys.executable, "-m", "cantorperm", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_cli_env(), timeout=60,
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
+    # as `cantorperm orbit ... | head -1` does: the export is far larger than
+    # the pipe, so the writer meets the closed pipe part way through
+    argv = ["orbit", "--bases", "2,3,5,7,11,13,17,19,23", "--count", "200000", "--format", "csv"]
+    proc = subprocess.Popen([sys.executable, "-m", "cantorperm", *argv], env=_cli_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"n,value_num,value_den,digits\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 # -I -S: no site-packages and no PYTHON* variables, so only the standard library
