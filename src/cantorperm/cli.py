@@ -18,7 +18,6 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
@@ -79,32 +78,6 @@ def _build_perms(spec: str, base: BaseSequence, moduli_given: int) -> Permutatio
     return parse_permutations("\n".join(lines[: base.depth]), base)
 
 
-def _json_pieces(value, pad: str = "") -> Iterator[str]:
-    """``json.dumps(value, indent=2)`` in pieces, byte for byte, for str-keyed
-    values, with each :class:`Table` as the list of its rows; written out
-    here because before Python 3.13 ``indent`` makes ``json`` fall back to
-    its pure-Python encoder."""
-    inner = pad + "  "
-    if isinstance(value, Table):
-        yield from _rendered(value, csv=False, pad=pad)
-    elif isinstance(value, dict) and value:
-        for i, (key, item) in enumerate(value.items()):
-            yield f"{',' if i else '{'}\n{inner}{encode_basestring_ascii(key)}: "
-            yield from _json_pieces(item, inner)
-        yield f"\n{pad}}}"
-    elif isinstance(value, (list, tuple)) and value:
-        for i, item in enumerate(value):
-            yield f"{',' if i else '['}\n{inner}"
-            yield from _json_pieces(item, inner)
-        yield f"\n{pad}]"
-    else:
-        yield json.dumps(value)
-
-
-def _json(value, pad: str = "") -> str:
-    return "".join(_json_pieces(value, pad))
-
-
 class Table(NamedTuple):
     """A header and its rows: flat tuples of ints and strs (or bools), each
     row with the first row's cell kinds.  With ``ints = (i, width)``, column
@@ -117,7 +90,7 @@ class Table(NamedTuple):
 
 def _row_renderer(table: Table, first: tuple, csv: bool, pad: str = ""):
     """One ``%`` template for the rows shaped like ``first``, as the function
-    that renders a row with it: a CSV line, or the ``_json`` object at ``pad``."""
+    that renders a row with it: a CSV line, or the JSON object at ``pad``."""
     pieces = ["%d" if type(v) is int else "%s" for v in first]
     if table.ints:
         i, width = table.ints
@@ -127,7 +100,8 @@ def _row_renderer(table: Table, first: tuple, csv: bool, pad: str = ""):
         return (",".join(pieces) + "\n").__mod__
     # quoted placeholders become bare ones; a key's own "%" is doubled
     cells = {key.replace("%", "%%"): piece for key, piece in zip(table.header, pieces)}
-    template = _json(cells, pad).replace('"%d"', "%d").replace('"%s"', "%s")
+    template = json.dumps(cells, indent=2).replace("\n", "\n" + pad)
+    template = template.replace('"%d"', "%d").replace('"%s"', "%s")
     if all(type(v) is int for v in first):
         return template.__mod__
     return lambda row: template % tuple(v if type(v) is int else json.dumps(v) for v in row)
@@ -147,6 +121,24 @@ def _rendered(table: Table, csv: bool, pad: str = "") -> Iterator[str]:
         return itertools.chain([header, render(first)], map(render, rows))
     rest = map(f",\n{inner}".__add__, map(render, rows))
     return itertools.chain([f"[\n{inner}", render(first)], rest, [f"\n{pad}]"])
+
+
+def _json_pieces(payload) -> Iterator[str]:
+    """``json.dumps(payload, indent=2, default=fmt_frac)`` in pieces, for a
+    :class:`Table` or a str-keyed dict.  A :class:`Table`, the payload or a
+    value of it, is the list of its rows, streamed as they render.  The rest
+    is one ``json.dumps`` text with ``null`` in each table's place, cut where
+    the table's key starts a line at indent 2, as no line of a value does."""
+    if isinstance(payload, Table):
+        return _rendered(payload, csv=False)
+    tables = {key: value for key, value in payload.items() if isinstance(value, Table)}
+    text = json.dumps({**payload, **dict.fromkeys(tables)}, indent=2, default=fmt_frac)
+    parts = []
+    for key, table in tables.items():
+        anchor = f"\n  {json.dumps(key)}: "
+        head, text = text.split(anchor + "null", 1)
+        parts += [[head, anchor], _rendered(table, csv=False, pad="  ")]
+    return itertools.chain(*parts, [text])
 
 
 def emit(args, table_lines, table: Table, payload=None) -> None:
@@ -257,11 +249,7 @@ def _level_report(args):
 
 def cmd_check_ud(args) -> None:
     counts = [s.count for s in _level_report(args).intervals]
-    if args.count % len(counts) == 0:
-        balanced = all(c == args.count // len(counts) for c in counts)
-    else:
-        balanced = max(counts) - min(counts) <= 1
-    if not balanced:
+    if not (sum(counts) == args.count and max(counts) - min(counts) <= 1):
         raise CheckFalsified("interval counts unbalanced")
 
 
@@ -336,10 +324,10 @@ def cmd_probe_monotone(args) -> None:
         "requested_interval": args.interval,
         "level": witness.level,
         "interval_index": witness.interval_index,
-        "increasing_digits": list(witness.increasing_digits),
-        "decreasing_digits": list(witness.decreasing_digits),
-        "points": [fmt_frac(p) for p in witness.points],
-        "images": [fmt_frac(im) for im in witness.images],
+        "increasing_digits": witness.increasing_digits,
+        "decreasing_digits": witness.decreasing_digits,
+        "points": witness.points,
+        "images": witness.images,
     }
     emit(args, table_lines, Table(header, rows), payload)
 
@@ -378,10 +366,7 @@ def cmd_probe_derivative(args) -> None:
         "candidates: " + ",".join(str(c) for c in report.candidates),
         f"candidates_stable: {report.candidates_stable}",
     ]
-    payload = asdict(report)
-    for level in payload["levels"]:
-        level["quotients"] = [fmt_frac(q) for q in level["quotients"]]
-    emit(args, table_lines, Table(QUOTIENT_HEADER, rows), payload)
+    emit(args, table_lines, Table(QUOTIENT_HEADER, rows), asdict(report))
 
 
 # --- parser ---

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import cantorperm.cli
 import cantorperm.equidist
-from cantorperm.cli import Table, _json, build_parser, emit, main
+from cantorperm.cli import Table, _json_pieces, build_parser, emit, fmt_frac, main
 from test_cli_golden import CASES, FORMATS, GOLDEN
 from test_equidist import collapsed
 
@@ -145,17 +146,30 @@ def test_check_preserve_threshold_falsified(capsys):
     assert report["N"] == 64 and report["grid_exact"] is None
 
 
-def test_check_ud_unbalanced_counts_falsified(capsys, monkeypatch):
+def _plant_one_more(monkeypatch, j):
+    """``check ud`` reads one iterate too many in interval ``j``."""
     real = cantorperm.cli.membership_equivalence
 
     def off_by_one(spec, level, sample):
         report = real(spec, level, sample)
-        first = dataclasses.replace(report.intervals[0], count=report.intervals[0].count + 1)
-        return dataclasses.replace(report, intervals=(first,) + report.intervals[1:])
+        intervals = list(report.intervals)
+        intervals[j] = dataclasses.replace(intervals[j], count=intervals[j].count + 1)
+        return dataclasses.replace(report, intervals=tuple(intervals))
 
     monkeypatch.setattr(cantorperm.cli, "membership_equivalence", off_by_one)
+
+
+def test_check_ud_unbalanced_counts_falsified(capsys, monkeypatch):
+    _plant_one_more(monkeypatch, 0)
     report = falsified(capsys, "check", "ud", "--bases", "2,3,5", "--level", "2", "--count", "30")
     assert [row["count"] for row in report["intervals"]] == [6] + [5] * 5
+
+
+def test_check_ud_counts_summing_past_the_sample_falsified(capsys, monkeypatch):
+    # B_2 = 6 does not divide 13: the spread stays 1, but the total reads 14
+    _plant_one_more(monkeypatch, 1)
+    report = falsified(capsys, "check", "ud", "--bases", "2,3,5", "--level", "2", "--count", "13")
+    assert [row["count"] for row in report["intervals"]] == [3, 3, 2, 2, 2, 2]
 
 
 GRID = ("check", "preserve", "--bases", "2,3,5", "--source", "grid", "--level", "1", "--count", "60")
@@ -345,9 +359,10 @@ def test_inline_perms(capsys):
     assert json.loads(out)["digits"] == [1, 1]
 
 
-# keys and strings with non-ASCII text, quotes, backslashes and control characters
+# keys and strings with non-ASCII text, quotes, backslashes and control
+# characters; fractions, which a report writes as "p/q"
 TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€😀 '), max_size=6)
-SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT | st.fractions()
 JSON_VALUES = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=4)
@@ -355,12 +370,6 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(TEXT, inner, max_size=4),
     max_leaves=20,
 )
-
-
-@given(JSON_VALUES)
-@example({"a": [], "b": {}, "c": [[], {}, ()], "d": (True, False, None, 0)})
-def test_json_renderer_matches_stdlib_indent(value):
-    assert _json(value) == json.dumps(value, indent=2)
 
 
 def _emitted(fmt, table, payload=None):
@@ -414,6 +423,38 @@ def test_row_renderer_matches_dicts_through_stdlib_json_and_old_csv_cells(case):
     assert _emitted("json", table, nested) == expected + "\n"
     if len(rows) == 1:
         assert _emitted("json", table) == json.dumps(dicts[0], indent=2) + "\n"
+
+
+@st.composite
+def payloads(draw):
+    """``(payload, expected)``: a str-keyed dict with one or two
+    :class:`Table` values at drawn key positions, and the same dict with each
+    table's rows as dicts."""
+    pairs = st.lists(st.tuples(TEXT, JSON_VALUES), max_size=4, unique_by=lambda kv: kv[0])
+    items = [(key, value, value) for key, value in draw(pairs)]
+    for _ in range(draw(st.integers(1, 2))):
+        header, rows, table = draw(tables())
+        key = draw(TEXT.filter(lambda k: k not in {item[0] for item in items}))
+        dicts = [dict(zip(header, row)) for row in rows]
+        items.insert(draw(st.integers(0, len(items))), (key, table, dicts))
+    return {k: v for k, v, _ in items}, {k: e for k, _, e in items}
+
+
+ROWS = Table(("a", "%s"), [(1, "x"), (-2, "\n")])
+ROWS_AS_DICTS = [{"a": 1, "%s": "x"}, {"a": -2, "%s": "\n"}]
+NESTED = {"a": [], "b": {}, "c": [[], {}, ()], "d": (True, False, None, Fraction(-1, 3))}
+
+
+@given(payloads())
+@example(({"rows": Table(("a",), [])}, {"rows": []}))
+@example(({"rows": ROWS}, {"rows": ROWS_AS_DICTS}))
+@example(({"rows": ROWS, **NESTED}, {"rows": ROWS_AS_DICTS, **NESTED}))
+@example(({**NESTED, "rows": ROWS}, {**NESTED, "rows": ROWS_AS_DICTS}))
+# the same key, nested and null, before the table: only the top-level key is cut
+@example(({"x": {"rows": None}, "rows": ROWS}, {"x": {"rows": None}, "rows": ROWS_AS_DICTS}))
+def test_json_renderer_matches_stdlib_indent(case):
+    payload, expected = case
+    assert "".join(_json_pieces(payload)) == json.dumps(expected, indent=2, default=fmt_frac)
 
 
 def test_empty_table_renders_its_header_in_csv_and_an_empty_list_in_json():
