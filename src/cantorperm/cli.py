@@ -88,20 +88,26 @@ class Table(NamedTuple):
     ints: tuple[int, int] | None = None
 
 
+@functools.lru_cache(maxsize=64)
+def _json_template(header: tuple, pieces: tuple, pad: str) -> str:
+    """The JSON object ``header`` -> placeholder ``pieces`` at ``pad``, once per
+    shape: quoted placeholders become bare ones, a key's own "%" is doubled."""
+    cells = {key.replace("%", "%%"): piece for key, piece in zip(header, pieces)}
+    template = json.dumps(cells, indent=2).replace("\n", "\n" + pad)
+    return template.replace('"%d"', "%d").replace('"%s"', "%s")
+
+
 def _row_renderer(table: Table, first: tuple, csv: bool, pad: str = ""):
     """One ``%`` template for the rows shaped like ``first``, as the function
     that renders a row with it: a CSV line, or the JSON object at ``pad``."""
     pieces = ["%d" if type(v) is int else "%s" for v in first]
     if table.ints:
         i, width = table.ints
-        ints = pieces[i : i + width]
+        ints = tuple(pieces[i : i + width])
         pieces[i : i + width] = [";".join(ints) if csv else ints]
     if csv:
         return (",".join(pieces) + "\n").__mod__
-    # quoted placeholders become bare ones; a key's own "%" is doubled
-    cells = {key.replace("%", "%%"): piece for key, piece in zip(table.header, pieces)}
-    template = json.dumps(cells, indent=2).replace("\n", "\n" + pad)
-    template = template.replace('"%d"', "%d").replace('"%s"', "%s")
+    template = _json_template(tuple(table.header), tuple(pieces), pad)
     if all(type(v) is int for v in first):
         return template.__mod__
     return lambda row: template % tuple(v if type(v) is int else json.dumps(v) for v in row)
@@ -484,7 +490,7 @@ def main(argv=None) -> int:
     except CheckFalsified as exc:
         print(f"check falsified: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except CantorPermError as exc:
+    except (CantorPermError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

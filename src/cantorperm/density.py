@@ -39,9 +39,9 @@ class PeriodicSet:
     def __post_init__(self):
         if self.modulus < 1:
             raise ValidationError(f"modulus {self.modulus} < 1")
-        for r in self.residues:
-            if not 0 <= r < self.modulus:
-                raise ValidationError(f"residue {r} not in [0, {self.modulus})")
+        if self.residues and not (min(self.residues) >= 0 and max(self.residues) < self.modulus):
+            bad = next(r for r in self.residues if not 0 <= r < self.modulus)
+            raise ValidationError(f"residue {bad} not in [0, {self.modulus})")
 
     def contains(self, n: int) -> bool:
         return n % self.modulus in self.residues
@@ -51,7 +51,7 @@ class PeriodicSet:
 
 
 def periodic_set(residues: Iterable[int], modulus: int) -> PeriodicSet:
-    return PeriodicSet(modulus, frozenset(int(r) for r in residues))
+    return PeriodicSet(modulus, frozenset(map(int, residues)))
 
 
 def from_condition(cond: ResidueCondition) -> PeriodicSet:
@@ -173,32 +173,28 @@ def measurable_partition_check(parts: Iterable[PartLike]) -> PartitionVerdict:
     bound; a bound below the part's exact density raises CheckFalsified.
     The measure 1 of the naturals is at most the sum of the parts'
     densities by subadditivity, and at most 1 by hypothesis, so every
-    inequality in the chain is an equality.
+    inequality in the chain is an equality.  Over the common period ``P``,
+    lifted residue sets whose sizes sum to ``P`` and whose union has ``P``
+    elements are disjoint and cover ``[0, P)``; only otherwise is every
+    ``n < P`` counted, to name the smallest covered by no part or by several.
     """
-    pairs: list[tuple[PeriodicSet, Fraction]] = []
-    for part in parts:
-        if isinstance(part, PeriodicSet):
-            pairs.append((part, density(part)))
-        else:
-            ps, bound = part
-            pairs.append((ps, Fraction(bound)))
+    pairs = [
+        (ps, Fraction(bound))
+        for ps, bound in ((p, density(p)) if isinstance(p, PeriodicSet) else p for p in parts)
+    ]
     if not pairs:
         raise NotAPartition("no parts given")
     period = math.lcm(*(ps.modulus for ps, _ in pairs))
-    hits = Counter(r for ps, _ in pairs for r in expand_to(ps, period).residues)
-    for n in range(period):
-        count = hits[n]
-        if count == 0:
-            raise NotAPartition(f"{n} is covered by no part")
-        if count > 1:
-            raise NotAPartition(f"{n} is covered by {count} parts")
+    lifted = [expand_to(ps, period).residues for ps, _ in pairs]
+    if sum(map(len, lifted)) != period or len(set().union(*lifted)) != period:
+        hits = Counter(r for residues in lifted for r in residues)
+        n = next(n for n in range(period) if hits[n] != 1)
+        raise NotAPartition(f"{n} is covered by " + (f"{hits[n]} parts" if hits[n] else "no part"))
     for ps, bound in pairs:
         if bound < density(ps):
             raise CheckFalsified(f"bound {bound} for part {ps} is below its density {density(ps)}")
-    total = sum((bound for _, bound in pairs), Fraction(0))
+    sets, measures = zip(*pairs)
+    total = sum(measures, Fraction(0))
     if total > 1:
         raise BoundsExceedOne(f"bounds sum to {total} > 1, criterion inapplicable")
-    return PartitionVerdict(
-        parts=tuple(ps for ps, _ in pairs),
-        measures=tuple(bound for _, bound in pairs),
-    )
+    return PartitionVerdict(sets, measures)

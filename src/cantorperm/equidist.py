@@ -26,7 +26,7 @@ from .errors import (
     UnknownSource,
     ValidationError,
 )
-from .perms import PermutationVector, ResidueCondition, residue_table
+from .perms import PermutationVector, ResidueCondition, _residue_class, residue_table
 from .perms import prefix_residue  # noqa: F401
 
 
@@ -190,12 +190,7 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
 
     expected = Fraction(sample, count)
     intervals = tuple(
-        IntervalStat(
-            index=j,
-            residue=ResidueCondition(r, count),
-            count=-((r - sample) // count),
-            expected=expected,
-        )
+        IntervalStat(j, _residue_class(r, count), -((r - sample) // count), expected)
         for j, r in enumerate(table)
     )
     nums = list(orbit_numerators(spec, min(sample, spec.period)))

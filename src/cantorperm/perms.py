@@ -168,6 +168,17 @@ class ResidueCondition:
         return f"{self.residue}+({self.modulus})"
 
 
+_set_residue, _set_modulus = ResidueCondition.residue.__set__, ResidueCondition.modulus.__set__
+
+
+def _residue_class(residue: int, modulus: int) -> ResidueCondition:
+    """An unchecked ``ResidueCondition``, for a residue just reduced mod ``modulus``."""
+    cond = object.__new__(ResidueCondition)
+    _set_residue(cond, residue)
+    _set_modulus(cond, modulus)
+    return cond
+
+
 def combine_crt(conditions: Iterable[ResidueCondition]) -> ResidueCondition:
     """Collapse congruences ``n == r_j (mod m_j)`` with pairwise coprime moduli
     into one class mod ``M = prod m_j``: the idempotent sum ``sum r_j * c_j *
@@ -182,7 +193,7 @@ def combine_crt(conditions: Iterable[ResidueCondition]) -> ResidueCondition:
         modulus *= m
     # pairwise coprime m with product `modulus`; c * (c^-1 mod m) is 1 mod m, 0 mod the rest
     residue = sum(r * (c := modulus // m) * pow(c, -1, m) for r, m in pairs) % modulus
-    return ResidueCondition(residue, modulus)
+    return _residue_class(residue, modulus)
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,8 +202,8 @@ class PermutationVector:
 
     perms: tuple[CyclicPermutation, ...]
     base: BaseSequence
-    # prefix length -> CRT weight tables of prefix_residue, filled by _weight_tables
-    _weights: dict[int, tuple[Optional[tuple[int, ...]], ...]] = field(
+    # prefix length L -> (CRT weight tables of prefix_residue, B_L), filled by _weight_tables
+    _weights: dict[int, tuple[tuple[Optional[dict[int, int]], ...], int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -226,21 +237,24 @@ def identity_vector(base: BaseSequence) -> PermutationVector:
     return PermutationVector(tuple(identity(m) for m in base.moduli), base)
 
 
-def _weight_tables(pv: PermutationVector, length: int) -> tuple[Optional[tuple[int, ...]], ...]:
-    """The weight table of every level below ``length`` (``None`` where the
-    level is not a full cycle), built once and cached on the vector."""
+def _weight_tables(pv: PermutationVector, length: int) -> tuple:
+    """Build and cache ``(tables, B_length)``: per level below ``length`` a dict
+    digit -> weight, ``None`` where the level is not a full cycle.  A length
+    above the depth is never cached, so its ``LengthMismatch`` comes from here."""
+    if length > pv.depth:
+        raise LengthMismatch(f"prefix length {length} exceeds vector depth {pv.depth}")
     modulus = pv.base.products[length]
     tables = []
     for perm, m in zip(pv.perms[:length], pv.base.moduli):
         if perm.full_cycle:
             # the CRT idempotent: 1 mod m, 0 mod every other modulus of the prefix
             e = (c := modulus // m) * pow(c, -1, m)
-            tables.append(tuple(pos * e % modulus for pos in perm.cycle_pos))
+            tables.append({b: pos * e % modulus for b, pos in enumerate(perm.cycle_pos)})
         else:
             tables.append(None)
-    # one assignment of a finished table: threads sharing pv at worst build it twice
-    pv._weights[length] = tables = tuple(tables)
-    return tables
+    # one assignment of a finished entry: threads sharing pv at worst build it twice
+    pv._weights[length] = entry = (tuple(tables), modulus)
+    return entry
 
 
 def prefix_residue(
@@ -256,32 +270,21 @@ def prefix_residue(
     ``M = products[len]`` by the idempotent sum of :func:`combine_crt`.  The
     idempotent ``e_j = c_j * (c_j^-1 mod m_j)`` with ``c_j = M / m_j`` depends
     only on the base and the prefix length, so level ``j`` gets a weight table
-    ``W_j[b] = pos_j[b] * e_j mod M`` and the class is
-    ``(sum W_j[s_j] - sum W_j[r_j]) mod M``: two sums of lookups.  The tables
-    of one prefix length are built on first use and cached on the vector.
-    A level that is not a full cycle, or a digit out of range, raises what
+    ``W_j[b] = pos_j[b] * e_j mod M``, a dict keyed by the digits, and the
+    class is ``(sum W_j[s_j] - sum W_j[r_j]) mod M``: two sums of lookups.
+    The tables of one prefix length are cached on the vector with ``M``.  A
+    digit reads as the key it equals (``1.0`` and ``True`` as ``1``); a
+    digit that is no key, or a level that is not a full cycle, raises what
     :func:`discrete_log` raises for the first such level.
     """
-    if len(from_digits) != len(to_digits):
-        raise LengthMismatch(
-            f"prefix lengths differ: {len(from_digits)} vs {len(to_digits)}"
-        )
-    if len(from_digits) > pv.depth:
-        raise LengthMismatch(
-            f"prefix length {len(from_digits)} exceeds vector depth {pv.depth}"
-        )
     length = len(from_digits)
-    modulus = pv.base.products[length]
-    tables = pv._weights.get(length)
-    if tables is None:
-        tables = _weight_tables(pv, length)
+    if length != len(to_digits):
+        raise LengthMismatch(f"prefix lengths differ: {length} vs {len(to_digits)}")
+    tables, modulus = pv._weights.get(length) or _weight_tables(pv, length)
     try:
-        # a negative digit would index a table from its end
-        if min((0, *from_digits, *to_digits)) < 0:
-            raise IndexError("negative digit")
         residue = sum(map(getitem, tables, to_digits)) - sum(map(getitem, tables, from_digits))
-        return ResidueCondition(residue % modulus, modulus)
-    except (TypeError, IndexError) as exc:
+        return _residue_class(residue % modulus, modulus)
+    except (TypeError, KeyError) as exc:
         fault = exc
     # some level has no table or a digit outside it: the first such level raises
     for perm, r, s in zip(pv.perms, from_digits, to_digits):
@@ -296,16 +299,16 @@ def residue_table(pv: PermutationVector, from_digits: Sequence[int]) -> list[int
 
     The same weight tables as :func:`prefix_residue`, summed over every
     prefix at once: level by level, ``sums = [x + w for x in sums for w in
-    W_j]`` runs through the prefixes most significant digit first, which is
-    interval order.  Discrete logs and CRT only; no orbit is evaluated.
-    Faults raise what :func:`prefix_residue` raises for them.
+    W_j.values()]`` runs through the prefixes most significant digit first,
+    which is interval order.  Discrete logs and CRT only; no orbit is
+    evaluated.  Faults raise what :func:`prefix_residue` raises for them.
     """
     # checks the seed, first faulty level first, and caches its weight tables
-    modulus = prefix_residue(pv, from_digits, from_digits).modulus
-    tables = pv._weights[len(from_digits)]
+    prefix_residue(pv, from_digits, from_digits)
+    tables, modulus = pv._weights[len(from_digits)]
     sums = [-sum(map(getitem, tables, from_digits))]
     for table in tables:
-        sums = [x + w for x in sums for w in table]
+        sums = [x + w for x in sums for w in table.values()]
     return [x % modulus for x in sums]
 
 

@@ -242,3 +242,16 @@ def test_whole_command_lines_keep_exit_contract(argv):
     assert "Traceback" not in err.getvalue()
     if code in {1, 2}:
         assert out.getvalue() == ""
+
+
+def test_memory_error_exits_1_with_one_error_line(monkeypatch, capsys):
+    def exhausted(pv, seed_prefix):
+        raise MemoryError("cannot allocate the residue table")
+
+    monkeypatch.setattr(sys.modules["cantorperm.equidist"], "residue_table", exhausted)
+    code = main(["check", "equivalence", "--bases", "2,3,5", "--level", "2", "--count", "30"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: MemoryError: cannot allocate the residue table\n"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

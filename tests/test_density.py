@@ -2,6 +2,7 @@
 import ast
 import importlib
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 
 import cantorperm
 from cantorperm import (
+    PartitionVerdict,
+    PeriodicSet,
     ResidueCondition,
     covering_bound,
     density,
@@ -42,10 +45,14 @@ def test_periodic_set_basics():
 
 
 def test_periodic_set_rejects_bad_residue():
-    with pytest.raises(ValidationError):
-        periodic_set([6], 6)
-    with pytest.raises(ValidationError):
-        periodic_set([0], 0)
+    for make, message in [
+        (lambda: periodic_set([6], 6), "residue 6 not in [0, 6)"),
+        (lambda: PeriodicSet(4, frozenset({4})), "residue 4 not in [0, 4)"),
+        (lambda: periodic_set([0], 0), "modulus 0 < 1"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            make()
+        assert str(info.value) == message
 
 
 def test_parse_round_trip():
@@ -308,6 +315,87 @@ def test_partition_check_matches_period_scan(modulus, k, data):
         with pytest.raises(NotAPartition) as info:
             measurable_partition_check(parts)
         assert str(info.value) == failure
+
+
+def _counter_sweep_partition_check(parts):
+    """The partition criterion with disjointness and cover decided by counting
+    the lifted residues at every ``n`` of the common period, as
+    measurable_partition_check did before its disjointness test."""
+    pairs = [
+        (part, density(part)) if isinstance(part, PeriodicSet) else (part[0], Fraction(part[1]))
+        for part in parts
+    ]
+    if not pairs:
+        raise NotAPartition("no parts given")
+    period = math.lcm(*(ps.modulus for ps, _ in pairs))
+    hits = Counter(r for ps, _ in pairs for r in expand_to(ps, period).residues)
+    for n in range(period):
+        if hits[n] == 0:
+            raise NotAPartition(f"{n} is covered by no part")
+        if hits[n] > 1:
+            raise NotAPartition(f"{n} is covered by {hits[n]} parts")
+    for ps, bound in pairs:
+        if bound < density(ps):
+            raise CheckFalsified(f"bound {bound} for part {ps} is below its density {density(ps)}")
+    total = sum((bound for _, bound in pairs), Fraction(0))
+    if total > 1:
+        raise BoundsExceedOne(f"bounds sum to {total} > 1, criterion inapplicable")
+    return PartitionVerdict(tuple(ps for ps, _ in pairs), tuple(b for _, b in pairs))
+
+
+@st.composite
+def partition_parts(draw):
+    """Parts of a drawn partition of ``[0, M)``, each in its least modulus and
+    sometimes lifted to a multiple of it, with a part dropped (a gap), a
+    drawn set added (an overlap) or a part rotated by one (sizes still
+    summing to the period), and each part bare or paired with a bound at,
+    above or below its density."""
+    modulus = draw(st.integers(min_value=1, max_value=60))
+    k = draw(st.integers(min_value=1, max_value=6))
+    owner = draw(st.lists(st.integers(0, k - 1), min_size=modulus, max_size=modulus))
+    parts = [
+        normalize(periodic_set((n for n in range(modulus) if owner[n] == j), modulus))
+        for j in range(k)
+    ]
+    parts = [expand_to(ps, ps.modulus * draw(st.sampled_from((1, 1, 2, 3)))) for ps in parts]
+    change = draw(st.sampled_from(["none", "none", "drop", "extra", "rotate"]))
+    i = draw(st.integers(min_value=0, max_value=len(parts) - 1))
+    if change == "drop":
+        parts.pop(i)
+    elif change == "extra":
+        parts.insert(i, draw(PERIODIC_SETS))
+    elif change == "rotate":
+        parts[i] = periodic_set(((r + 1) % parts[i].modulus for r in parts[i].residues),
+                                parts[i].modulus)
+    shifts = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 8))
+    return [
+        ps if draw(st.booleans()) else (ps, density(ps) + draw(st.just(0) | shifts))
+        for ps in parts
+    ]
+
+
+@given(partition_parts())
+@settings(max_examples=300, deadline=None)
+def test_partition_check_matches_counter_sweep(parts):
+    try:
+        expected = _counter_sweep_partition_check(parts)
+    except (NotAPartition, CheckFalsified, BoundsExceedOne) as exc:
+        with pytest.raises(type(exc)) as info:
+            measurable_partition_check(parts)
+        assert str(info.value) == str(exc)
+    else:
+        assert measurable_partition_check(parts) == expected
+
+
+@given(st.integers(1, 12), st.frozensets(st.integers(-15, 15), min_size=1))
+def test_periodic_set_names_the_first_bad_residue_it_iterates(modulus, residues):
+    bad = [r for r in residues if not 0 <= r < modulus]
+    if bad:
+        with pytest.raises(ValidationError) as info:
+            PeriodicSet(modulus, residues)
+        assert str(info.value) == f"residue {bad[0]} not in [0, {modulus})"
+    else:
+        assert PeriodicSet(modulus, residues).residues == residues
 
 
 def _scan_normalize(ps):

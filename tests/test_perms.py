@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from cantorperm.errors import (
     NotFullCycle,
     ValidationError,
 )
+from cantorperm.perms import _residue_class
 
 
 def test_shift_basic():
@@ -241,6 +243,46 @@ def test_residue_table_raises_what_prefix_residue_raises(level, seed):
         with pytest.raises(type(expected.value)) as exc:
             residue_table(pv, seed)
         assert str(exc.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("digit", [1.0, True, Fraction(1)], ids=repr)
+def test_prefix_residue_reads_a_digit_equal_to_an_int_as_that_int(digit):
+    pv, ref = shift_vector(make_base((3, 4, 5))), shift_vector(make_base((3, 4, 5)))
+    for _ in range(2):  # with an empty and with a filled cache
+        assert prefix_residue(pv, (0, digit), (2, 3)) == prefix_residue(ref, (0, 1), (2, 3))
+        assert prefix_residue(pv, (2, 3), (digit, 0)) == prefix_residue(ref, (2, 3), (1, 0))
+
+
+# -1 and m raise DigitOutOfRange: test_prefix_residue_error_paths pins those messages
+@pytest.mark.parametrize("digit", [1.5, "1", None], ids=repr)
+def test_prefix_residue_rejects_a_non_integer_digit(digit):
+    for src, dst in [((0, digit), (2, 3)), ((2, 3), (0, digit))]:
+        pv = shift_vector(make_base((3, 4, 5)))
+        for _ in range(2):  # with an empty and with a filled cache
+            with pytest.raises(TypeError):
+                prefix_residue(pv, src, dst)
+
+
+def test_trusted_and_validated_residue_classes_agree():
+    for residue, modulus in [(0, 1), (2, 3), (7, 36), (10**20, 10**21)]:
+        trusted, checked = _residue_class(residue, modulus), ResidueCondition(residue, modulus)
+        assert type(trusted) is ResidueCondition
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert str(trusted) == str(checked) and repr(trusted) == repr(checked)
+        assert {trusted: 1}[checked] == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trusted.residue = 0
+
+
+@pytest.mark.parametrize(
+    "residue, modulus, message",
+    [(-1, 3, "residue -1 not in [0, 3)"), (3, 3, "residue 3 not in [0, 3)"),
+     (0, 0, "modulus 0 < 1")],
+)
+def test_public_residue_condition_stays_validated(residue, modulus, message):
+    with pytest.raises(ValidationError) as exc:
+        ResidueCondition(residue, modulus)
+    assert str(exc.value) == message
 
 
 def test_prefix_residue_length_checks_come_first():
