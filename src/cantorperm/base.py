@@ -232,7 +232,7 @@ def interval_of(alpha: RationalLike, level: int, base: BaseSequence) -> GridInte
     if not 0 <= alpha < 1:
         raise OutOfRange(f"{alpha} not in [0, 1)")
     if level > base.depth or level < 0:
-        raise LevelExceeded(f"level {level} exceeds base depth {base.depth}")
+        raise LevelExceeded(f"level {level} not in [0, {base.depth}]")
     index = (alpha.numerator * base.products[level]) // alpha.denominator
     return grid_interval(level, index, base)
 
@@ -241,7 +241,7 @@ def prefix_of_interval(level: int, index: int, base: BaseSequence) -> tuple[int,
     """The unique digit prefix ``(b_0, ..., b_{level-1})`` whose value is
     ``index / products[level]``; inverse of :func:`interval_of` on grid points."""
     if level > base.depth or level < 0:
-        raise LevelExceeded(f"level {level} exceeds base depth {base.depth}")
+        raise LevelExceeded(f"level {level} not in [0, {base.depth}]")
     count = base.products[level]
     if not 0 <= index < count:
         raise IndexOutOfRange(f"index {index} not in [0, {count})")

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .base import BaseSequence, DigitExpansion, as_fraction, encode, make_base, make_expansion
+from .base import BaseSequence, as_fraction, encode, make_base, make_expansion
 from .dynamics import apply_map, make_orbit, orbit_point, orbit_prefix
 from .analysis import derivative_probe, difference_quotient, find_witness_descending
 from .density import density, intersect, parse_periodic_set
@@ -49,20 +49,19 @@ def frac_fields(name: str, f: Fraction) -> dict:
     return {f"{name}_num": f.numerator, f"{name}_den": f.denominator}
 
 
-def build_session(args) -> tuple[PermutationVector, DigitExpansion]:
-    """The permutation vector and the encoded ``--alpha`` seed.  Only the
-    first ``--depth`` moduli of ``--bases`` are parsed and validated."""
+def _base(args) -> BaseSequence:
+    """The first ``--depth`` moduli of ``--bases``, the only ones parsed and validated."""
     moduli = args.bases.split(",")
     depth = args.depth if args.depth is not None else len(moduli)
     if depth < 1 or depth > len(moduli):
         raise ValidationError(f"depth {depth} not in [1, {len(moduli)}]")
-    base = make_base(moduli[:depth])
-    pv = _build_perms(args.perms, base, len(moduli))
-    return pv, encode(args.alpha, base, depth)
+    return make_base(moduli[:depth])
 
 
-def _build_perms(spec: str, base: BaseSequence, moduli_given: int) -> PermutationVector:
-    """At most one line per ``--bases`` modulus; lines past ``--depth`` are dropped."""
+def _vector(args) -> PermutationVector:
+    """``--perms`` over :func:`_base`: at most one line per ``--bases``
+    modulus; lines past ``--depth`` are dropped unparsed."""
+    base, spec = _base(args), args.perms
     if spec == "shift":
         return shift_vector(base)
     if ":" in spec:
@@ -73,8 +72,8 @@ def _build_perms(spec: str, base: BaseSequence, moduli_given: int) -> Permutatio
         except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read permutation file {spec!r}: {exc}") from exc
     lines = _perm_lines(text)
-    if len(lines) > moduli_given:
-        raise LengthMismatch(f"{len(lines)} permutation lines for {moduli_given} moduli")
+    if len(lines) > (given := args.bases.count(",") + 1):
+        raise LengthMismatch(f"{len(lines)} permutation lines for {given} moduli")
     return parse_permutations("\n".join(lines[: base.depth]), base)
 
 
@@ -179,30 +178,30 @@ def emit(args, table_lines, table: Table, payload=None) -> None:
 # --- subcommand handlers ---
 
 def cmd_expand(args) -> None:
-    _, seed = build_session(args)
+    base = _base(args)
     value = as_fraction(args.value)
-    digits = encode(value, seed.base, seed.depth)
+    digits = encode(value, base, base.depth)
     row = (*digits.digits, *frac(value))
-    emit(args, [str(digits)], Table(("digits", "value_num", "value_den"), [row], (0, seed.depth)))
+    emit(args, [str(digits)], Table(("digits", "value_num", "value_den"), [row], (0, base.depth)))
 
 
 def cmd_decode(args) -> None:
-    _, seed = build_session(args)
-    value = make_expansion(args.digits, seed.base).value
+    value = make_expansion(args.digits, _base(args)).value
     emit(args, [fmt_frac(value)], Table(("value_num", "value_den"), [frac(value)]))
 
 
 def cmd_map(args) -> None:
-    pv, seed = build_session(args)
-    image = apply_map(pv, encode(args.value, seed.base, seed.depth))
+    pv = _vector(args)
+    image = apply_map(pv, encode(args.value, pv.base, pv.depth))
     value = image.value
     row = (*image.digits, *frac(value))
-    table = Table(("digits", "value_num", "value_den"), [row], (0, seed.depth))
+    table = Table(("digits", "value_num", "value_den"), [row], (0, pv.depth))
     emit(args, [f"digits: {image}", f"value: {fmt_frac(value)}"], table)
 
 
 def cmd_orbit(args) -> None:
-    pv, seed = build_session(args)
+    pv = _vector(args)
+    seed = encode(args.alpha, pv.base, pv.depth)
     spec = make_orbit(seed, pv)
     if args.at is not None:
         digits = orbit_point(spec, args.at).digits.digits
@@ -225,7 +224,8 @@ def _level_report(args):
     """The ``check equivalence`` handler, also run by ``check ud``: emit the
     membership equivalence report and return it; raises (exit 3) on any
     index violating the congruence."""
-    pv, seed = build_session(args)
+    pv = _vector(args)
+    seed = encode(args.alpha, pv.base, pv.depth)
     report = membership_equivalence(make_orbit(seed, pv), args.level, args.count)
 
     def table_lines():
@@ -260,7 +260,7 @@ def cmd_check_ud(args) -> None:
 
 
 def cmd_check_preserve(args) -> None:
-    pv, _ = build_session(args)
+    pv = _vector(args)
     threshold = None if args.threshold is None else as_fraction(args.threshold)
     probe = ud_preservation_probe(pv, args.source, args.count, args.level)
     table_lines = [
@@ -307,7 +307,7 @@ def cmd_density(args) -> None:
 
 
 def cmd_probe_monotone(args) -> None:
-    pv, _ = build_session(args)
+    pv = _vector(args)
     witness = find_witness_descending(
         pv, args.level, args.interval, max_descent=args.max_descend
     )
@@ -347,13 +347,15 @@ def _quotient_row(sample) -> tuple:
 
 
 def cmd_probe_quotient(args) -> None:
-    pv, seed = build_session(args)
+    pv = _vector(args)
+    seed = encode(args.alpha, pv.base, pv.depth)
     sample = difference_quotient(pv, seed, args.digit, args.ell)
     emit(args, [fmt_frac(sample.quotient)], Table(QUOTIENT_HEADER, [_quotient_row(sample)]))
 
 
 def cmd_probe_derivative(args) -> None:
-    pv, seed = build_session(args)
+    pv = _vector(args)
+    seed = encode(args.alpha, pv.base, pv.depth)
     report = derivative_probe(pv, seed, args.max_level)
     rows = [
         _quotient_row(difference_quotient(pv, seed, lq.level, ell))

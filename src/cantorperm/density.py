@@ -85,10 +85,8 @@ def expand_to(ps: PeriodicSet, modulus: int) -> PeriodicSet:
         raise ValidationError(f"{modulus} is not a multiple of {ps.modulus}")
     if modulus == ps.modulus:
         return ps
-    residues = frozenset(
-        r + k * ps.modulus for r in ps.residues for k in range(modulus // ps.modulus)
-    )
-    return PeriodicSet(modulus, residues)
+    lifts = (range(r, modulus, ps.modulus) for r in ps.residues)
+    return PeriodicSet(modulus, frozenset().union(*lifts))
 
 
 def normalize(ps: PeriodicSet) -> PeriodicSet:

@@ -220,10 +220,6 @@ class PermutationVector:
                 )
 
     @property
-    def full_cycle(self) -> bool:
-        return all(p.full_cycle for p in self.perms)
-
-    @property
     def depth(self) -> int:
         return len(self.perms)
 

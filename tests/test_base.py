@@ -15,7 +15,14 @@ from cantorperm import (
     make_expansion,
     prefix_of_interval,
 )
-from cantorperm.errors import DepthExceeded, ModulusTooSmall, NotCoprime, OutOfRange
+from cantorperm.errors import (
+    DepthExceeded,
+    IndexOutOfRange,
+    LevelExceeded,
+    ModulusTooSmall,
+    NotCoprime,
+    OutOfRange,
+)
 
 
 def test_make_base_products():
@@ -176,3 +183,26 @@ def test_decode_encode_identity_on_grid(j):
     b = make_base((2, 3, 5, 7))
     d = encode(Fraction(j, 210), b, 4)
     assert decode(d) == Fraction(j, 210)
+
+
+BASE = make_base((2, 3, 5))
+
+
+@pytest.mark.parametrize("func, args, error, message", [
+    (make_base, ([],), ModulusTooSmall, "base sequence must be non-empty"),
+    (make_expansion, ((1, 2, 4, 0), BASE), DepthExceeded, "4 digits but base has depth 3"),
+    (grid_interval, (4, 0, BASE), LevelExceeded, "level 4 not in [0, 3]"),
+    (grid_interval, (-1, 0, BASE), LevelExceeded, "level -1 not in [0, 3]"),
+    (grid_interval, (2, 6, BASE), IndexOutOfRange, "index 6 not in [0, 6)"),
+    (prefix_of_interval, (4, 0, BASE), LevelExceeded, "level 4 not in [0, 3]"),
+    (prefix_of_interval, (-1, 0, BASE), LevelExceeded, "level -1 not in [0, 3]"),
+    (prefix_of_interval, (1, -1, BASE), IndexOutOfRange, "index -1 not in [0, 2)"),
+    (interval_of, (1, 1, BASE), OutOfRange, "1 not in [0, 1)"),
+    (interval_of, ("-1/2", 1, BASE), OutOfRange, "-1/2 not in [0, 1)"),
+    (interval_of, ("1/2", 4, BASE), LevelExceeded, "level 4 not in [0, 3]"),
+    (interval_of, ("1/2", -1, BASE), LevelExceeded, "level -1 not in [0, 3]"),
+])
+def test_invalid_arguments_raise_their_class_and_message(func, args, error, message):
+    with pytest.raises(error) as info:
+        func(*args)
+    assert str(info.value) == message

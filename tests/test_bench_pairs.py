@@ -1,6 +1,8 @@
-"""The summary step of ``tools/bench_pairs.py`` on hand-made run lists."""
+"""The summary step of ``tools/bench_pairs.py`` on hand-made run lists, and
+the environment its runs get."""
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -90,3 +92,29 @@ def test_benchmark_spec_refuses_a_change_that_moves_the_bounds(tmp_path, key, va
     change = _checkout(tmp_path, "change", {**spec, key: value})
     with pytest.raises(ValueError, match=key):
         bench_pairs.benchmark_spec(parent, change)
+
+
+def test_each_side_runs_from_one_fresh_bytecode_cache(tmp_path, monkeypatch):
+    spec = {"workloads": [{"name": "w1"}, {"name": "w2"}], "end_to_end": END_TO_END}
+    parent = _checkout(tmp_path, "parent", spec)
+    change = _checkout(tmp_path, "change", spec)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    envs = {parent: [], change: []}
+
+    def fake_run(argv, cwd, env, **kwargs):
+        envs[cwd].append(env)
+        return subprocess.CompletedProcess(argv, 0, stdout="log\n" + json.dumps(_run(1, 1)))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main([str(parent), str(change), "--out", str(tmp_path / "o.json")]) == 0
+    caches = {}
+    for side, side_envs in envs.items():
+        assert len(side_envs) == 4
+        assert all("PYTHONDONTWRITEBYTECODE" not in env for env in side_envs)
+        (caches[side],) = {env["PYTHONPYCACHEPREFIX"] for env in side_envs}
+    assert caches[parent] != caches[change]
+    for cache in caches.values():
+        assert not {parent, change} & set(Path(cache).parents)
+        assert not Path(cache).exists()
+    assert "PYTHONPYCACHEPREFIX" in json.loads((tmp_path / "o.json").read_text())["method"]

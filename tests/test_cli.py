@@ -315,6 +315,38 @@ def test_missing_perm_file(capsys):
     assert code == 2
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("this command reads no permutation vector")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", ["expand", "decode"])
+def test_expand_and_decode_build_no_permutation_vector(capsys, monkeypatch, name, fmt):
+    # the vector and the seed options are accepted unread: a broken --perms
+    # spec and an --alpha outside [0, 1) change nothing
+    monkeypatch.setattr(cantorperm.cli, "shift_vector", _refuse)
+    monkeypatch.setattr(cantorperm.cli, "parse_permutations", _refuse)
+    golden = json.loads(GOLDEN.read_text())[f"{name}/{fmt}"]
+    for extra in ([], ["--perms", "2:0,0", "--alpha", "5"]):
+        code, out, err = run(capsys, *CASES[name], *extra, "--format", fmt)
+        assert (code, out, err) == (0, golden["stdout"], "")
+
+
+@pytest.mark.parametrize("name", ["map", "check_preserve_kronecker", "probe_monotone"])
+def test_commands_without_a_seed_accept_any_alpha(capsys, name):
+    code, out, err = run(capsys, *CASES[name], "--format", "json")
+    assert (code, err) == (0, "")
+    assert run(capsys, *CASES[name], "--alpha", "5", "--format", "json") == (0, out, "")
+
+
+@pytest.mark.parametrize("name", ["orbit_count", "check_equivalence", "probe_quotient"])
+def test_commands_with_a_seed_check_alpha_and_perms(capsys, tmp_path, name):
+    for extra in (["--alpha", "5"], ["--perms", str(tmp_path / "missing.txt")]):
+        code, out, err = run(capsys, *CASES[name], *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_depth_truncates_base(capsys):
     code, out, err = run(
         capsys,

@@ -109,7 +109,7 @@ def test_depth_validates_only_the_used_moduli():
 
 
 # no "e" in the alphabet, so no exponent literal can ask for a huge integer;
-# five characters bound a modulus, and so the shift permutation built for it
+# five characters bound a modulus
 TEXT = st.text(alphabet="0123456789,/-x ", max_size=5)
 FUZZED = {
     "bases": lambda s: ["expand", "--value", "1/2", f"--bases={s}"],

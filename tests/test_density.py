@@ -432,6 +432,33 @@ def test_normalize_empty_set():
     assert normalize(periodic_set([], 2520)) == periodic_set([], 1)
 
 
+def _generator_expand_to(ps, modulus):
+    """The replaced expand_to: one generated residue per residue and multiple."""
+    if modulus % ps.modulus != 0:
+        raise ValidationError(f"{modulus} is not a multiple of {ps.modulus}")
+    if modulus == ps.modulus:
+        return ps
+    residues = frozenset(
+        r + k * ps.modulus for r in ps.residues for k in range(modulus // ps.modulus)
+    )
+    return PeriodicSet(modulus, residues)
+
+
+@given(PERIODIC_SETS, st.integers(min_value=1, max_value=8), st.sampled_from((0, 0, 0, 1)))
+@settings(max_examples=300)
+def test_expand_to_matches_the_generator_lift(ps, multiple, off):
+    # a multiple of the set's modulus, or one past it (a non-multiple unless the modulus is 1)
+    modulus = ps.modulus * multiple + off
+    try:
+        expected = _generator_expand_to(ps, modulus)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            expand_to(ps, modulus)
+        assert str(info.value) == str(exc)
+    else:
+        assert expand_to(ps, modulus) == expected
+
+
 def _scan_covering(target_period, member_oracle, covering):
     """The replaced covering check: one oracle call per n in the common period."""
     period = math.lcm(target_period, *(cond.modulus for cond in covering))
@@ -467,3 +494,14 @@ def test_covering_bound_matches_period_scan(target, covering):
         assert got.bound == expected
         assert got.covering == tuple(covering)
     assert sorted(calls) == list(range(target.modulus))
+
+
+@pytest.mark.parametrize("func, args, message", [
+    (covering_bound, (0, bool, [ResidueCondition(0, 1)]), "target period 0 < 1"),
+    (parse_periodic_set, ("a(3)",), "cannot parse periodic set 'a(3)'"),
+])
+def test_invalid_arguments_raise_validation_error_and_message(func, args, message):
+    with pytest.raises(ValidationError) as info:
+        func(*args)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == message

@@ -441,3 +441,10 @@ def test_truncated_numerators_match_fraction_oracle(pv, data):
     assert images == [
         _fraction_apply_truncated(pv, Fraction(p, q), depth) * (q * total) for p in nums
     ]
+
+
+def test_orbit_point_rejects_a_negative_index():
+    b, pv = _shift_setup()
+    with pytest.raises(ValidationError) as info:
+        orbit_point(make_orbit(encode(0, b, 3), pv), -1)
+    assert str(info.value) == "orbit index must be >= 0"

@@ -686,3 +686,9 @@ def test_dstar_cycled_with_ties_matches_star_discrepancy(q, data):
     assert _dstar_cycled(nums, sample, q) == star_discrepancy(points).d_star
     if sample == len(nums):
         assert _dstar_cycled(sorted(nums), sample, q) == star_discrepancy(points).d_star
+
+
+def test_star_discrepancy_rejects_an_empty_sample():
+    with pytest.raises(ValidationError) as info:
+        star_discrepancy([])
+    assert str(info.value) == "empty sample"

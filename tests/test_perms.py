@@ -492,3 +492,17 @@ def test_residue_table_matches_prefix_residue_per_class(case):
                 prefix_residue(pv, seed[:length], base.digits_of(length, j)).residue
                 for j in range(base.products[length])
             ]
+
+
+@pytest.mark.parametrize("func, args, error, message", [
+    (from_cycle, (3, (0, 1)), NotFullCycle, "cycle lists 2 digits, need all 3"),
+    (from_cycle, (3, (0, 5, 1)), DigitOutOfRange, "cycle entry 5 not in [0, 3)"),
+    (parse_permutations, ("2: 1,0\n3: 1,x,0", make_base((2, 3))), ValidationError,
+     "permutation line 2: cannot parse '3: 1,x,0'"),
+    (parse_permutations, ("2 1,0", make_base((2,))), ValidationError,
+     "permutation line 1: cannot parse '2 1,0'"),
+])
+def test_invalid_arguments_raise_their_class_and_message(func, args, error, message):
+    with pytest.raises(error) as info:
+        func(*args)
+    assert str(info.value) == message

@@ -14,7 +14,12 @@ runs
 
 once in each directory, one run at a time: the parent first when ``i`` is
 even, the change first when it is odd.  The metrics are read from the last
-stdout line of each run.  The workloads and the end-to-end metrics, their
+stdout line of each run.  All runs of one side write and read their bytecode
+in one fresh ``PYTHONPYCACHEPREFIX`` directory of their own, with
+``PYTHONDONTWRITEBYTECODE`` removed from their environment, so neither
+tree's ``__pycache__`` is read or written and both sides start from the same
+cache state: each compiles once, in its first run's discarded set-up probe.
+The workloads and the end-to-end metrics, their
 units, directions and bounds, come from ``BENCHMARK.json`` in
 ``PARENT_DIR``; the script stops before any run if ``CHANGE_DIR``'s
 ``BENCHMARK.json`` lists other workloads or end-to-end metrics, so a change
@@ -39,6 +44,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -57,12 +63,20 @@ def benchmark_spec(parent: Path, change: Path) -> dict:
     return specs[0]
 
 
-def run_once(directory: Path, workload: str) -> dict:
+def side_env(cache: Path) -> dict:
+    """The environment of one side's runs: bytecode kept under ``cache``
+    alone, and written there."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(cache)
+    return env
+
+
+def run_once(directory: Path, workload: str, env: dict) -> dict:
     """One ``bench/run.py`` run in ``directory``: its last stdout line."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=directory, capture_output=True, text=True, check=True,
+        cwd=directory, env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -117,15 +131,18 @@ def main(argv=None) -> int:
 
     dirs = {"parent": args.parent, "change": args.change}
     summaries = {}
-    for workload in (w["name"] for w in spec["workloads"]):
-        runs = {side: [] for side in SIDES}
-        for pair in range(PAIRS):
-            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                result = run_once(dirs[side], workload)
-                runs[side].append(result)
-                print(f"{workload} pair {pair} {side}: "
-                      f"{json.dumps(result['metrics'].get('items_per_s'))}", file=sys.stderr)
-        summaries[workload] = summarise(runs, spec["end_to_end"])
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as caches:
+        envs = {side: side_env(Path(caches) / side) for side in SIDES}
+        for workload in (w["name"] for w in spec["workloads"]):
+            runs = {side: [] for side in SIDES}
+            for pair in range(PAIRS):
+                for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                    result = run_once(dirs[side], workload, envs[side])
+                    runs[side].append(result)
+                    print(f"{workload} pair {pair} {side}: "
+                          f"{json.dumps(result['metrics'].get('items_per_s'))}",
+                          file=sys.stderr)
+            summaries[workload] = summarise(runs, spec["end_to_end"])
 
     report = {
         "what": args.what,
@@ -133,7 +150,10 @@ def main(argv=None) -> int:
             f"python3 bench/run.py --workload W --seed {SEED} --seconds {SECONDS} "
             f"--trace 0, run from a parent and a change checkout by tools/bench_pairs.py; "
             f"{PAIRS} pairs per workload, parent first in even pairs and change first "
-            f"in odd pairs, one run at a time; Python {platform.python_version()}, "
+            f"in odd pairs, one run at a time; each side's runs share one fresh "
+            f"PYTHONPYCACHEPREFIX directory with PYTHONDONTWRITEBYTECODE unset, so neither "
+            f"tree's __pycache__ is read or written and each side compiles once, in its "
+            f"first discarded set-up probe; Python {platform.python_version()}, "
             f"{os.cpu_count()} CPUs; metrics as printed on the last stdout line (times "
             f"rescaled to the reference machine by bench/calibrate.py); quartiles by "
             f"statistics.quantiles(method='inclusive')"
