@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .base import DigitExpansion, prefix_of_interval
+from .base import DigitExpansion, _check_range, prefix_of_interval
 from .dynamics import _check_fits, apply_map
 from .errors import (
     CheckFalsified,
@@ -219,10 +219,7 @@ def derivative_probe(
     and whether the integer candidates stabilize over the probed range.
     """
     _check_fits(pv, alpha)
-    if max_level > len(alpha.digits) or max_level < 0:
-        raise LevelExceeded(
-            f"max level {max_level} not in [0, {len(alpha.digits)}]"
-        )
+    _check_range(max_level, len(alpha.digits), what="max level")
     levels = []
     candidates = []
     for s in range(max_level):

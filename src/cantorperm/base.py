@@ -42,6 +42,20 @@ def as_fraction(value: RationalLike) -> Fraction:
         raise MalformedNumber(f"not a rational number: {value!r}") from exc
 
 
+def _point(value: RationalLike) -> Fraction:
+    """``value`` as an exact Fraction, which must lie in ``[0, 1)``."""
+    x = as_fraction(value)
+    if not 0 <= x.numerator < x.denominator:
+        raise OutOfRange(f"{x} not in [0, 1)")
+    return x
+
+
+def _check_range(value: int, top: int, error=LevelExceeded, what: str = "level") -> None:
+    """Raise ``error`` unless the level, depth or max level ``value`` lies in ``[0, top]``."""
+    if not 0 <= value <= top:
+        raise error(f"{what} {value} not in [0, {top}]")
+
+
 def _as_int(value, what: str) -> int:
     try:
         return int(value)
@@ -184,8 +198,7 @@ class GridInterval:
 
 def grid_interval(level: int, index: int, base: BaseSequence) -> GridInterval:
     """Grid interval at ``level`` with the given index."""
-    if level > base.depth or level < 0:
-        raise LevelExceeded(f"level {level} not in [0, {base.depth}]")
+    _check_range(level, base.depth)
     count = base.products[level]
     if not 0 <= index < count:
         raise IndexOutOfRange(f"index {index} not in [0, {count})")
@@ -207,11 +220,8 @@ def encode(alpha: RationalLike, base: BaseSequence, depth: int) -> DigitExpansio
 
         value(result) <= alpha < value(result) + 1/products[depth].
     """
-    alpha = as_fraction(alpha)
-    if not 0 <= alpha < 1:
-        raise OutOfRange(f"{alpha} not in [0, 1)")
-    if depth > base.depth or depth < 0:
-        raise DepthExceeded(f"depth {depth} exceeds base depth {base.depth}")
+    alpha = _point(alpha)
+    _check_range(depth, base.depth, DepthExceeded, "depth")
     index = alpha.numerator * base.products[depth] // alpha.denominator
     return DigitExpansion(base.digits_of(depth, index), base)
 
@@ -228,11 +238,8 @@ def interval_of(alpha: RationalLike, level: int, base: BaseSequence) -> GridInte
     Consistent with the codec: ``alpha`` lies in interval ``j`` iff its first
     ``level`` digits equal ``prefix_of_interval(level, j, base)``.
     """
-    alpha = as_fraction(alpha)
-    if not 0 <= alpha < 1:
-        raise OutOfRange(f"{alpha} not in [0, 1)")
-    if level > base.depth or level < 0:
-        raise LevelExceeded(f"level {level} not in [0, {base.depth}]")
+    alpha = _point(alpha)
+    _check_range(level, base.depth)
     index = (alpha.numerator * base.products[level]) // alpha.denominator
     return grid_interval(level, index, base)
 
@@ -240,8 +247,7 @@ def interval_of(alpha: RationalLike, level: int, base: BaseSequence) -> GridInte
 def prefix_of_interval(level: int, index: int, base: BaseSequence) -> tuple[int, ...]:
     """The unique digit prefix ``(b_0, ..., b_{level-1})`` whose value is
     ``index / products[level]``; inverse of :func:`interval_of` on grid points."""
-    if level > base.depth or level < 0:
-        raise LevelExceeded(f"level {level} not in [0, {base.depth}]")
+    _check_range(level, base.depth)
     count = base.products[level]
     if not 0 <= index < count:
         raise IndexOutOfRange(f"index {index} not in [0, {count})")

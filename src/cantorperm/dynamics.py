@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .base import DigitExpansion, as_fraction
-from .errors import CheckFalsified, DepthMismatch, LevelExceeded, OutOfRange, ValidationError
+from .base import DigitExpansion, _check_range, _point
+from .errors import CheckFalsified, DepthMismatch, ValidationError
 from .perms import PermutationVector
 
 
@@ -200,11 +200,8 @@ def apply_truncated(pv: PermutationVector, x, depth: int) -> Fraction:
     ``1/products[depth]``, and the map is a bijection of ``[0, 1)`` (it
     translates each level-``depth`` grid interval onto another one).
     """
-    x = as_fraction(x)
-    if not 0 <= x.numerator < x.denominator:
-        raise OutOfRange(f"{x} not in [0, 1)")
-    if depth > pv.depth or depth < 0:
-        raise DepthMismatch(f"depth {depth} not in [0, {pv.depth}]")
+    x = _point(x)
+    _check_range(depth, pv.depth, DepthMismatch, "depth")
     # one point: cap 1, so every level is its own group over perm.image
     q = x.denominator
     (image,) = _truncated_numerators(pv, [x.numerator], q, depth)
@@ -220,12 +217,10 @@ def modulus_of_continuity_check(pv: PermutationVector, level: int) -> Fraction:
     the finite content of that argument: the induced map on interval indices
     is a bijection of ``[0, products[level])``.
     """
-    base = pv.base
-    if level > base.depth or level < 0:
-        raise LevelExceeded(f"level {level} not in [0, {base.depth}]")
+    _check_range(level, pv.depth)
     if level == 0:
         return Fraction(1)
-    count = base.products[level]
+    count = pv.base.products[level]
     # cap B_level puts every level into one group: the induced map itself
     ((_, table, _),) = _image_tables(pv, level, count)
     seen = [False] * count

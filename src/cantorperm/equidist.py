@@ -7,20 +7,19 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Sequence
 
 # bench/tracing.py wraps prefix_of_interval, prefix_residue and
 # apply_truncated under these names in this module: the first two are not
 # called here, and apply_truncated only once per preservation probe
-from .base import BaseSequence, prefix_of_interval  # noqa: F401
+from .base import BaseSequence, _check_range, prefix_of_interval  # noqa: F401
 from .dynamics import (
     OrbitSpec, _truncated_numerators, apply_truncated, orbit_numerators, orbit_point
 )
 from .errors import (
     ComputationError,
     EquivalenceViolated,
-    LevelExceeded,
     NotFullCycle,
     PointOutOfRange,
     UnknownSource,
@@ -97,10 +96,23 @@ def star_discrepancy(points: Sequence[Fraction]) -> DiscrepancyResult:
 
 
 def _check_level_and_sample(spec: OrbitSpec, level: int, sample: int) -> None:
-    if level > spec.depth or level < 0:
-        raise LevelExceeded(f"level {level} not in [0, {spec.depth}]")
+    _check_range(level, spec.depth)
     if sample < 1:
         raise ValidationError("sample must be >= 1")
+
+
+def _cycled_counts(nums, period: int, sample: int, width: int, count: int) -> list[int]:
+    """How many of ``sample`` points ``nums[n mod period]`` land in each of
+    ``count`` intervals, ``p`` in interval ``p // width``.  ``nums`` streams
+    the first ``min(sample, period)`` numerators, read once; the first
+    ``sample mod period`` occur once more than the rest."""
+    copies, extra = divmod(sample, period)
+    counts = [0] * count
+    nums = iter(nums)
+    for weight, part in ((copies + 1, islice(nums, extra)), (copies, nums)):
+        for num in part:
+            counts[num // width] += weight
+    return counts
 
 
 def interval_counts(spec: OrbitSpec, level: int, sample: int) -> list[int]:
@@ -119,11 +131,8 @@ def interval_counts(spec: OrbitSpec, level: int, sample: int) -> list[int]:
     products = spec.alpha_digits.base.products
     width = products[spec.depth] // products[level]
     period = spec.prefix_period(level)
-    copies, extra = divmod(sample, period)
-    counts = [0] * products[level]
-    for n, num in enumerate(orbit_numerators(spec, min(sample, period))):
-        counts[num // width] += copies + (n < extra)
-    return counts
+    nums = orbit_numerators(spec, min(sample, period))
+    return _cycled_counts(nums, period, sample, width, products[level])
 
 
 def _dstar_cycled(nums: list[int], sample: int, q: int) -> Fraction:
@@ -229,18 +238,11 @@ def van_der_corput(count: int, base: int = 2) -> list[Fraction]:
     return [Fraction(p, q) for p in nums]
 
 
-def _golden_convergent(limit: int = 10**15) -> Fraction:
-    # consecutive Fibonacci quotients converge to the golden rotation 1/phi
-    a, b = 1, 2
-    while b <= limit:
-        a, b = b, a + b
-    return Fraction(a, b)
-
-
 def _kronecker_numerators(count: int) -> tuple[list[int], int]:
-    """Numerators of ``{n * g}`` over the convergent's denominator ``Q``."""
-    g = _golden_convergent()
-    a, q = g.numerator, g.denominator
+    """Numerators of ``{n * g}`` over the convergent's denominator ``Q``:
+    ``g = F_73/F_74``, the last consecutive-Fibonacci quotient, converging
+    to the golden rotation ``1/phi``, with denominator at most ``10**15``."""
+    a, q = 806515533049393, 1304969544928657
     return [n * a % q for n in range(count)], q
 
 
@@ -301,8 +303,7 @@ def ud_preservation_probe(
     base = pv.base
     if source not in SOURCES:
         raise UnknownSource(f"source {source!r}, expected one of {SOURCES}")
-    if level > base.depth or level < 0:
-        raise LevelExceeded(f"level {level} not in [0, {base.depth}]")
+    _check_range(level, base.depth)
     count = base.products[level]
     if sample < count:
         raise ValidationError(
@@ -325,14 +326,6 @@ def ud_preservation_probe(
             f"apply_truncated to {first}"
         )
 
-    width = scale // count
-    copies, extra = divmod(sample, len(images))
-    counts = [0] * count
-    for y in images:
-        counts[y // width] += copies
-    for y in images[:extra]:
-        counts[y // width] += 1
-
     grid_exact = None
     if source == "grid" and sample % total == 0:
         # one period of inputs over q == B_K, images over B_K**2: equal multisets
@@ -344,7 +337,7 @@ def ud_preservation_probe(
         level=level,
         input_d_star=_dstar_cycled(nums, sample, q),
         image_d_star=_dstar_cycled(images, sample, scale),
-        counts=tuple(counts),
+        counts=tuple(_cycled_counts(images, len(images), sample, scale // count, count)),
         expected=Fraction(sample, count),
         grid_exact=grid_exact,
     )

@@ -51,32 +51,31 @@ class CyclicPermutation:
         return f"{self.modulus}: " + ",".join(str(i) for i in self.image)
 
 
-def _decompose(image: tuple[int, ...]):
-    m = len(image)
+def _decompose(modulus: int, image: Sequence[int]):
+    """The image as ints with its cycles, ``cycle_id`` and ``cycle_pos``.  Each
+    walk follows the image from an unplaced digit while the value is in
+    ``[0, modulus)`` and unplaced; every walk closing at its start splits the
+    digits into disjoint cycles, which is exactly a bijection, else NotBijection."""
+    img = tuple(int(i) for i in image)
+    if len(img) != modulus:
+        raise NotBijection(f"image has length {len(img)}, expected {modulus}")
     cycles: list[tuple[int, ...]] = []
-    cycle_id = [-1] * m
-    cycle_pos = [0] * m
-    for start in range(m):
+    cycle_id = [-1] * modulus
+    cycle_pos = [0] * modulus
+    for start in range(modulus):
         if cycle_id[start] != -1:
             continue
         cycle = []
         b = start
-        while cycle_id[b] == -1:
+        while 0 <= b < modulus and cycle_id[b] == -1:
             cycle_id[b] = len(cycles)
             cycle_pos[b] = len(cycle)
             cycle.append(b)
-            b = image[b]
+            b = img[b]
+        if b != start:
+            raise NotBijection(f"image {img} is not a bijection of Z_{modulus}")
         cycles.append(tuple(cycle))
-    return tuple(cycles), tuple(cycle_id), tuple(cycle_pos)
-
-
-def _check_bijection(modulus: int, image: Sequence[int]) -> tuple[int, ...]:
-    img = tuple(int(i) for i in image)
-    if len(img) != modulus:
-        raise NotBijection(f"image has length {len(img)}, expected {modulus}")
-    if sorted(img) != list(range(modulus)):
-        raise NotBijection(f"image {img} is not a bijection of Z_{modulus}")
-    return img
+    return img, tuple(cycles), tuple(cycle_id), tuple(cycle_pos)
 
 
 def make_cyclic(modulus: int, image: Sequence[int]) -> CyclicPermutation:
@@ -96,8 +95,7 @@ def make_unchecked(modulus: int, image: Sequence[int]) -> CyclicPermutation:
     Powers still work per cycle; operations that need a unique discrete log
     (discrete_log, prefix_residue) reject non-full-cycle permutations.
     """
-    img = _check_bijection(modulus, image)
-    cycles, cycle_id, cycle_pos = _decompose(img)
+    img, cycles, cycle_id, cycle_pos = _decompose(modulus, image)
     return CyclicPermutation(
         modulus, img, cycles, cycle_id, cycle_pos, full_cycle=(len(cycles) == 1)
     )

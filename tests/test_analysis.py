@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantorperm import (
+    DigitExpansion,
     apply_map,
     derivative_probe,
     difference_quotient,
@@ -17,12 +18,15 @@ from cantorperm import (
     parse_permutations,
     shift_vector,
 )
+import cantorperm.analysis
 from cantorperm.errors import (
+    CheckFalsified,
     DegenerateDigit,
     DepthMismatch,
     IndexOutOfRange,
     LevelExceeded,
     NoWitnessAtLevel,
+    ValidationError,
 )
 from cantorperm.perms import identity_vector
 
@@ -251,3 +255,40 @@ def test_quotient_identity_property(data):
         alpha.value - perturbed.value,
     )
     assert got.quotient == direct
+
+
+SHIFT_235 = shift_vector(make_base((2, 3, 5)))
+ALPHA_235 = encode(Fraction(29, 30), SHIFT_235.base, 3)
+
+
+@pytest.mark.parametrize("func, args, error, message", [
+    (derivative_probe, (SHIFT_235, ALPHA_235, -1), LevelExceeded, "max level -1 not in [0, 3]"),
+    (derivative_probe, (SHIFT_235, ALPHA_235, 4), LevelExceeded, "max level 4 not in [0, 3]"),
+    (find_witness_descending, (SHIFT_235, 0, 0, -1), ValidationError, "descent budget -1 < 0"),
+])
+def test_invalid_arguments_raise_their_class_and_message(func, args, error, message):
+    with pytest.raises(error) as info:
+        func(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("fake_map, message", [
+    # every image equal: the rising pair no longer rises
+    (lambda pv, x: DigitExpansion((0,) * len(x.digits), x.base),
+     "increasing pair failed re-evaluation"),
+    # the identity: the falling pair no longer falls
+    (lambda pv, x: x, "decreasing pair failed re-evaluation"),
+])
+def test_witness_re_evaluation_raises_when_the_map_disagrees(monkeypatch, fake_map, message):
+    monkeypatch.setattr(cantorperm.analysis, "apply_map", fake_map)
+    with pytest.raises(CheckFalsified) as info:
+        find_monotonicity_witness(SHIFT_235, 1, 0)
+    assert str(info.value) == message
+
+
+def test_difference_quotient_raises_when_direct_evaluation_disagrees(monkeypatch):
+    # shift on Z_5 at digit 4 -> 0 against 0 -> 1: closed form (0 - 1) / (4 - 0)
+    monkeypatch.setattr(cantorperm.analysis, "apply_map", lambda pv, x: x)
+    with pytest.raises(CheckFalsified) as info:
+        difference_quotient(SHIFT_235, ALPHA_235, 2, 0)
+    assert str(info.value) == "difference-quotient identity violated at level 2: -1/4 != 1"

@@ -201,6 +201,10 @@ BASE = make_base((2, 3, 5))
     (interval_of, ("-1/2", 1, BASE), OutOfRange, "-1/2 not in [0, 1)"),
     (interval_of, ("1/2", 4, BASE), LevelExceeded, "level 4 not in [0, 3]"),
     (interval_of, ("1/2", -1, BASE), LevelExceeded, "level -1 not in [0, 3]"),
+    (encode, (1, BASE, 3), OutOfRange, "1 not in [0, 1)"),
+    (encode, ("-1/2", BASE, 3), OutOfRange, "-1/2 not in [0, 1)"),
+    (encode, ("1/2", BASE, 4), DepthExceeded, "depth 4 not in [0, 3]"),
+    (encode, ("1/2", BASE, -1), DepthExceeded, "depth -1 not in [0, 3]"),
 ])
 def test_invalid_arguments_raise_their_class_and_message(func, args, error, message):
     with pytest.raises(error) as info:

@@ -239,6 +239,14 @@ def test_probe_monotone_identity_fails(capsys):
     assert "NoWitnessAtLevel" in err
 
 
+def test_probe_monotone_rejects_a_negative_descent_budget(capsys):
+    code, out, err = run(
+        capsys,
+        "probe", "monotone", "--level", "0", "--interval", "0", "--max-descend", "-1",
+    )
+    assert (code, out, err) == (2, "", "error: ValidationError: descent budget -1 < 0\n")
+
+
 def test_probe_quotient_csv(capsys):
     code, out, err = run(
         capsys,

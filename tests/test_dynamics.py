@@ -448,3 +448,20 @@ def test_orbit_point_rejects_a_negative_index():
     with pytest.raises(ValidationError) as info:
         orbit_point(make_orbit(encode(0, b, 3), pv), -1)
     assert str(info.value) == "orbit index must be >= 0"
+
+
+SHIFT_235 = shift_vector(make_base((2, 3, 5)))
+
+
+@pytest.mark.parametrize("func, args, error, message", [
+    (apply_truncated, (SHIFT_235, 1, 3), OutOfRange, "1 not in [0, 1)"),
+    (apply_truncated, (SHIFT_235, "-1/2", 3), OutOfRange, "-1/2 not in [0, 1)"),
+    (apply_truncated, (SHIFT_235, "1/2", -1), DepthMismatch, "depth -1 not in [0, 3]"),
+    (apply_truncated, (SHIFT_235, "1/2", 4), DepthMismatch, "depth 4 not in [0, 3]"),
+    (modulus_of_continuity_check, (SHIFT_235, -1), LevelExceeded, "level -1 not in [0, 3]"),
+    (modulus_of_continuity_check, (SHIFT_235, 4), LevelExceeded, "level 4 not in [0, 3]"),
+])
+def test_invalid_arguments_raise_their_class_and_message(func, args, error, message):
+    with pytest.raises(error) as info:
+        func(*args)
+    assert str(info.value) == message

@@ -692,3 +692,22 @@ def test_star_discrepancy_rejects_an_empty_sample():
     with pytest.raises(ValidationError) as info:
         star_discrepancy([])
     assert str(info.value) == "empty sample"
+
+
+ZERO_ORBIT_235 = _zero_orbit()[2]
+
+
+@pytest.mark.parametrize("func, args, error, message", [
+    (interval_counts, (ZERO_ORBIT_235, -1, 30), LevelExceeded, "level -1 not in [0, 3]"),
+    (interval_counts, (ZERO_ORBIT_235, 4, 30), LevelExceeded, "level 4 not in [0, 3]"),
+    (membership_equivalence, (ZERO_ORBIT_235, -1, 30), LevelExceeded, "level -1 not in [0, 3]"),
+    (membership_equivalence, (ZERO_ORBIT_235, 4, 30), LevelExceeded, "level 4 not in [0, 3]"),
+    (ud_preservation_probe, (ZERO_ORBIT_235.pv, "vdc", 30, -1), LevelExceeded,
+     "level -1 not in [0, 3]"),
+    (ud_preservation_probe, (ZERO_ORBIT_235.pv, "vdc", 30, 4), LevelExceeded,
+     "level 4 not in [0, 3]"),
+])
+def test_invalid_arguments_raise_their_class_and_message(func, args, error, message):
+    with pytest.raises(error) as info:
+        func(*args)
+    assert str(info.value) == message

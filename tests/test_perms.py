@@ -7,7 +7,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorperm import (
@@ -36,7 +36,9 @@ from cantorperm.errors import (
     NotFullCycle,
     ValidationError,
 )
-from cantorperm.perms import _residue_class
+import cantorperm.perms
+from cantorperm.perms import CyclicPermutation, _residue_class
+from test_dynamics import outcome
 
 
 def test_shift_basic():
@@ -506,3 +508,76 @@ def test_invalid_arguments_raise_their_class_and_message(func, args, error, mess
     with pytest.raises(error) as info:
         func(*args)
     assert str(info.value) == message
+
+
+# --- differential oracle: a sort proves the bijection, then a second walk splits it ---
+
+def _check_bijection(modulus, image):
+    img = tuple(int(i) for i in image)
+    if len(img) != modulus:
+        raise NotBijection(f"image has length {len(img)}, expected {modulus}")
+    if sorted(img) != list(range(modulus)):
+        raise NotBijection(f"image {img} is not a bijection of Z_{modulus}")
+    return img
+
+
+def _decompose(image):
+    m = len(image)
+    cycles = []
+    cycle_id = [-1] * m
+    cycle_pos = [0] * m
+    for start in range(m):
+        if cycle_id[start] != -1:
+            continue
+        cycle = []
+        b = start
+        while cycle_id[b] == -1:
+            cycle_id[b] = len(cycles)
+            cycle_pos[b] = len(cycle)
+            cycle.append(b)
+            b = image[b]
+        cycles.append(tuple(cycle))
+    return tuple(cycles), tuple(cycle_id), tuple(cycle_pos)
+
+
+def _sorting_make_unchecked(modulus, image):
+    img = _check_bijection(modulus, image)
+    cycles, cycle_id, cycle_pos = _decompose(img)
+    return CyclicPermutation(
+        modulus, img, cycles, cycle_id, cycle_pos, full_cycle=(len(cycles) == 1)
+    )
+
+
+@st.composite
+def _images(draw):
+    """A modulus in 0..12 and an image for it: a bijection, or a list of
+    length m-1 to m+1 with entries in -2..m+1 (repeats, out-of-range and
+    negative entries)."""
+    m = draw(st.integers(min_value=0, max_value=12))
+    entries = st.integers(min_value=-2, max_value=m + 1)
+    image = draw(st.one_of(
+        st.permutations(list(range(m))),
+        st.lists(entries, min_size=max(m - 1, 0), max_size=m + 1),
+    ))
+    return m, image
+
+
+@given(_images())
+@example((2, [-1, 0]))  # -1 read as index 1 would close the walk 0 -> -1 -> 0
+@example((3, [1, 2, -3]))
+@settings(max_examples=500)
+def test_make_unchecked_matches_the_sorting_oracle(case):
+    m, image = case
+    assert outcome(make_unchecked, m, image) == outcome(_sorting_make_unchecked, m, image)
+
+
+@given(_images())
+@settings(max_examples=300)
+def test_constructors_match_the_sorting_oracle(case):
+    # from_cycle, shift and identity reach the walk through make_unchecked
+    m, cycle = case
+    calls = [(from_cycle, m, cycle), (shift, m), (identity, m)]
+    walked = [outcome(*call) for call in calls]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cantorperm.perms, "make_unchecked", _sorting_make_unchecked)
+        assert walked == [outcome(*call) for call in calls]
