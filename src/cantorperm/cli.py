@@ -237,10 +237,10 @@ def _level_report(args):
             yield f"I_{s.index}: class {s.residue}  count {s.count}"
         yield f"d_star: {fmt_frac(report.d_star)}"
 
-    expected = report.intervals[0].expected
+    expected = frac(report.intervals[0].expected)
     table = Table(
         ("j", "residue", "modulus", "count", "expected_num", "expected_den"),
-        ((s.index, s.residue.residue, s.residue.modulus, s.count, *frac(expected))
+        ((s.index, s.residue.residue, s.residue.modulus, s.count, *expected)
          for s in report.intervals),
     )
     payload = {

@@ -10,9 +10,9 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from typing import Sequence
 
-# bench/tracing.py wraps prefix_of_interval, prefix_residue and
-# apply_truncated under these names in this module: the first two are not
-# called here, and apply_truncated only once per preservation probe
+# bench/tracing.py wraps prefix_of_interval, prefix_residue, apply_truncated
+# and orbit_point under these names here: the first two are not called, the
+# others once per preservation probe and once per equivalence report
 from .base import BaseSequence, _check_range, prefix_of_interval  # noqa: F401
 from .dynamics import (
     OrbitSpec, _truncated_numerators, apply_truncated, orbit_numerators, orbit_point
@@ -45,9 +45,10 @@ class LevelReport:
     one grid level, plus the star discrepancy of those points.
 
     ``period_proved`` says what was verified: true when ``sample_size`` is at
-    least the period ``B_level``, so the interval/class equivalence is proved
-    for every iterate by periodicity; false when only the ``sample_size``
-    iterates were checked.  Library-only: the CLI does not print it."""
+    least the period ``B_level``, so the interval/class equivalence checked on
+    one period's orbit numerators holds for every iterate by periodicity;
+    false when only the ``sample_size`` iterates were checked.  Library-only:
+    the CLI does not print it."""
 
     level: int
     sample_size: int
@@ -166,11 +167,13 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
     With full cycles below ``level``, digit ``j`` of iterate ``n`` depends
     on ``n mod m_j`` and every ``m_j`` divides ``B_k``, so the level-``k``
     interval of iterate ``n`` depends only on ``n mod B_k``.  Checking the
-    iterates ``n < min(sample, B_k)`` through :func:`orbit_point` therefore
-    proves the equivalence for every ``n``: ``period_proved`` is true when
-    that covers a whole period (``sample >= B_k``), false when only the
-    ``sample`` iterates were checked.  A violation is an implementation bug,
-    not a data property.
+    iterates ``n < min(sample, B_k)`` therefore proves the equivalence for
+    every ``n``: ``period_proved`` is true when that covers a whole period
+    (``sample >= B_k``), false when only the ``sample`` iterates were
+    checked.  They are the numerators D* reads (``P`` below is a multiple of
+    ``B_k``), numerator ``p`` in interval ``p // (B_K / B_k)``; the last one
+    also goes through :func:`orbit_point`, a disagreement raising
+    ``ComputationError``.  A violation is an implementation bug.
 
     Interval ``j`` with class ``r_j`` then holds ``ceil((sample - r_j) /
     B_k)`` of the iterates, 0 when ``r_j >= sample``.  The depth-``K`` orbit
@@ -190,19 +193,23 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
             f"residues at level {level} do not form a complete system mod {count}"
         )
 
-    for n in range(min(sample, count)):
-        idx = orbit_point(spec, n).digits.prefix_index(level)
-        if n != table[idx]:
-            raise EquivalenceViolated(
-                f"iterate {n} lies in interval {idx} but {n} mod {count} != {table[idx]}"
-            )
+    nums = list(orbit_numerators(spec, min(sample, spec.period)))
+    proved = min(sample, count)
+    if orbit_point(spec, proved - 1).digits.prefix_index(spec.depth) != nums[proved - 1]:
+        raise ComputationError(f"orbit_point disagrees with the stream on iterate {proved - 1}")
+    width = base.products[spec.depth] // count
+    classes = map(table.__getitem__, map(width.__rfloordiv__, nums))
+    if not all(map(operator.eq, classes, range(proved))):
+        n, idx = next((n, p // width) for n, p in enumerate(nums) if n != table[p // width])
+        raise EquivalenceViolated(
+            f"iterate {n} lies in interval {idx} but {n} mod {count} != {table[idx]}"
+        )
 
     expected = Fraction(sample, count)
     intervals = tuple(
         IntervalStat(j, _residue_class(r, count), -((r - sample) // count), expected)
         for j, r in enumerate(table)
     )
-    nums = list(orbit_numerators(spec, min(sample, spec.period)))
     return LevelReport(
         level=level,
         sample_size=sample,

@@ -255,3 +255,18 @@ def test_memory_error_exits_1_with_one_error_line(monkeypatch, capsys):
     assert captured.err == "error: MemoryError: cannot allocate the residue table\n"
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("check", ["equivalence", "ud"])
+def test_equivalence_cross_check_fault_exits_1_with_one_error_line(monkeypatch, capsys, check):
+    # orbit_point one step ahead of the numerator stream the proof reads
+    equidist = sys.modules["cantorperm.equidist"]
+    orbit_point = equidist.orbit_point
+    monkeypatch.setattr(equidist, "orbit_point", lambda spec, n: orbit_point(spec, n + 1))
+    code = main(["check", check, "--bases", "2,3,5", "--level", "2", "--count", "30"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ComputationError: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -41,7 +41,7 @@ from cantorperm.errors import (
     UnknownSource,
     ValidationError,
 )
-from cantorperm.equidist import SOURCES, PreservationReport, _dstar_cycled
+from cantorperm.equidist import SOURCES, LevelReport, PreservationReport, _dstar_cycled
 from cantorperm.perms import identity_vector
 from test_dynamics import outcome, prime_power_vectors
 
@@ -396,18 +396,67 @@ def test_membership_equivalence_matches_full_scan(case, data):
     assert report.period_proved == (sample >= spec.alpha_digits.base.products[level])
 
 
-@pytest.mark.parametrize("level, sample", [(0, 1), (0, 9), (2, 5), (2, 12), (2, 13), (3, 59), (3, 60), (3, 250)])
-def test_membership_equivalence_scans_one_period(monkeypatch, level, sample):
-    calls = []
+def _orbit_point_proof(spec, level, sample, table):
+    """The period proof through orbit_point, one call per iterate ``n <
+    min(sample, B_level)``: the loop the numerator read replaced."""
+    count = spec.alpha_digits.base.products[level]
+    for n in range(min(sample, count)):
+        idx = orbit_point(spec, n).digits.prefix_index(level)
+        if n != table[idx]:
+            raise EquivalenceViolated(
+                f"iterate {n} lies in interval {idx} but {n} mod {count} != {table[idx]}"
+            )
 
-    def counted(spec, n):
-        calls.append(n)
+
+@pytest.mark.parametrize("level, sample", [(0, 1), (0, 9), (2, 5), (2, 12), (2, 13), (3, 59), (3, 60), (3, 250)])
+def test_membership_equivalence_reads_one_numerator_stream(monkeypatch, level, sample):
+    # the proof reads the numerators D* reads, and random access only once,
+    # on the last iterate it checks
+    streams, points = [], []
+
+    def counted_stream(spec, count):
+        streams.append(count)
+        return orbit_numerators(spec, count)
+
+    def counted_point(spec, n):
+        points.append(n)
         return orbit_point(spec, n)
 
-    monkeypatch.setattr(equidist_module, "orbit_point", counted)
+    monkeypatch.setattr(equidist_module, "orbit_numerators", counted_stream)
+    monkeypatch.setattr(equidist_module, "orbit_point", counted_point)
     b, pv, spec = _zero_orbit((3, 4, 5))
     membership_equivalence(spec, level, sample)
-    assert calls == list(range(min(sample, b.products[level])))
+    assert streams == [min(sample, spec.period)]
+    assert points == [min(sample, b.products[level]) - 1]
+
+
+@pytest.mark.parametrize("level, sample", [(2, 3), (2, 12), (3, 17), (3, 60), (3, 500)])
+@pytest.mark.parametrize("swap", [(0, 1), (4, 9), (11, 2)])
+def test_membership_equivalence_names_the_iterate_the_orbit_point_proof_names(
+    monkeypatch, level, sample, swap
+):
+    # two classes trade intervals; the first iterate the proof rejects, and
+    # the message, are the ones the per-iterate orbit_point loop gives
+    b, pv, spec = _zero_orbit((3, 4, 5))
+    swapped = {swap[0]: swap[1], swap[1]: swap[0]}
+    table = [swapped.get(r, r) for r in residue_table(pv, spec.alpha_digits.digits[:level])]
+    expected = outcome(_orbit_point_proof, spec, level, sample, table)
+    monkeypatch.setattr(equidist_module, "residue_table", lambda pv, seed_digits: table)
+    got = outcome(membership_equivalence, spec, level, sample)
+    if expected is None:
+        assert isinstance(got, LevelReport)
+    else:
+        assert got == expected
+
+
+def test_membership_equivalence_raises_when_stream_and_orbit_point_disagree(monkeypatch):
+    # random access one step ahead of the numerator stream is a computation
+    # fault, not a violated equivalence
+    monkeypatch.setattr(equidist_module, "orbit_point", lambda spec, n: orbit_point(spec, n + 1))
+    b, pv, spec = _zero_orbit((3, 4, 5))
+    for level, sample in [(0, 1), (2, 12), (3, 60), (3, 250)]:
+        with pytest.raises(ComputationError, match="orbit_point"):
+            membership_equivalence(spec, level, sample)
 
 
 def _planted(edit):
