@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence, Union
+from operator import index
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     DepthExceeded,
@@ -33,12 +34,13 @@ RationalLike = Union[Fraction, int, str]
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce an int, "p/q" string, or Fraction to an exact Fraction."""
+    """Coerce an int, "p/q" string, or Fraction to an exact Fraction (a float
+    reads as the binary rational it holds); anything else raises MalformedNumber."""
     if isinstance(value, Fraction):
         return value
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise MalformedNumber(f"not a rational number: {value!r}") from exc
 
 
@@ -57,10 +59,28 @@ def _check_range(value: int, top: int, error=LevelExceeded, what: str = "level")
 
 
 def _as_int(value, what: str) -> int:
+    """``value`` as an int when it is integral (``3``, ``True``, ``1.0``,
+    ``Fraction(2)``, the text ``"3"``); anything else, never truncated,
+    raises MalformedNumber naming it."""
     try:
-        return int(value)
-    except ValueError as exc:
-        raise MalformedNumber(f"{what} {value!r} is not an integer") from exc
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    else:
+        if number == value or isinstance(value, str):
+            return number
+    raise MalformedNumber(f"{what} {value!r} is not an integer")
+
+
+def _as_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints by :func:`_as_int`'s rule, at C speed
+    (``operator.index``) when every value is an int."""
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        return tuple([_as_int(value, what) for value in values])
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,7 +133,7 @@ def make_base(moduli: Union[Sequence[int], str]) -> BaseSequence:
     """
     if isinstance(moduli, str):
         moduli = moduli.split(",")
-    mods = tuple(_as_int(m, "modulus") for m in moduli)
+    mods = _as_ints(moduli, "modulus")
     if not mods:
         raise ModulusTooSmall("base sequence must be non-empty")
     for m in mods:
@@ -170,7 +190,7 @@ def make_expansion(digits: Union[Sequence[int], str], base: BaseSequence) -> Dig
     """
     if isinstance(digits, str):
         digits = digits.split(",")
-    digs = tuple(_as_int(b, "digit") for b in digits)
+    digs = _as_ints(digits, "digit")
     if len(digs) > base.depth:
         raise DepthExceeded(f"{len(digs)} digits but base has depth {base.depth}")
     for j, (b, m) in enumerate(zip(digs, base.moduli)):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
+from .base import _as_ints
 from .errors import (
     BoundsExceedOne,
     CheckFalsified,
@@ -51,7 +52,9 @@ class PeriodicSet:
 
 
 def periodic_set(residues: Iterable[int], modulus: int) -> PeriodicSet:
-    return PeriodicSet(modulus, frozenset(map(int, residues)))
+    """The set of the given residues mod ``modulus``; a residue that is not
+    integral raises MalformedNumber, never truncated."""
+    return PeriodicSet(modulus, frozenset(_as_ints(residues, "residue")))
 
 
 def from_condition(cond: ResidueCondition) -> PeriodicSet:

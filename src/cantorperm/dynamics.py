@@ -79,6 +79,11 @@ class OrbitPoint:
         return self.digits.value
 
 
+_new = object.__new__
+_set_digits, _set_base = DigitExpansion.digits.__set__, DigitExpansion.base.__set__
+_set_index, _set_point = OrbitPoint.index.__set__, OrbitPoint.digits.__set__
+
+
 def make_orbit(alpha_digits: DigitExpansion, pv: PermutationVector) -> OrbitSpec:
     return OrbitSpec(alpha_digits, pv)
 
@@ -100,8 +105,14 @@ def orbit_point(spec: OrbitSpec, n: int) -> OrbitPoint:
     """
     if n < 0:
         raise ValidationError("orbit index must be >= 0")
-    digits = tuple([cycle[n % len(cycle)] for cycle in spec._tables])
-    return OrbitPoint(n, DigitExpansion(digits, spec.alpha_digits.base))
+    # trusted construction, as perms._residue_class: object.__new__ and the slot setters
+    x = _new(DigitExpansion)
+    _set_digits(x, tuple([cycle[n % len(cycle)] for cycle in spec._tables]))
+    _set_base(x, spec.alpha_digits.base)
+    point = _new(OrbitPoint)
+    _set_index(point, n)
+    _set_point(point, x)
+    return point
 
 
 def orbit_numerators(spec: OrbitSpec, count: int) -> Iterator[int]:

@@ -10,10 +10,12 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from typing import Sequence
 
+from .base import BaseSequence, RationalLike, _check_range, as_fraction
+
 # bench/tracing.py wraps prefix_of_interval, prefix_residue, apply_truncated
 # and orbit_point under these names here: the first two are not called, the
 # others once per preservation probe and once per equivalence report
-from .base import BaseSequence, _check_range, prefix_of_interval  # noqa: F401
+from .base import prefix_of_interval  # noqa: F401
 from .dynamics import (
     OrbitSpec, _truncated_numerators, apply_truncated, orbit_numerators, orbit_point
 )
@@ -74,8 +76,9 @@ def _dstar(pairs: Sequence[tuple[int, int]]) -> Fraction:
     return Fraction(best, n * best_q)
 
 
-def star_discrepancy(points: Sequence[Fraction]) -> DiscrepancyResult:
-    """Exact star discrepancy of a finite sample in ``[0, 1)``.
+def star_discrepancy(points: Sequence[RationalLike]) -> DiscrepancyResult:
+    """Exact star discrepancy of a finite sample in ``[0, 1)``, each point
+    read by :func:`~cantorperm.base.as_fraction`.
 
     Uses the closed form on the sorted sample ``x_(1) <= ... <= x_(N)``:
 
@@ -84,6 +87,7 @@ def star_discrepancy(points: Sequence[Fraction]) -> DiscrepancyResult:
     computed in integers, each term over ``N`` times the point's denominator;
     only the result becomes a ``Fraction``, so it is deterministic and exact.
     """
+    points = [as_fraction(x) for x in points]
     if not points:
         raise ValidationError("empty sample")
     for x in points:

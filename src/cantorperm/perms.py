@@ -7,9 +7,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import getitem
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .base import BaseSequence
+from .base import BaseSequence, _as_ints
 from .errors import (
     DigitOutOfRange,
     LengthMismatch,
@@ -56,7 +56,7 @@ def _decompose(modulus: int, image: Sequence[int]):
     walk follows the image from an unplaced digit while the value is in
     ``[0, modulus)`` and unplaced; every walk closing at its start splits the
     digits into disjoint cycles, which is exactly a bijection, else NotBijection."""
-    img = tuple(int(i) for i in image)
+    img = _as_ints(image, "image entry")
     if len(img) != modulus:
         raise NotBijection(f"image has length {len(img)}, expected {modulus}")
     cycles: list[tuple[int, ...]] = []
@@ -104,7 +104,7 @@ def make_unchecked(modulus: int, image: Sequence[int]) -> CyclicPermutation:
 def from_cycle(modulus: int, cycle: Sequence[int]) -> CyclicPermutation:
     """Convert one-cycle notation ``(c_0, c_1, ..., c_{m-1})``, meaning
     ``c_0 -> c_1 -> ... -> c_{m-1} -> c_0``, to image form."""
-    cyc = [int(c) for c in cycle]
+    cyc = _as_ints(cycle, "cycle entry")
     if len(cyc) != modulus:
         raise NotFullCycle(f"cycle lists {len(cyc)} digits, need all {modulus}")
     image = [-1] * modulus
@@ -166,12 +166,13 @@ class ResidueCondition:
         return f"{self.residue}+({self.modulus})"
 
 
+_new = object.__new__
 _set_residue, _set_modulus = ResidueCondition.residue.__set__, ResidueCondition.modulus.__set__
 
 
 def _residue_class(residue: int, modulus: int) -> ResidueCondition:
     """An unchecked ``ResidueCondition``, for a residue just reduced mod ``modulus``."""
-    cond = object.__new__(ResidueCondition)
+    cond = _new(ResidueCondition)
     _set_residue(cond, residue)
     _set_modulus(cond, modulus)
     return cond
@@ -200,8 +201,9 @@ class PermutationVector:
 
     perms: tuple[CyclicPermutation, ...]
     base: BaseSequence
-    # prefix length L -> (CRT weight tables of prefix_residue, B_L), filled by _weight_tables
-    _weights: dict[int, tuple[tuple[Optional[dict[int, int]], ...], int]] = field(
+    # prefix length L -> (CRT weight tables of prefix_residue, B_L, last tuple seed of
+    # length L, its weight sum), filled by _weight_tables and prefix_residue
+    _weights: dict[int, tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -232,8 +234,9 @@ def identity_vector(base: BaseSequence) -> PermutationVector:
 
 
 def _weight_tables(pv: PermutationVector, length: int) -> tuple:
-    """Build and cache ``(tables, B_length)``: per level below ``length`` a dict
-    digit -> weight, ``None`` where the level is not a full cycle.  A length
+    """Build and cache ``(tables, B_length, None, 0)``: per level below
+    ``length`` a dict digit -> weight, ``None`` where the level is not a full
+    cycle, and no seed yet (:func:`prefix_residue` stores one).  A length
     above the depth is never cached, so its ``LengthMismatch`` comes from here."""
     if length > pv.depth:
         raise LengthMismatch(f"prefix length {length} exceeds vector depth {pv.depth}")
@@ -247,7 +250,7 @@ def _weight_tables(pv: PermutationVector, length: int) -> tuple:
         else:
             tables.append(None)
     # one assignment of a finished entry: threads sharing pv at worst build it twice
-    pv._weights[length] = entry = (tuple(tables), modulus)
+    pv._weights[length] = entry = (tuple(tables), modulus, None, 0)
     return entry
 
 
@@ -265,21 +268,35 @@ def prefix_residue(
     idempotent ``e_j = c_j * (c_j^-1 mod m_j)`` with ``c_j = M / m_j`` depends
     only on the base and the prefix length, so level ``j`` gets a weight table
     ``W_j[b] = pos_j[b] * e_j mod M``, a dict keyed by the digits, and the
-    class is ``(sum W_j[s_j] - sum W_j[r_j]) mod M``: two sums of lookups.
-    The tables of one prefix length are cached on the vector with ``M``.  A
-    digit reads as the key it equals (``1.0`` and ``True`` as ``1``); a
-    digit that is no key, or a level that is not a full cycle, raises what
-    :func:`discrete_log` raises for the first such level.
+    class is ``(sum W_j[s_j] - sum W_j[r_j]) mod M``.  The tables of one
+    prefix length are cached on the vector with ``M`` and the last seed read
+    with them, an exact ``tuple`` whose digits are all keys, with its sum
+    ``sum W_j[r_j]``: a ``from_digits`` equal to that seed (tuple ``==``)
+    costs one sum of lookups, any other seed two, and an exact ``tuple``
+    among those replaces the stored seed.  Lists and tuple subclasses are
+    never stored.  A digit reads as the key it equals (``1.0`` and ``True``
+    as ``1``); a digit that is no key, or a level that is not a full cycle,
+    raises what :func:`discrete_log` raises for the first such level.
     """
     length = len(from_digits)
     if length != len(to_digits):
         raise LengthMismatch(f"prefix lengths differ: {length} vs {len(to_digits)}")
-    tables, modulus = pv._weights.get(length) or _weight_tables(pv, length)
+    tables, modulus, seed, offset = pv._weights.get(length) or _weight_tables(pv, length)
     try:
-        residue = sum(map(getitem, tables, to_digits)) - sum(map(getitem, tables, from_digits))
-        return _residue_class(residue % modulus, modulus)
+        residue = sum(map(getitem, tables, to_digits))
+        if from_digits is not seed and (type(from_digits) is not tuple or from_digits != seed):
+            offset = sum(map(getitem, tables, from_digits))
+            if type(from_digits) is tuple:
+                # one store of a whole entry, as in _weight_tables
+                pv._weights[length] = (tables, modulus, from_digits, offset)
+        residue = (residue - offset) % modulus
     except (TypeError, KeyError) as exc:
         fault = exc
+    else:
+        cond = _new(ResidueCondition)
+        _set_residue(cond, residue)
+        _set_modulus(cond, modulus)
+        return cond
     # some level has no table or a digit outside it: the first such level raises
     for perm, r, s in zip(pv.perms, from_digits, to_digits):
         discrete_log(perm, r, s)
@@ -291,15 +308,16 @@ def residue_table(pv: PermutationVector, from_digits: Sequence[int]) -> list[int
     interval order: entry ``i`` is the residue of ``prefix_residue(pv,
     from_digits, base.digits_of(L, i))``, all of them mod ``B_L``.
 
-    The same weight tables as :func:`prefix_residue`, summed over every
-    prefix at once: level by level, ``sums = [x + w for x in sums for w in
-    W_j.values()]`` runs through the prefixes most significant digit first,
-    which is interval order.  Discrete logs and CRT only; no orbit is
-    evaluated.  Faults raise what :func:`prefix_residue` raises for them.
+    The weight tables of the cache entry :func:`prefix_residue` reads,
+    summed over every prefix at once: level by level, ``sums = [x + w for x
+    in sums for w in W_j.values()]`` runs through the prefixes most
+    significant digit first, which is interval order.  Discrete logs and CRT
+    only; no orbit is evaluated.  Faults raise what :func:`prefix_residue`
+    raises for them.
     """
     # checks the seed, first faulty level first, and caches its weight tables
     prefix_residue(pv, from_digits, from_digits)
-    tables, modulus = pv._weights[len(from_digits)]
+    tables, modulus = pv._weights[len(from_digits)][:2]
     sums = [-sum(map(getitem, tables, from_digits))]
     for table in tables:
         sums = [x + w for x in sums for w in table.values()]

@@ -19,6 +19,7 @@ from cantorperm.errors import (
     DepthExceeded,
     IndexOutOfRange,
     LevelExceeded,
+    MalformedNumber,
     ModulusTooSmall,
     NotCoprime,
     OutOfRange,
@@ -55,6 +56,14 @@ def test_as_fraction_forms():
     assert as_fraction("29/30") == Fraction(29, 30)
     assert as_fraction("0") == 0
     assert as_fraction(Fraction(1, 2)) == Fraction(1, 2)
+    assert as_fraction(0.25) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("two", [2, True + True, 2.0, Fraction(2), "2", " 2 "], ids=repr)
+def test_integral_values_read_as_their_int(two):
+    assert make_base([two, 3]).moduli == (2, 3)
+    assert make_expansion([1, two], BASE).digits == (1, 2)
+    assert type(make_expansion([0, two], BASE).digits[1]) is int
 
 
 def test_encode_known_value():
@@ -205,6 +214,19 @@ BASE = make_base((2, 3, 5))
     (encode, ("-1/2", BASE, 3), OutOfRange, "-1/2 not in [0, 1)"),
     (encode, ("1/2", BASE, 4), DepthExceeded, "depth 4 not in [0, 3]"),
     (encode, ("1/2", BASE, -1), DepthExceeded, "depth -1 not in [0, 3]"),
+    # integers are never truncated, and a value int() refuses is named
+    (make_base, ([2.5, 3],), MalformedNumber, "modulus 2.5 is not an integer"),
+    (make_base, ([None],), MalformedNumber, "modulus None is not an integer"),
+    (make_base, ("2,x",), MalformedNumber, "modulus 'x' is not an integer"),
+    (make_base, ([float("inf")],), MalformedNumber, "modulus inf is not an integer"),
+    (make_expansion, ([1.5, 0, 0], BASE), MalformedNumber, "digit 1.5 is not an integer"),
+    (make_expansion, ([0, Fraction(1, 2)], BASE), MalformedNumber,
+     "digit Fraction(1, 2) is not an integer"),
+    # points are read as rationals
+    (as_fraction, (None,), MalformedNumber, "not a rational number: None"),
+    (as_fraction, (float("inf"),), MalformedNumber, "not a rational number: inf"),
+    (encode, (None, BASE, 3), MalformedNumber, "not a rational number: None"),
+    (interval_of, ([1, 2], 1, BASE), MalformedNumber, "not a rational number: [1, 2]"),
 ])
 def test_invalid_arguments_raise_their_class_and_message(func, args, error, message):
     with pytest.raises(error) as info:

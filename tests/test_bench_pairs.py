@@ -68,9 +68,13 @@ def test_summary_needs_paired_runs(sizes):
         bench_pairs.summarise(runs, END_TO_END)
 
 
-def _checkout(root, name, spec):
+def _checkout(root, name, spec, sources=None):
     (root / name).mkdir()
     (root / name / "BENCHMARK.json").write_text(json.dumps(spec))
+    package = root / name / "src" / "cantorperm"
+    package.mkdir(parents=True)
+    for filename, text in (sources or {}).items():
+        (package / filename).write_text(text)
     return root / name
 
 
@@ -118,3 +122,19 @@ def test_each_side_runs_from_one_fresh_bytecode_cache(tmp_path, monkeypatch):
         assert not {parent, change} & set(Path(cache).parents)
         assert not Path(cache).exists()
     assert "PYTHONPYCACHEPREFIX" in json.loads((tmp_path / "o.json").read_text())["method"]
+
+
+def test_report_counts_each_sides_source_lines_as_the_bench_does(tmp_path, monkeypatch):
+    # bench/run.py counts len(text.splitlines()) of every src/cantorperm/*.py
+    spec = {"workloads": [{"name": "w"}], "end_to_end": END_TO_END}
+    parent = _checkout(tmp_path, "parent", spec,
+                       {"a.py": "x = 1\n\ny = 2\n", "b.py": "z = 3", "notes.txt": "1\n2\n"})
+    change = _checkout(tmp_path, "change", spec, {"a.py": "x = 1\n", "c.py": ""})
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda argv, **kwargs: (
+        subprocess.CompletedProcess(argv, 0, stdout=json.dumps(_run(1, 1)))))
+    assert bench_pairs.main([str(parent), str(change), "--out", str(tmp_path / "o.json")]) == 0
+    assert json.loads((tmp_path / "o.json").read_text())["src_lines"] == {
+        "parent": {"total": 4, "files": {"a.py": 3, "b.py": 1}},
+        "change": {"total": 1, "files": {"a.py": 1, "c.py": 0}},
+    }

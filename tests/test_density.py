@@ -30,10 +30,28 @@ from cantorperm import (
 from cantorperm.errors import (
     BoundsExceedOne,
     CheckFalsified,
+    MalformedNumber,
     NotACovering,
     NotAPartition,
     ValidationError,
 )
+
+
+@pytest.mark.parametrize("residues, message", [
+    ([1.5], "residue 1.5 is not an integer"),
+    ([0, "x"], "residue 'x' is not an integer"),
+    ((r for r in [0, None]), "residue None is not an integer"),
+])
+def test_periodic_set_never_truncates_a_residue(residues, message):
+    with pytest.raises(MalformedNumber) as info:
+        periodic_set(residues, 4)
+    assert str(info.value) == message
+
+
+def test_periodic_set_reads_integral_residues_as_ints():
+    ps = periodic_set((r for r in [True, 2.0, Fraction(3), "0"]), 4)
+    assert ps == periodic_set([0, 1, 2, 3], 4)
+    assert all(type(r) is int for r in ps.residues)
 
 
 def test_periodic_set_basics():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cantorperm import (
     DigitExpansion,
+    OrbitPoint,
     PermutationVector,
     apply_map,
     apply_truncated,
@@ -441,6 +442,24 @@ def test_truncated_numerators_match_fraction_oracle(pv, data):
     assert images == [
         _fraction_apply_truncated(pv, Fraction(p, q), depth) * (q * total) for p in nums
     ]
+
+
+def test_orbit_points_equal_the_publicly_constructed_ones():
+    b = make_base((4, 9, 5, 7))
+    pv = shift_vector(b)
+    spec = make_orbit(make_expansion((3, 8, 0, 2), b), pv)
+    for n in (0, 1, 35, 10**30 + 7):
+        got = orbit_point(spec, n)
+        digits = tuple(pv.perms[j].power(n, d) for j, d in enumerate((3, 8, 0, 2)))
+        expected = OrbitPoint(n, DigitExpansion(digits, b))
+        assert type(got) is OrbitPoint and type(got.digits) is DigitExpansion
+        assert got == expected and hash(got) == hash(expected)
+        assert repr(got) == repr(expected) and {got: 1}[expected] == 1
+        assert got.value == expected.value and str(got.digits) == str(expected.digits)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.index = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.digits.digits = ()
 
 
 def test_orbit_point_rejects_a_negative_index():

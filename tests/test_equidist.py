@@ -36,6 +36,7 @@ from cantorperm.errors import (
     ComputationError,
     EquivalenceViolated,
     LevelExceeded,
+    MalformedNumber,
     NotFullCycle,
     PointOutOfRange,
     UnknownSource,
@@ -75,6 +76,21 @@ def test_star_discrepancy_order_invariant():
 def test_star_discrepancy_rejects_outside():
     with pytest.raises(PointOutOfRange):
         star_discrepancy([Fraction(1)])
+    for point in ("3/2", 1.0, -1):
+        with pytest.raises(PointOutOfRange) as info:
+            star_discrepancy([Fraction(0), point])
+        assert str(info.value) == f"point {Fraction(point)} not in [0, 1)"
+
+
+def test_star_discrepancy_reads_points_as_rationals():
+    expected = star_discrepancy([Fraction(0), Fraction(1, 2)])
+    assert star_discrepancy([0, 0.5]) == expected
+    assert star_discrepancy(["0", "1/2"]) == expected
+    assert star_discrepancy(x for x in [0, Fraction(1, 2)]) == expected
+    for point in (None, "x", float("nan")):
+        with pytest.raises(MalformedNumber) as info:
+            star_discrepancy([Fraction(0), point])
+        assert str(info.value) == f"not a rational number: {point!r}"
 
 
 def test_interval_counts_level_one():

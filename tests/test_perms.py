@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 from fractions import Fraction
+from operator import getitem
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,13 +32,14 @@ from cantorperm.errors import (
     CantorPermError,
     DigitOutOfRange,
     LengthMismatch,
+    MalformedNumber,
     ModuliNotCoprime,
     NotBijection,
     NotFullCycle,
     ValidationError,
 )
 import cantorperm.perms
-from cantorperm.perms import CyclicPermutation, _residue_class
+from cantorperm.perms import CyclicPermutation, _residue_class, _weight_tables
 from test_dynamics import outcome
 
 
@@ -312,21 +314,27 @@ def test_threads_sharing_a_vector_get_the_classes_of_a_lone_caller():
     moduli = (4, 9, 5, 7)
     cycles = [from_cycle(m, range(m - 1, -1, -1)) for m in moduli]
     base = make_base(moduli)
-    seed = (1, 2, 3, 4)
+    # seeds of every length, several per length: threads replace each other's stored seed
+    seeds = [(1, 2, 3, 4), (0, 8, 4, 6), (3, 0, 0, 1)]
     cases = [
-        (length, prefix)
+        (seed[:length], prefix)
         for length in range(base.depth + 1)
-        for prefix in itertools.islice(
+        for i, prefix in enumerate(itertools.islice(
             itertools.product(*(range(m) for m in moduli[:length])), 300
-        )
+        ))
+        for seed in [seeds[i % len(seeds)]]
     ]
     lone = PermutationVector(tuple(cycles), base)
-    expected = [prefix_residue(lone, seed[:length], prefix) for length, prefix in cases]
+    expected = [_two_sum_prefix_residue(lone, seed, prefix) for seed, prefix in cases]
     shared = PermutationVector(tuple(cycles), base)
     results = {}
 
     def work(worker):
-        results[worker] = [prefix_residue(shared, seed[:length], prefix) for length, prefix in cases]
+        # each worker starts at another case, so different seeds meet on one entry
+        turn = cases[worker * 211 % len(cases):] + cases[:worker * 211 % len(cases)]
+        results[worker] = dict(
+            zip(turn, (prefix_residue(shared, seed, prefix) for seed, prefix in turn))
+        )
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -339,8 +347,12 @@ def test_threads_sharing_a_vector_get_the_classes_of_a_lone_caller():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert all(results[w] == expected for w in range(6))
-    assert shared._weights == lone._weights
+    for w in range(6):
+        assert [results[w][case] for case in cases] == expected
+    for length, (tables, modulus, seed, offset) in shared._weights.items():
+        assert (tables, modulus) == _weight_tables(lone, length)[:2]
+        assert seed in {s[:length] for s in seeds}
+        assert offset == sum(map(getitem, tables, seed))
 
 
 def test_parse_permutations_round_trip():
@@ -439,7 +451,7 @@ def test_prefix_residue_matches_pairwise_fold_and_period_scan(case):
         assert got == _fold_prefix_residue(pv, src, dst)
         assert got.modulus == pv.base.products[length]
         # built once per prefix length, never rebuilt
-        assert tables.setdefault(length, pv._weights[length]) is pv._weights[length]
+        assert tables.setdefault(length, pv._weights[length][0]) is pv._weights[length][0]
         if got.modulus <= 2000:
             hits = [
                 n for n in range(got.modulus)
@@ -496,8 +508,138 @@ def test_residue_table_matches_prefix_residue_per_class(case):
             ]
 
 
+# --- the seed cache: a call sequence on one vector against the two-sum oracle ---
+
+def _two_sum_prefix_residue(pv, from_digits, to_digits):
+    """The uncached two sums of lookups, over weight tables built afresh."""
+    length = len(from_digits)
+    if length != len(to_digits):
+        raise LengthMismatch(f"prefix lengths differ: {length} vs {len(to_digits)}")
+    tables, modulus = _weight_tables(dataclasses.replace(pv), length)[:2]
+    try:
+        residue = sum(map(getitem, tables, to_digits)) - sum(map(getitem, tables, from_digits))
+        return ResidueCondition(residue % modulus, modulus)
+    except (TypeError, KeyError) as exc:
+        fault = exc
+    for perm, r, s in zip(pv.perms, from_digits, to_digits):
+        discrete_log(perm, r, s)
+    raise fault
+
+
+@st.composite
+def _vectors_maybe_broken(draw):
+    """A vector of full cycles over coprime moduli, one level sometimes the identity."""
+    moduli = draw(COPRIME_MODULI.filter(len))
+    perms = [draw(_full_cycle(m)) for m in moduli]
+    broken = draw(st.none() | st.integers(0, len(moduli) - 1))
+    if broken is not None:
+        perms[broken] = identity(moduli[broken])
+    return PermutationVector(tuple(perms), make_base(moduli))
+
+
+# values equal to an int digit but of another type, and values that are no digit
+_EQUAL_FORMS = (float, Fraction, lambda d: True if d == 1 else d)
+_BAD_DIGITS = (-1, 1.5, None, "1")
+
+
+@given(_vectors_maybe_broken(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_prefix_residue_call_sequences_match_the_two_sum_oracle(pv, data):
+    moduli = pv.base.moduli
+
+    def prefix(length):
+        return data.draw(st.tuples(*(st.integers(0, m - 1) for m in moduli[:length])))
+
+    # two seeds per length, so that calls alternate between equal-length seeds
+    seeds = {length: [prefix(length), prefix(length)] for length in range(pv.depth + 1)}
+    lists = []  # list seeds, mutated in place between calls
+    for _ in range(data.draw(st.integers(1, 16))):
+        length = data.draw(st.integers(0, pv.depth))
+        seed, target = data.draw(st.sampled_from(seeds[length])), prefix(length)
+        action = data.draw(st.sampled_from(
+            ["same", "copy", "list", "mutate", "equal", "bad seed", "bad target", "table"]))
+        if action == "copy":
+            seed = tuple(list(seed))
+        elif action == "list":
+            seed = list(seed)
+            lists.append(seed)
+        elif action == "mutate" and lists:
+            seed = data.draw(st.sampled_from(lists))
+            if seed:
+                j = data.draw(st.integers(0, len(seed) - 1))
+                seed[j] = (seed[j] + 1) % moduli[j]
+            target = prefix(len(seed))
+        elif action in ("equal", "bad seed", "bad target") and length:
+            j = data.draw(st.integers(0, length - 1))
+            edited = list(seed if action != "bad target" else target)
+            if action == "equal":
+                edited[j] = data.draw(st.sampled_from(_EQUAL_FORMS))(edited[j])
+            else:
+                edited[j] = data.draw(st.sampled_from(_BAD_DIGITS + (moduli[j],)))
+            if action == "bad target":
+                target = tuple(edited)
+            else:
+                seed = tuple(edited)
+        if action == "table" and pv.base.products[length] <= 500:
+            seed = data.draw(st.sampled_from([seed, list(seed)]))
+            assert outcome(residue_table, pv, seed) == outcome(_residue_table_oracle, pv, seed)
+        expected = outcome(_two_sum_prefix_residue, pv, seed, target)
+        assert outcome(prefix_residue, pv, seed, target) == expected
+
+
+def _residue_table_oracle(pv, seed):
+    return [
+        _two_sum_prefix_residue(pv, seed, pv.base.digits_of(len(seed), j)).residue
+        for j in range(pv.base.products[len(seed)])
+    ]
+
+
+class _CountedDigit(int):
+    """An int digit that counts how often it is hashed, as each dict lookup does."""
+
+    hashes = 0
+
+    def __hash__(self):
+        _CountedDigit.hashes += 1
+        return int.__hash__(self)
+
+
+def test_a_seed_equal_to_the_stored_one_is_not_looked_up_again():
+    pv = shift_vector(make_base((4, 9, 5)))
+    seed = tuple(map(_CountedDigit, (3, 8, 1)))
+    first = prefix_residue(pv, seed, (0, 0, 0))
+    _CountedDigit.hashes = 0
+    for target in itertools.product(range(4), range(9), range(5)):
+        got = prefix_residue(pv, seed, target)
+        assert got == _two_sum_prefix_residue(pv, (3, 8, 1), target)
+        assert prefix_residue(pv, tuple(list(seed)), target) == got
+    assert _CountedDigit.hashes == 0
+    assert first == _two_sum_prefix_residue(pv, (3, 8, 1), (0, 0, 0))
+
+
+class _Prefix(tuple):
+    pass
+
+
+@pytest.mark.parametrize("seed", [
+    [3, 8, 1], _Prefix((3, 8, 1)), (3, 8, None), (3, 9, 1), (3, 8, 1.5),
+], ids=repr)
+def test_only_an_exact_tuple_of_digits_is_stored(seed):
+    pv = shift_vector(make_base((4, 9, 5)))
+    stored = (2, 0, 4)
+    prefix_residue(pv, stored, (0, 0, 0))
+    offset = pv._weights[3][3]
+    assert pv._weights[3][2] is stored
+    assert offset == sum(table[d] for table, d in zip(pv._weights[3][0], stored))
+    outcome(prefix_residue, pv, seed, (1, 1, 1))
+    assert pv._weights[3][2:] == (stored, offset)
+
+
 @pytest.mark.parametrize("func, args, error, message", [
     (from_cycle, (3, (0, 1)), NotFullCycle, "cycle lists 2 digits, need all 3"),
+    (from_cycle, (3, [0, 1.5, 2]), MalformedNumber, "cycle entry 1.5 is not an integer"),
+    (make_unchecked, (2, [None, 0]), MalformedNumber, "image entry None is not an integer"),
+    (make_unchecked, (3, [1, 2.5, 0]), MalformedNumber, "image entry 2.5 is not an integer"),
     (from_cycle, (3, (0, 5, 1)), DigitOutOfRange, "cycle entry 5 not in [0, 3)"),
     (parse_permutations, ("2: 1,0\n3: 1,x,0", make_base((2, 3))), ValidationError,
      "permutation line 2: cannot parse '3: 1,x,0'"),

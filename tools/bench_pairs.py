@@ -33,7 +33,9 @@ Per workload the output holds ``runs``, ``attempted``, ``failed`` and
 (``statistics.quantiles(method="inclusive")``) and ``runs_by_pair``; and
 ``change_wins`` (pairs where the change is strictly better),
 ``median_change_pct`` (signed change of the median, in percent) and
-``parent_iqr``.
+``parent_iqr``.  ``src_lines`` gives each side's line count of every
+``src/cantorperm/*.py`` and their total, counted as ``bench/run.py``
+counts them.
 """
 from __future__ import annotations
 
@@ -69,6 +71,16 @@ def side_env(cache: Path) -> dict:
     env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
     env["PYTHONPYCACHEPREFIX"] = str(cache)
     return env
+
+
+def src_lines(directory: Path) -> dict:
+    """The lines of each ``src/cantorperm/*.py`` under ``directory`` and
+    their total, counted as ``bench/run.py`` counts them."""
+    files = {
+        path.name: len(path.read_text().splitlines())
+        for path in sorted((directory / "src" / "cantorperm").glob("*.py"))
+    }
+    return {"total": sum(files.values()), "files": files}
 
 
 def run_once(directory: Path, workload: str, env: dict) -> dict:
@@ -158,6 +170,7 @@ def main(argv=None) -> int:
             f"rescaled to the reference machine by bench/calibrate.py); quartiles by "
             f"statistics.quantiles(method='inclusive')"
         ),
+        "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
         "workloads": summaries,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
