@@ -13,9 +13,10 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +24,10 @@ from typing import NamedTuple
 
 from . import __version__
 from .base import BaseSequence, as_fraction, encode, make_base, make_expansion
-from .dynamics import apply_map, make_orbit, orbit_point, orbit_prefix
+from .dynamics import OrbitSpec, _level_groups, _orbit_columns, apply_map, make_orbit, orbit_point
+# bench/tracing.py wraps orbit_prefix under this name here, though `orbit`
+# rows come from _orbit_columns; kept until the tracer reads library spans
+from .dynamics import orbit_prefix  # noqa: F401
 from .analysis import derivative_probe, difference_quotient, find_witness_descending
 from .density import density, intersect, parse_periodic_set
 from .equidist import SOURCES, membership_equivalence, ud_preservation_probe
@@ -80,10 +84,13 @@ def _vector(args) -> PermutationVector:
 class Table(NamedTuple):
     """A header and its rows: flat tuples of ints and strs (or bools), each
     row with the first row's cell kinds.  With ``ints = (i, width)``, column
-    ``i`` is an int sequence: the ``width`` cells from cell ``i`` on."""
+    ``i`` is an int sequence: the ``width`` cells from cell ``i`` on, each an
+    int or a text of ints pre-rendered with the sequence's separator.  Rows
+    with such texts come as a function of that separator, called with ``;``
+    for CSV and with the JSON list's own for JSON."""
 
     header: tuple[str, ...]
-    rows: Iterable[tuple]
+    rows: Iterable[tuple] | Callable[[str], Iterable[tuple]]
     ints: tuple[int, int] | None = None
 
 
@@ -100,27 +107,33 @@ def _row_renderer(table: Table, first: tuple, csv: bool, pad: str = ""):
     """One ``%`` template for the rows shaped like ``first``, as the function
     that renders a row with it: a CSV line, or the JSON object at ``pad``."""
     pieces = ["%d" if type(v) is int else "%s" for v in first]
+    quoted = [type(v) is not int for v in first]
     if table.ints:
         i, width = table.ints
         ints = tuple(pieces[i : i + width])
         pieces[i : i + width] = [";".join(ints) if csv else ints]
+        quoted[i : i + width] = [False] * width  # pre-rendered texts go in bare
     if csv:
         return (",".join(pieces) + "\n").__mod__
     template = _json_template(tuple(table.header), tuple(pieces), pad)
-    if all(type(v) is int for v in first):
+    if not any(quoted):
         return template.__mod__
-    return lambda row: template % tuple(v if type(v) is int else json.dumps(v) for v in row)
+    return lambda row: template % tuple(json.dumps(v) if q else v for v, q in zip(row, quoted))
 
 
 def _rendered(table: Table, csv: bool, pad: str = "") -> Iterator[str]:
     """``table`` in pieces: CSV under its header, or the JSON list of its
     rows at ``pad``."""
-    rows = iter(table.rows)
+    inner = pad + "  "
+    rows = table.rows
+    if callable(rows):
+        # a list value of a row object at `inner` has its items at inner + 4
+        rows = rows(";" if csv else f",\n{inner}    ")
+    rows = iter(rows)
     first = next(rows, None)
     header = ",".join(table.header) + "\n"
     if first is None:
         return iter([header if csv else "[]"])
-    inner = pad + "  "
     render = _row_renderer(table, first, csv, inner)
     if csv:
         return itertools.chain([header, render(first)], map(render, rows))
@@ -199,25 +212,54 @@ def cmd_map(args) -> None:
     emit(args, [f"digits: {image}", f"value: {fmt_frac(value)}"], table)
 
 
+def _orbit_rows(spec: OrbitSpec, start: int, count: int, first: tuple, sep: str):
+    """The ``orbit`` rows of iterates ``start .. start + count - 1``, ``(n,
+    value_num, value_den, *digit texts)`` with one text per group of
+    :func:`_level_groups`, its digits joined by ``sep``.  Row ``start`` has
+    the digits ``first``; the rest zip the cycled columns of
+    :func:`_orbit_columns`, each digit tuple rendered once, with the sums of
+    their terms reduced as Fraction would.  No Python code runs per row."""
+    total = spec.alpha_digits.base.products[spec.depth]
+    widths = [width for width, _ in _level_groups(spec)]
+    templates = [sep.join(["%d"] * width) for width in widths]
+    digits = iter(first)
+    texts = [template % tuple(itertools.islice(digits, width))
+             for template, width in zip(templates, widths)]
+    num = spec.alpha_digits.base.index_of(first)
+    g = math.gcd(num, total)
+    row = (start, num // g, total // g, *texts)
+    if count == 1:
+        return iter([row])
+    columns = _orbit_columns(spec, start + 1, count - 1)
+    texts = [itertools.cycle(list(map(template.__mod__, digits)))
+             for template, (_, digits) in zip(templates, columns)]
+    nums = map(sum, zip(*[itertools.cycle(terms) for terms, _ in columns]))
+    nums, to_reduce = itertools.tee(nums)
+    gcds, to_divide = itertools.tee(map(math.gcd, to_reduce, itertools.repeat(total)))
+    rest = zip(
+        itertools.count(start + 1),
+        map(operator.floordiv, nums, gcds),
+        map(total.__floordiv__, to_divide),
+        *texts,
+    )
+    return itertools.chain([row], itertools.islice(rest, count - 1))
+
+
 def cmd_orbit(args) -> None:
     pv = _vector(args)
     seed = encode(args.alpha, pv.base, pv.depth)
     spec = make_orbit(seed, pv)
-    if args.at is not None:
-        digits = orbit_point(spec, args.at).digits.digits
-        start, pairs = args.at, [(seed.base.index_of(digits), digits)]
-    else:
-        start, pairs = 0, orbit_prefix(spec, args.count)
-    # every iterate is a numerator over B_K; reduce it as Fraction would
-    total = seed.base.products[seed.depth]
-    gcd = math.gcd
-    rows = (
-        (n, num // (g := gcd(num, total)), total // g, *digits)
-        for n, (num, digits) in enumerate(pairs, start)
-    )
-    table = Table(("n", "value_num", "value_den", "digits"), rows, (3, seed.depth))
-    line = "n=%d  value=%d/%d  digits=" + ";".join(["%d"] * seed.depth)
-    emit(args, map(line.__mod__, rows), table, table)
+    start, count = (0, args.count) if args.at is None else (args.at, 1)
+    if count < 1:
+        raise ValidationError("count must be >= 1")
+    # `--at` is the one-row case: random access only, no column is built
+    first = orbit_point(spec, start).digits.digits
+    rows = functools.partial(_orbit_rows, spec, start, count, first)
+    groups = len(_level_groups(spec))
+    table = Table(("n", "value_num", "value_den", "digits"), rows, (3, groups))
+    line = "n=%d  value=%d/%d  digits=" + ";".join(["%s"] * groups)
+    lines = map(line.__mod__, rows(";")) if args.format == "table" else ()
+    emit(args, lines, table, table)
 
 
 def _level_report(args):

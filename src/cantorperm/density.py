@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
-from .base import _as_ints
+from .base import _as_int, _as_ints
 from .errors import (
     BoundsExceedOne,
     CheckFalsified,
@@ -52,9 +52,9 @@ class PeriodicSet:
 
 
 def periodic_set(residues: Iterable[int], modulus: int) -> PeriodicSet:
-    """The set of the given residues mod ``modulus``; a residue that is not
-    integral raises MalformedNumber, never truncated."""
-    return PeriodicSet(modulus, frozenset(_as_ints(residues, "residue")))
+    """The set of the given residues mod ``modulus``; a modulus or residue
+    that is not integral raises MalformedNumber, never truncated."""
+    return PeriodicSet(_as_int(modulus, "modulus"), frozenset(_as_ints(residues, "residue")))
 
 
 def from_condition(cond: ResidueCondition) -> PeriodicSet:

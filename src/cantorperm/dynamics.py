@@ -146,6 +146,59 @@ def orbit_prefix(spec: OrbitSpec, count: int) -> Iterator[tuple[int, tuple[int, 
     return zip(numerators, digits)
 
 
+# the most entries a column of _orbit_columns holds, unless one level's
+# cycle alone is longer
+_GROUP_CAP = 256
+
+
+def _level_groups(spec: OrbitSpec) -> list[tuple[int, int]]:
+    """The seed's levels in groups of consecutive levels, most significant
+    first, as ``(width, period)``: a level joins the group before it while
+    the lcm of the group's cycle lengths, its ``period``, stays at most
+    ``_GROUP_CAP``, else it starts a group."""
+    groups: list[tuple[int, int]] = []
+    for table in spec._tables:
+        if groups and (period := math.lcm(groups[-1][1], len(table))) <= _GROUP_CAP:
+            groups[-1] = (groups[-1][0] + 1, period)
+        else:
+            groups.append((1, len(table)))
+    return groups
+
+
+def _orbit_columns(
+    spec: OrbitSpec, start: int, length: int
+) -> list[tuple[list[int], list[tuple[int, ...]]]]:
+    """One column per group of :func:`_level_groups`, each read cyclically
+    from iterate ``start`` on: ``(terms, digits)``, ``digits[t]`` the
+    group's digits of iterate ``start + t`` and ``terms[t]`` their share of
+    its :func:`orbit_numerators` numerator, so that the numerator is the sum
+    of the groups' terms.  A column holds ``min(period, length)`` entries,
+    enough for ``length`` iterates."""
+    products = spec.alpha_digits.base.products
+    total = products[spec.depth]
+    columns = []
+    level = 0
+    for width, period in _level_groups(spec):
+        size = min(period, length)
+        digits, terms = [], []
+        for j in range(level, level + width):
+            # the cycle rotated to iterate `start`, cut at `size` entries when
+            # the column never reads past them
+            table = spec._tables[j]
+            shift = start % len(table)
+            end = shift + min(len(table), size)
+            cycle = list(itertools.islice(itertools.cycle(table), shift, end))
+            digits.append(cycle)
+            weight = total // products[j + 1]
+            terms.append([b * weight for b in cycle])
+        columns.append((
+            list(itertools.islice(map(sum, zip(*map(itertools.cycle, terms))), size)),
+            list(itertools.islice(zip(*map(itertools.cycle, digits)), size)),
+        ))
+        level += width
+    return columns
+
+
 def _image_tables(
     pv: PermutationVector, depth: int, cap: int
 ) -> list[tuple[int, Sequence[int], int]]:

@@ -9,10 +9,11 @@ from dataclasses import dataclass, field
 from operator import getitem
 from typing import Iterable, Sequence
 
-from .base import BaseSequence, _as_ints
+from .base import BaseSequence, _as_int, _as_ints
 from .errors import (
     DigitOutOfRange,
     LengthMismatch,
+    MalformedNumber,
     ModuliNotCoprime,
     NotBijection,
     NotFullCycle,
@@ -95,6 +96,7 @@ def make_unchecked(modulus: int, image: Sequence[int]) -> CyclicPermutation:
     Powers still work per cycle; operations that need a unique discrete log
     (discrete_log, prefix_residue) reject non-full-cycle permutations.
     """
+    modulus = _as_int(modulus, "modulus")
     img, cycles, cycle_id, cycle_pos = _decompose(modulus, image)
     return CyclicPermutation(
         modulus, img, cycles, cycle_id, cycle_pos, full_cycle=(len(cycles) == 1)
@@ -104,7 +106,7 @@ def make_unchecked(modulus: int, image: Sequence[int]) -> CyclicPermutation:
 def from_cycle(modulus: int, cycle: Sequence[int]) -> CyclicPermutation:
     """Convert one-cycle notation ``(c_0, c_1, ..., c_{m-1})``, meaning
     ``c_0 -> c_1 -> ... -> c_{m-1} -> c_0``, to image form."""
-    cyc = _as_ints(cycle, "cycle entry")
+    modulus, cyc = _as_int(modulus, "modulus"), _as_ints(cycle, "cycle entry")
     if len(cyc) != modulus:
         raise NotFullCycle(f"cycle lists {len(cyc)} digits, need all {modulus}")
     image = [-1] * modulus
@@ -117,10 +119,12 @@ def from_cycle(modulus: int, cycle: Sequence[int]) -> CyclicPermutation:
 
 def shift(modulus: int) -> CyclicPermutation:
     """The full cycle ``b -> b + 1 (mod m)``."""
+    modulus = _as_int(modulus, "modulus")
     return make_cyclic(modulus, [(b + 1) % modulus for b in range(modulus)])
 
 
 def identity(modulus: int) -> CyclicPermutation:
+    modulus = _as_int(modulus, "modulus")
     return make_unchecked(modulus, range(modulus))
 
 
@@ -154,6 +158,8 @@ class ResidueCondition:
     modulus: int
 
     def __post_init__(self):
+        object.__setattr__(self, "residue", _as_int(self.residue, "residue"))
+        object.__setattr__(self, "modulus", _as_int(self.modulus, "modulus"))
         if self.modulus < 1:
             raise ValidationError(f"modulus {self.modulus} < 1")
         if not 0 <= self.residue < self.modulus:
@@ -276,7 +282,8 @@ def prefix_residue(
     among those replaces the stored seed.  Lists and tuple subclasses are
     never stored.  A digit reads as the key it equals (``1.0`` and ``True``
     as ``1``); a digit that is no key, or a level that is not a full cycle,
-    raises what :func:`discrete_log` raises for the first such level.
+    raises what :func:`discrete_log` raises for the first such level, and
+    MalformedNumber where that is a non-integer digit (``1.5``, ``"1"``).
     """
     length = len(from_digits)
     if length != len(to_digits):
@@ -298,8 +305,16 @@ def prefix_residue(
         _set_modulus(cond, modulus)
         return cond
     # some level has no table or a digit outside it: the first such level raises
-    for perm, r, s in zip(pv.perms, from_digits, to_digits):
-        discrete_log(perm, r, s)
+    for perm, table, r, s in zip(pv.perms, tables, from_digits, to_digits):
+        try:
+            discrete_log(perm, r, s)
+        except TypeError:
+            # no index; a digit equal to a key (1.0, True) read above is no fault
+            for digit in (r, s):
+                try:
+                    table[digit]
+                except (KeyError, TypeError):
+                    raise MalformedNumber(f"digit {digit!r} is not an integer") from None
     raise fault
 
 

@@ -4,6 +4,8 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +14,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cantorperm.cli
+import cantorperm.dynamics
 import cantorperm.equidist
+from cantorperm import encode, from_cycle, make_orbit, orbit_point, orbit_prefix
 from cantorperm.cli import Table, _json_pieces, build_parser, emit, fmt_frac, main
 from test_cli_golden import CASES, FORMATS, GOLDEN
 from test_equidist import collapsed
@@ -542,3 +546,99 @@ def test_one_parser_serves_every_golden_run_in_one_process(capsys):
             expected = golden[f"{name}/{fmt}"]
             assert (code, capsys.readouterr().out) == (expected["code"], expected["stdout"])
     assert build_parser() is build_parser()
+
+
+# --- differential oracle: `orbit` rows one generator step each, every digit its own cell ---
+
+def _orbit_by_rows(args) -> None:
+    """The ``orbit`` handler before its rows came from group columns: one
+    ``orbit_prefix`` pair (or the one ``orbit_point``) per row, reduced in a
+    generator, every digit a cell of its own."""
+    pv = cantorperm.cli._vector(args)
+    seed = encode(args.alpha, pv.base, pv.depth)
+    spec = make_orbit(seed, pv)
+    if args.at is not None:
+        digits = orbit_point(spec, args.at).digits.digits
+        start, pairs = args.at, [(seed.base.index_of(digits), digits)]
+    else:
+        start, pairs = 0, orbit_prefix(spec, args.count)
+    total = seed.base.products[seed.depth]
+    rows = [
+        (n, num // (g := math.gcd(num, total)), total // g, *digits)
+        for n, (num, digits) in enumerate(pairs, start)
+    ]
+    table = Table(("n", "value_num", "value_den", "digits"), rows, (3, seed.depth))
+    line = "n=%d  value=%d/%d  digits=" + ";".join(["%d"] * seed.depth)
+    emit(args, map(line.__mod__, rows), table, table)
+
+
+# the seeds' cycle lengths in their level groups at cap 256, and the groups'
+# periods: shift 2,3,5,7 | 11,13 | 17 | 19 (210, 143, 17, 19); partial cycles
+# 2,6,5,4 | 11,6 (60, below the product 240, and 66); random cycles 6,35 |
+# 11,13 (210, 143); depth 3: 2,3,5 (30); depth 1: 13.  A count c reads
+# c - 1 entries past row 0 from each column: the counts p, p + 1 and p + 2
+# put a column of period p just below, at and past its period (256: the cap)
+ORBIT_VECTORS = {
+    "shift": ["--bases", "2,3,5,7,11,13,17,19"],
+    "partial cycles": [
+        "--bases", "4,9,5,7,11,13", "--alpha", "3/5", "--perms",
+        "4:1,0,3,2;9:1,2,0,4,5,6,7,8,3;5:1,2,3,4,0;7:1,2,3,0,5,6,4;"
+        "11:1,2,3,4,5,6,7,8,9,10,0;13:1,2,3,4,5,0,7,8,9,10,11,12,6",
+    ],
+    "random cycles": [
+        "--bases", "6,35,11,13", "--alpha", "5/7", "--perms", ";".join(
+            f"{m}:" + ",".join(map(str, from_cycle(m, random.Random(m).sample(range(m), m)).image))
+            for m in (6, 35, 11, 13)
+        ),
+    ],
+    "depth 3": ["--bases", "2,3,5,7,11,13", "--depth", "3", "--alpha", "7/11"],
+    "depth 1": ["--bases", "13,2,3", "--depth", "1", "--alpha", "9/13"],
+}
+ORBIT_COUNTS = [1, 2, 3, 700] + [p + k for p in (13, 17, 19, 30, 60, 66, 143, 210, 256)
+                                 for k in range(3)]
+ORBIT_INDICES = [0, 1, 29, 209, 210, 211, 10**12]
+
+
+def _orbit_outputs(tmp_path, handler, argv) -> tuple[str, str]:
+    """The stdout of ``orbit argv`` through ``handler``, and the file it writes with ``--out``."""
+    target = tmp_path / "orbit.out"
+    outputs = []
+    for extra in ([], ["--out", str(target)]):
+        args = build_parser().parse_args(["orbit", *argv, *extra])
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            handler(args)
+        outputs.append(sink.getvalue())
+    assert outputs[1] == ""
+    return outputs[0], target.read_text()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("vector", sorted(ORBIT_VECTORS))
+def test_orbit_rows_match_the_per_row_oracle(tmp_path, vector, fmt):
+    argv = ORBIT_VECTORS[vector] + ["--format", fmt]
+    runs = [["--count", str(c)] for c in ORBIT_COUNTS] + [["--at", str(n)] for n in ORBIT_INDICES]
+    for run_argv in runs:
+        expected = _orbit_outputs(tmp_path, _orbit_by_rows, argv + run_argv)
+        assert _orbit_outputs(tmp_path, cantorperm.cli.cmd_orbit, argv + run_argv) == expected
+        assert expected[0].count("\n") >= 2
+
+
+@pytest.mark.parametrize("cap", [1, 10**9])
+def test_orbit_rows_do_not_depend_on_the_group_cap(monkeypatch, capsys, cap):
+    runs = [
+        ORBIT_VECTORS[vector] + ["--format", fmt, "--count", "300"]
+        for vector in sorted(ORBIT_VECTORS) for fmt in FORMATS
+    ]
+    expected = [run(capsys, "orbit", *argv) for argv in runs]
+    monkeypatch.setattr(cantorperm.dynamics, "_GROUP_CAP", cap)
+    assert [run(capsys, "orbit", *argv) for argv in runs] == expected
+
+
+def test_orbit_at_builds_no_column(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a column was built")
+
+    monkeypatch.setattr(cantorperm.cli, "_orbit_columns", refuse)
+    code, out, err = run(capsys, "orbit", *ORBIT_VECTORS["shift"], "--at", "10", "--format", "csv")
+    assert (code, out.splitlines()[1], err) == (0, "10,900301,4849845,0;1;0;3;10;10;10;10", "")

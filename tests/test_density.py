@@ -48,6 +48,18 @@ def test_periodic_set_never_truncates_a_residue(residues, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("modulus", [4.5, None, "x"], ids=repr)
+def test_periodic_set_never_truncates_its_modulus(modulus):
+    with pytest.raises(MalformedNumber) as info:
+        periodic_set([1], modulus)
+    assert str(info.value) == f"modulus {modulus!r} is not an integer"
+
+
+def test_periodic_set_reads_an_integral_modulus_as_an_int():
+    ps = periodic_set([1], 4.0)
+    assert ps == periodic_set([1], 4) and type(ps.modulus) is int
+
+
 def test_periodic_set_reads_integral_residues_as_ints():
     ps = periodic_set((r for r in [True, 2.0, Fraction(3), "0"]), 4)
     assert ps == periodic_set([0, 1, 2, 3], 4)

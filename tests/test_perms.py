@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -258,13 +259,21 @@ def test_prefix_residue_reads_a_digit_equal_to_an_int_as_that_int(digit):
 
 
 # -1 and m raise DigitOutOfRange: test_prefix_residue_error_paths pins those messages
-@pytest.mark.parametrize("digit", [1.5, "1", None], ids=repr)
+@pytest.mark.parametrize("digit", [1.5, "1", None, [1]], ids=repr)
 def test_prefix_residue_rejects_a_non_integer_digit(digit):
     for src, dst in [((0, digit), (2, 3)), ((2, 3), (0, digit))]:
         pv = shift_vector(make_base((3, 4, 5)))
         for _ in range(2):  # with an empty and with a filled cache
-            with pytest.raises(TypeError):
+            with pytest.raises(MalformedNumber, match=f"digit {re.escape(repr(digit))} is not"):
                 prefix_residue(pv, src, dst)
+
+
+@pytest.mark.parametrize("digit", [1.5, "1", None, [1]], ids=repr)
+def test_residue_table_rejects_a_non_integer_digit(digit):
+    pv = shift_vector(make_base((3, 4, 5)))
+    for _ in range(2):  # with an empty and with a filled cache
+        with pytest.raises(MalformedNumber, match=f"digit {re.escape(repr(digit))} is not"):
+            residue_table(pv, (0, digit))
 
 
 def test_trusted_and_validated_residue_classes_agree():
@@ -522,7 +531,12 @@ def _two_sum_prefix_residue(pv, from_digits, to_digits):
     except (TypeError, KeyError) as exc:
         fault = exc
     for perm, r, s in zip(pv.perms, from_digits, to_digits):
-        discrete_log(perm, r, s)
+        try:
+            discrete_log(perm, r, s)
+        except TypeError:
+            for digit in (r, s):
+                if not any(digit == key for key in range(perm.modulus)):
+                    raise MalformedNumber(f"digit {digit!r} is not an integer") from None
     raise fault
 
 
@@ -640,6 +654,13 @@ def test_only_an_exact_tuple_of_digits_is_stored(seed):
     (from_cycle, (3, [0, 1.5, 2]), MalformedNumber, "cycle entry 1.5 is not an integer"),
     (make_unchecked, (2, [None, 0]), MalformedNumber, "image entry None is not an integer"),
     (make_unchecked, (3, [1, 2.5, 0]), MalformedNumber, "image entry 2.5 is not an integer"),
+    (make_unchecked, (2.5, [1, 0]), MalformedNumber, "modulus 2.5 is not an integer"),
+    (make_cyclic, (None, [1, 0]), MalformedNumber, "modulus None is not an integer"),
+    (from_cycle, (2.5, [0, 1]), MalformedNumber, "modulus 2.5 is not an integer"),
+    (shift, ("x",), MalformedNumber, "modulus 'x' is not an integer"),
+    (identity, (None,), MalformedNumber, "modulus None is not an integer"),
+    (ResidueCondition, (1.5, 4), MalformedNumber, "residue 1.5 is not an integer"),
+    (ResidueCondition, (1, None), MalformedNumber, "modulus None is not an integer"),
     (from_cycle, (3, (0, 5, 1)), DigitOutOfRange, "cycle entry 5 not in [0, 3)"),
     (parse_permutations, ("2: 1,0\n3: 1,x,0", make_base((2, 3))), ValidationError,
      "permutation line 2: cannot parse '3: 1,x,0'"),
@@ -650,6 +671,24 @@ def test_invalid_arguments_raise_their_class_and_message(func, args, error, mess
     with pytest.raises(error) as info:
         func(*args)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("func, args, expected", [
+    (make_unchecked, (2.0, [1, 0]), make_unchecked(2, [1, 0])),
+    (make_cyclic, (Fraction(2), [1, 0]), make_cyclic(2, [1, 0])),
+    (from_cycle, ("3", [0, 2, 1]), from_cycle(3, [0, 2, 1])),
+    (shift, (3.0,), shift(3)),
+    (identity, (True,), identity(1)),
+])
+def test_integral_moduli_read_as_ints(func, args, expected):
+    perm = func(*args)
+    assert perm == expected and type(perm.modulus) is int
+
+
+def test_residue_condition_reads_integral_values_as_ints():
+    cond = ResidueCondition(1.0, Fraction(4))
+    assert cond == ResidueCondition(1, 4)
+    assert (type(cond.residue), type(cond.modulus)) == (int, int)
 
 
 # --- differential oracle: a sort proves the bijection, then a second walk splits it ---
