@@ -216,9 +216,9 @@ def _orbit_rows(spec: OrbitSpec, start: int, count: int, first: tuple, sep: str)
     """The ``orbit`` rows of iterates ``start .. start + count - 1``, ``(n,
     value_num, value_den, *digit texts)`` with one text per group of
     :func:`_level_groups`, its digits joined by ``sep``.  Row ``start`` has
-    the digits ``first``; the rest zip the cycled columns of
-    :func:`_orbit_columns`, each digit tuple rendered once, with the sums of
-    their terms reduced as Fraction would.  No Python code runs per row."""
+    the digits ``first``; the rest zip the numerators of :func:`_orbit_columns`,
+    reduced as Fraction would, with its cycled digit columns, each digit
+    tuple rendered once.  No Python code runs per row."""
     total = spec.alpha_digits.base.products[spec.depth]
     widths = [width for width, _ in _level_groups(spec)]
     templates = [sep.join(["%d"] * width) for width in widths]
@@ -230,10 +230,9 @@ def _orbit_rows(spec: OrbitSpec, start: int, count: int, first: tuple, sep: str)
     row = (start, num // g, total // g, *texts)
     if count == 1:
         return iter([row])
-    columns = _orbit_columns(spec, start + 1, count - 1)
+    nums, columns = _orbit_columns(spec, start + 1, count - 1)
     texts = [itertools.cycle(list(map(template.__mod__, digits)))
-             for template, (_, digits) in zip(templates, columns)]
-    nums = map(sum, zip(*[itertools.cycle(terms) for terms, _ in columns]))
+             for template, digits in zip(templates, columns)]
     nums, to_reduce = itertools.tee(nums)
     gcds, to_divide = itertools.tee(map(math.gcd, to_reduce, itertools.repeat(total)))
     rest = zip(
@@ -242,7 +241,7 @@ def _orbit_rows(spec: OrbitSpec, start: int, count: int, first: tuple, sep: str)
         map(total.__floordiv__, to_divide),
         *texts,
     )
-    return itertools.chain([row], itertools.islice(rest, count - 1))
+    return itertools.chain([row], rest)
 
 
 def cmd_orbit(args) -> None:

@@ -31,13 +31,15 @@ from .perms import ResidueCondition
 class PeriodicSet:
     """A union of residue classes mod ``modulus``, stored as a residue set.
 
-    The stored modulus need not be minimal (:func:`normalize` reduces it).
+    The modulus is read as an int, never truncated, the residues as given;
+    the stored modulus need not be minimal (:func:`normalize` reduces it).
     """
 
     modulus: int
     residues: frozenset[int]
 
     def __post_init__(self):
+        object.__setattr__(self, "modulus", _as_int(self.modulus, "modulus"))
         if self.modulus < 1:
             raise ValidationError(f"modulus {self.modulus} < 1")
         if self.residues and not (min(self.residues) >= 0 and max(self.residues) < self.modulus):
@@ -54,7 +56,7 @@ class PeriodicSet:
 def periodic_set(residues: Iterable[int], modulus: int) -> PeriodicSet:
     """The set of the given residues mod ``modulus``; a modulus or residue
     that is not integral raises MalformedNumber, never truncated."""
-    return PeriodicSet(_as_int(modulus, "modulus"), frozenset(_as_ints(residues, "residue")))
+    return PeriodicSet(modulus, frozenset(_as_ints(residues, "residue")))
 
 
 def from_condition(cond: ResidueCondition) -> PeriodicSet:

@@ -7,11 +7,13 @@ O(depth), independent of ``n`` -- orbits have exact random access.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .base import DigitExpansion, _check_range, _point
 from .errors import CheckFalsified, DepthMismatch, ValidationError
@@ -115,37 +117,6 @@ def orbit_point(spec: OrbitSpec, n: int) -> OrbitPoint:
     return point
 
 
-def orbit_numerators(spec: OrbitSpec, count: int) -> Iterator[int]:
-    """The first ``count`` iterates, indices ``0 .. count-1``, lazily, as
-    numerators over ``B_K`` with ``K = spec.depth``: iterate ``n`` is
-    ``numerator / B_K``, the value of ``orbit_point(spec, n)``.
-
-    Every level steps through its rotated cycle in turn, and the numerator
-    sums the levels' contributions ``cycle[t] * B_K / B_{j+1}`` (the
-    mixed-radix weights of Garner's reconstruction), tabulated once per call.
-    """
-    if count < 1:
-        raise ValidationError("count must be >= 1")
-    if not spec._tables:
-        return itertools.repeat(0, count)
-    products = spec.alpha_digits.base.products
-    total = products[spec.depth]
-    terms = [
-        [b * (total // products[j + 1]) for b in table]
-        for j, table in enumerate(spec._tables)
-    ]
-    return itertools.islice(map(sum, zip(*map(itertools.cycle, terms))), count)
-
-
-def orbit_prefix(spec: OrbitSpec, count: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The :func:`orbit_numerators` stream zipped with each iterate's
-    digits: ``(numerator, digits)`` pairs, ``digits`` those of
-    ``orbit_point(spec, n)``."""
-    numerators = orbit_numerators(spec, count)
-    digits = zip(*map(itertools.cycle, spec._tables)) if spec._tables else itertools.repeat(())
-    return zip(numerators, digits)
-
-
 # the most entries a column of _orbit_columns holds, unless one level's
 # cycle alone is longer
 _GROUP_CAP = 256
@@ -165,38 +136,56 @@ def _level_groups(spec: OrbitSpec) -> list[tuple[int, int]]:
     return groups
 
 
-def _orbit_columns(
-    spec: OrbitSpec, start: int, length: int
-) -> list[tuple[list[int], list[tuple[int, ...]]]]:
-    """One column per group of :func:`_level_groups`, each read cyclically
-    from iterate ``start`` on: ``(terms, digits)``, ``digits[t]`` the
-    group's digits of iterate ``start + t`` and ``terms[t]`` their share of
-    its :func:`orbit_numerators` numerator, so that the numerator is the sum
-    of the groups' terms.  A column holds ``min(period, length)`` entries,
-    enough for ``length`` iterates."""
+def _orbit_columns(spec: OrbitSpec, start: int, count: int) -> tuple[Iterator[int], Iterable]:
+    """Iterates ``start .. start + count - 1`` from one cyclic column per
+    group of :func:`_level_groups`, as ``(numerators, digits)``.
+    ``numerators`` streams their numerators over ``B_K``: level ``j`` adds
+    ``b_j * B_K / B_{j+1}`` (the mixed-radix weights of Garner's
+    reconstruction), summed per group and then over the groups.  ``digits``
+    yields each group's column of digit tuples, entry ``t`` those of
+    iterate ``start + t`` when read cyclically, built only when read.  A
+    column holds ``min(period, count)`` entries; at depth 0 the numerators
+    are 0 and the one column holds ``()``."""
+    if count < 1:
+        raise ValidationError("count must be >= 1")
+    if not spec._tables:
+        return itertools.repeat(0, count), [[()]]
     products = spec.alpha_digits.base.products
     total = products[spec.depth]
-    columns = []
-    level = 0
-    for width, period in _level_groups(spec):
-        size = min(period, length)
-        digits, terms = [], []
-        for j in range(level, level + width):
-            # the cycle rotated to iterate `start`, cut at `size` entries when
-            # the column never reads past them
-            table = spec._tables[j]
-            shift = start % len(table)
-            end = shift + min(len(table), size)
-            cycle = list(itertools.islice(itertools.cycle(table), shift, end))
-            digits.append(cycle)
-            weight = total // products[j + 1]
-            terms.append([b * weight for b in cycle])
-        columns.append((
-            list(itertools.islice(map(sum, zip(*map(itertools.cycle, terms))), size)),
-            list(itertools.islice(zip(*map(itertools.cycle, digits)), size)),
-        ))
-        level += width
-    return columns
+    cycles, terms = [], []
+    for j, table in enumerate(spec._tables):
+        # the cycle rotated to iterate `start`, cut where no column reads past it
+        shift = start % len(table)
+        end = shift + min(len(table), count)
+        cycles.append(cycle := list(itertools.islice(itertools.cycle(table), shift, end)))
+        terms.append(list(map((total // products[j + 1]).__mul__, cycle)))
+    groups = _level_groups(spec)
+
+    def columns(levels):
+        # each group's levels zipped cyclically, cut at the group's entries
+        levels = iter(levels)
+        for width, period in groups:
+            cycled = map(itertools.cycle, itertools.islice(levels, width))
+            yield itertools.islice(zip(*cycled), min(period, count))
+
+    sums = [itertools.cycle(list(map(sum, column))) for column in columns(terms)]
+    return itertools.islice(map(sum, zip(*sums)), count), columns(cycles)
+
+
+def orbit_numerators(spec: OrbitSpec, count: int) -> Iterator[int]:
+    """The first ``count`` iterates, indices ``0 .. count-1``, lazily, as
+    numerators over ``B_K`` with ``K = spec.depth``: iterate ``n`` is
+    ``numerator / B_K``, the value of ``orbit_point(spec, n)``."""
+    return _orbit_columns(spec, 0, count)[0]
+
+
+def orbit_prefix(spec: OrbitSpec, count: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The :func:`orbit_numerators` stream zipped with each iterate's
+    digits: ``(numerator, digits)`` pairs, ``digits`` those of
+    ``orbit_point(spec, n)``: its groups' digit tuples joined by ``+``."""
+    numerators, columns = _orbit_columns(spec, 0, count)
+    digits = functools.reduce(functools.partial(map, operator.add), map(itertools.cycle, columns))
+    return zip(numerators, digits)
 
 
 def _image_tables(

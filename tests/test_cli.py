@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 import cantorperm.cli
 import cantorperm.dynamics
 import cantorperm.equidist
-from cantorperm import encode, from_cycle, make_orbit, orbit_point, orbit_prefix
+from cantorperm import encode, from_cycle, make_orbit, orbit_point
 from cantorperm.cli import Table, _json_pieces, build_parser, emit, fmt_frac, main
 from test_cli_golden import CASES, FORMATS, GOLDEN
+from test_dynamics import per_level_prefix
 from test_equidist import collapsed
 
 
@@ -552,8 +553,8 @@ def test_one_parser_serves_every_golden_run_in_one_process(capsys):
 
 def _orbit_by_rows(args) -> None:
     """The ``orbit`` handler before its rows came from group columns: one
-    ``orbit_prefix`` pair (or the one ``orbit_point``) per row, reduced in a
-    generator, every digit a cell of its own."""
+    pair of the per-level reader (or the one ``orbit_point``) per row,
+    reduced in a generator, every digit a cell of its own."""
     pv = cantorperm.cli._vector(args)
     seed = encode(args.alpha, pv.base, pv.depth)
     spec = make_orbit(seed, pv)
@@ -561,7 +562,7 @@ def _orbit_by_rows(args) -> None:
         digits = orbit_point(spec, args.at).digits.digits
         start, pairs = args.at, [(seed.base.index_of(digits), digits)]
     else:
-        start, pairs = 0, orbit_prefix(spec, args.count)
+        start, pairs = 0, per_level_prefix(spec, args.count)
     total = seed.base.products[seed.depth]
     rows = [
         (n, num // (g := math.gcd(num, total)), total // g, *digits)
@@ -575,11 +576,13 @@ def _orbit_by_rows(args) -> None:
 # the seeds' cycle lengths in their level groups at cap 256, and the groups'
 # periods: shift 2,3,5,7 | 11,13 | 17 | 19 (210, 143, 17, 19); partial cycles
 # 2,6,5,4 | 11,6 (60, below the product 240, and 66); random cycles 6,35 |
-# 11,13 (210, 143); depth 3: 2,3,5 (30); depth 1: 13.  A count c reads
-# c - 1 entries past row 0 from each column: the counts p, p + 1 and p + 2
-# put a column of period p just below, at and past its period (256: the cap)
+# 11,13 (210, 143); depth 3: 2,3,5 (30); depth 1: 13; past the cap: 257 | 2,3
+# (257, one level longer than the cap, and 6).  A count c reads c - 1 entries
+# past row 0 from each column: the counts p, p + 1 and p + 2 put a column of
+# period p just below, at and past its period (256: the cap)
 ORBIT_VECTORS = {
     "shift": ["--bases", "2,3,5,7,11,13,17,19"],
+    "past the cap": ["--bases", "257,2,3"],
     "partial cycles": [
         "--bases", "4,9,5,7,11,13", "--alpha", "3/5", "--perms",
         "4:1,0,3,2;9:1,2,0,4,5,6,7,8,3;5:1,2,3,4,0;7:1,2,3,0,5,6,4;"
@@ -594,7 +597,7 @@ ORBIT_VECTORS = {
     "depth 3": ["--bases", "2,3,5,7,11,13", "--depth", "3", "--alpha", "7/11"],
     "depth 1": ["--bases", "13,2,3", "--depth", "1", "--alpha", "9/13"],
 }
-ORBIT_COUNTS = [1, 2, 3, 700] + [p + k for p in (13, 17, 19, 30, 60, 66, 143, 210, 256)
+ORBIT_COUNTS = [1, 2, 3, 700] + [p + k for p in (13, 17, 19, 30, 60, 66, 143, 210, 256, 257)
                                  for k in range(3)]
 ORBIT_INDICES = [0, 1, 29, 209, 210, 211, 10**12]
 

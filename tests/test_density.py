@@ -48,16 +48,27 @@ def test_periodic_set_never_truncates_a_residue(residues, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("modulus", [4.5, None, "x"], ids=repr)
-def test_periodic_set_never_truncates_its_modulus(modulus):
+# the constructor reads its modulus as periodic_set does; its residues stay as given
+MAKERS = {
+    "periodic_set": lambda modulus: periodic_set([1], modulus),
+    "PeriodicSet": lambda modulus: PeriodicSet(modulus, frozenset({1})),
+}
+
+
+@pytest.mark.parametrize("maker", sorted(MAKERS))
+@pytest.mark.parametrize("modulus", [4.5, 2.5, None, "x"], ids=repr)
+def test_periodic_set_never_truncates_its_modulus(maker, modulus):
     with pytest.raises(MalformedNumber) as info:
-        periodic_set([1], modulus)
+        MAKERS[maker](modulus)
     assert str(info.value) == f"modulus {modulus!r} is not an integer"
 
 
-def test_periodic_set_reads_an_integral_modulus_as_an_int():
-    ps = periodic_set([1], 4.0)
+@pytest.mark.parametrize("maker", sorted(MAKERS))
+def test_periodic_set_reads_an_integral_modulus_as_an_int(maker):
+    ps = MAKERS[maker](4.0)
     assert ps == periodic_set([1], 4) and type(ps.modulus) is int
+    assert density(ps) == Fraction(1, 4)
+    assert intersect(ps, periodic_set([1], 2)) == ps
 
 
 def test_periodic_set_reads_integral_residues_as_ints():

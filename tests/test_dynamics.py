@@ -1,9 +1,11 @@
 """Orbit machinery: single application, random access, truncation."""
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +24,20 @@ from cantorperm import (
     make_orbit,
     make_unchecked,
     modulus_of_continuity_check,
+    from_cycle,
+    identity,
     orbit_point,
     orbit_prefix,
     parse_permutations,
     shift_vector,
 )
-from cantorperm.dynamics import _truncated_numerators
+import cantorperm.dynamics
+from cantorperm.dynamics import (
+    _level_groups,
+    _orbit_columns,
+    _truncated_numerators,
+    orbit_numerators,
+)
 from cantorperm.errors import (
     CheckFalsified,
     DepthMismatch,
@@ -484,3 +494,79 @@ def test_invalid_arguments_raise_their_class_and_message(func, args, error, mess
     with pytest.raises(error) as info:
         func(*args)
     assert str(info.value) == message
+
+
+# --- differential oracle: the per-level orbit reader the grouped columns replaced ---
+
+def per_level_numerators(spec, count):
+    """The first ``count`` orbit numerators over ``B_K``: every level steps
+    through its rotated cycle in turn, and the numerator sums the levels'
+    contributions ``cycle[t] * B_K / B_{j+1}``."""
+    if count < 1:
+        raise ValidationError("count must be >= 1")
+    if not spec._tables:
+        return itertools.repeat(0, count)
+    products = spec.alpha_digits.base.products
+    total = products[spec.depth]
+    terms = [
+        [b * (total // products[j + 1]) for b in table]
+        for j, table in enumerate(spec._tables)
+    ]
+    return itertools.islice(map(sum, zip(*map(itertools.cycle, terms))), count)
+
+
+def per_level_prefix(spec, count):
+    """:func:`per_level_numerators` zipped with each iterate's digits, one
+    cycled table per level."""
+    numerators = per_level_numerators(spec, count)
+    digits = zip(*map(itertools.cycle, spec._tables)) if spec._tables else itertools.repeat(())
+    return zip(numerators, digits)
+
+
+def _bijections(m):
+    """A full cycle, any bijection (partial cycles, fixed points) or the identity on ``Z_m``."""
+    return st.one_of(
+        st.permutations(range(m)).map(lambda cycle: from_cycle(m, cycle)),
+        st.permutations(range(m)).map(lambda image: make_unchecked(m, image)),
+        st.just(identity(m)),
+    )
+
+
+@st.composite
+def orbit_windows(draw):
+    """A seed of depth 0-6 under drawn bijections, a group cap, a start in
+    ``[0, 3·period]`` and a count around one of the group periods."""
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=6, unique=True))
+    moduli = [p * draw(st.sampled_from([1, p])) if p < 5 else p for p in primes] or [2]
+    base = make_base(moduli)
+    pv = PermutationVector(tuple(draw(_bijections(m)) for m in moduli), base)
+    depth = len(primes)
+    seed = [draw(st.integers(0, m - 1)) for m in moduli[:depth]]
+    spec = make_orbit(make_expansion(seed, base), pv)
+    cap = draw(st.sampled_from([1, 12, 256]))
+    with mock.patch.object(cantorperm.dynamics, "_GROUP_CAP", cap):
+        periods = [period for _, period in _level_groups(spec)] or [1]
+    count = max(1, draw(st.sampled_from(periods)) + draw(st.integers(-1, 1)))
+    return spec, cap, draw(st.integers(0, 3 * spec.period)), count
+
+
+@given(orbit_windows())
+@settings(max_examples=150, deadline=None)
+def test_grouped_orbit_reader_matches_the_per_level_oracle(window):
+    spec, cap, start, count = window
+    base = spec.alpha_digits.base
+    expected = list(itertools.islice(per_level_prefix(spec, start + count), start, None))
+    with mock.patch.object(cantorperm.dynamics, "_GROUP_CAP", cap):
+        nums, columns = _orbit_columns(spec, start, count)
+        columns = [list(column) for column in columns]
+        nums = list(nums)
+        head = list(orbit_prefix(spec, count))
+        assert list(orbit_numerators(spec, count)) == [num for num, _ in head]
+        groups = _level_groups(spec) or [(0, 1)]
+    assert [len(column) for column in columns] == [min(period, count) for _, period in groups]
+    digits = [sum((column[t % len(column)] for column in columns), ()) for t in range(count)]
+    assert list(zip(nums, digits)) == expected
+    assert head == list(per_level_prefix(spec, count))
+    for t, (num, point_digits) in enumerate(expected):
+        point = orbit_point(spec, start + t).digits
+        assert (base.index_of(point.digits), point.digits) == (num, point_digits)

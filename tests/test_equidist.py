@@ -1,4 +1,5 @@
 """Interval counting, membership equivalence, discrepancy, preservation."""
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -44,7 +45,7 @@ from cantorperm.errors import (
 )
 from cantorperm.equidist import SOURCES, LevelReport, PreservationReport, _dstar_cycled
 from cantorperm.perms import identity_vector
-from test_dynamics import outcome, prime_power_vectors
+from test_dynamics import outcome, per_level_numerators, prime_power_vectors
 
 
 def _zero_orbit(moduli=(2, 3, 5)):
@@ -307,6 +308,28 @@ def test_orbit_prefix_matches_orbit_point(orbit, data):
     for n, (numerator, digits) in enumerate(pairs):
         assert digits == orbit_point(spec, n).digits.digits
         assert numerator == base.index_of(digits)
+
+
+@pytest.mark.parametrize("sample", [1, 255, 256, 257, 258, 259, 1541, 1542, 1543, 4631])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_counts_and_equivalence_past_the_group_cap_match_the_per_level_oracle(level, sample):
+    # level 0 cycles through 257 digits, more than a group column holds: its
+    # column is cut at min(257, count) entries; the orbit's period is 1542
+    base = make_base((257, 2, 3))
+    rng = random.Random(level)
+    perms = tuple(from_cycle(m, rng.sample(range(m), m)) for m in base.moduli)
+    spec = make_orbit(make_expansion((5, 1, 2), base), PermutationVector(perms, base))
+    total, count = base.products[3], base.products[level]
+    nums = list(per_level_numerators(spec, sample))
+    counts = [0] * count
+    for p in nums:
+        counts[p // (total // count)] += 1
+    assert interval_counts(spec, level, sample) == counts
+    report = membership_equivalence(spec, level, sample)
+    assert [s.count for s in report.intervals] == counts
+    assert report.d_star == star_discrepancy([Fraction(p, total) for p in nums]).d_star
+    for n, p in enumerate(nums):
+        assert report.intervals[p // (total // count)].residue.residue == n % count
 
 
 # points within 2**-64 of each other share floor(x * 2**64), so only the exact
