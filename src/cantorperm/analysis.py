@@ -10,11 +10,10 @@ level.  Witness search and the derivative probe are built on this identity.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .base import DigitExpansion, _check_range, prefix_of_interval
+from .base import DigitExpansion, _as_int, _check_range, prefix_of_interval
 from .dynamics import _check_fits, apply_map
 from .errors import (
     CheckFalsified,
@@ -50,12 +49,15 @@ class QuotientSample:
     quotient: Fraction
 
 
-def _adjacent_pair(perm: CyclicPermutation, order):
-    """First ``(k, k + 1)`` with ``order(image[k], image[k + 1])``, or None."""
+def _rise_and_fall(perm: CyclicPermutation):
+    """The first adjacent rise ``(k, k + 1)``, ``image[k] < image[k + 1]``,
+    and the first adjacent fall of ``perm``, each None when it has none."""
+    found = {}
     for k in range(perm.modulus - 1):
-        if order(perm.image[k], perm.image[k + 1]):
-            return k, k + 1
-    return None
+        found.setdefault(perm.image[k] < perm.image[k + 1], (k, k + 1))
+        if len(found) == 2:
+            break
+    return found.get(True), found.get(False)
 
 
 def _point_at(pv: PermutationVector, level: int, interval_index: int, digit: int):
@@ -66,14 +68,16 @@ def _point_at(pv: PermutationVector, level: int, interval_index: int, digit: int
     return x.value, apply_map(pv, x).value
 
 
-def _check_interval(pv: PermutationVector, level: int, interval_index: int) -> None:
+def _check_interval(pv: PermutationVector, level: int, interval_index: int) -> tuple[int, int]:
     base = pv.base
+    level, interval_index = _as_int(level, "level"), _as_int(interval_index, "interval")
     if level >= base.depth or level < 0:
         raise LevelExceeded(f"level {level} not in [0, {base.depth})")
     if not 0 <= interval_index < base.products[level]:
         raise IndexOutOfRange(
             f"interval {interval_index} not in [0, {base.products[level]})"
         )
+    return level, interval_index
 
 
 def find_monotonicity_witness(
@@ -91,10 +95,8 @@ def find_monotonicity_witness(
     where sub-intervals of the same interval are governed by the next
     permutation.
     """
-    _check_interval(pv, level, interval_index)
-    perm = pv.perms[level]
-    rise = _adjacent_pair(perm, operator.lt)
-    fall = _adjacent_pair(perm, operator.gt)
+    level, interval_index = _check_interval(pv, level, interval_index)
+    rise, fall = _rise_and_fall(pv.perms[level])
     if rise is None or fall is None:
         missing = "increasing" if rise is None else "decreasing"
         raise NoWitnessAtLevel(
@@ -132,23 +134,18 @@ def find_witness_descending(
     The witness points stay inside the original interval, so the
     non-monotonicity conclusion for it survives the descent.
     """
-    if max_descent is not None and max_descent < 0:
+    if max_descent is not None and (max_descent := _as_int(max_descent, "descent budget")) < 0:
         raise ValidationError(f"descent budget {max_descent} < 0")
-    _check_interval(pv, level, interval_index)
-    base = pv.base
-    stop = base.depth if max_descent is None else min(level + max_descent + 1, base.depth)
-    j = interval_index
-    # level < depth, so the loop runs at least once and binds last_error
+    level, interval_index = _check_interval(pv, level, interval_index)
+    products = pv.base.products
+    stop = pv.depth if max_descent is None else min(level + max_descent + 1, pv.depth)
     for s in range(level, stop):
-        try:
-            return find_monotonicity_witness(pv, s, j)
-        except NoWitnessAtLevel as exc:
-            last_error = exc
-            j *= base.moduli[s]
+        if None not in _rise_and_fall(pv.perms[s]):
+            return find_monotonicity_witness(pv, s, interval_index * products[s] // products[level])
     raise NoWitnessAtLevel(
         f"no witness for interval {interval_index} at level {level} "
         f"within descent budget"
-    ) from last_error
+    )
 
 
 def difference_quotient(
@@ -219,7 +216,7 @@ def derivative_probe(
     and whether the integer candidates stabilize over the probed range.
     """
     _check_fits(pv, alpha)
-    _check_range(max_level, len(alpha.digits), what="max level")
+    max_level = _check_range(max_level, len(alpha.digits), what="max level")
     levels = []
     candidates = []
     for s in range(max_level):

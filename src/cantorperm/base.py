@@ -52,10 +52,22 @@ def _point(value: RationalLike) -> Fraction:
     return x
 
 
-def _check_range(value: int, top: int, error=LevelExceeded, what: str = "level") -> None:
-    """Raise ``error`` unless the level, depth or max level ``value`` lies in ``[0, top]``."""
+def _check_range(value, top: int, error=LevelExceeded, what: str = "level") -> int:
+    """The level, depth or max level ``value`` as an int by :func:`_as_int`'s
+    rule; raise ``error`` unless it lies in ``[0, top]``."""
+    value = _as_int(value, what)
     if not 0 <= value <= top:
         raise error(f"{what} {value} not in [0, {top}]")
+    return value
+
+
+def _check_index(level, index, base: "BaseSequence") -> tuple[int, int]:
+    """``level`` and the level-``level`` interval ``index``, each read by
+    :func:`_as_int`'s rule, ``level`` in ``[0, depth]``, ``index`` in ``[0, B_level)``."""
+    level, index = _check_range(level, base.depth), _as_int(index, "index")
+    if not 0 <= index < base.products[level]:
+        raise IndexOutOfRange(f"index {index} not in [0, {base.products[level]})")
+    return level, index
 
 
 def _as_int(value, what: str) -> int:
@@ -218,10 +230,8 @@ class GridInterval:
 
 def grid_interval(level: int, index: int, base: BaseSequence) -> GridInterval:
     """Grid interval at ``level`` with the given index."""
-    _check_range(level, base.depth)
+    level, index = _check_index(level, index, base)
     count = base.products[level]
-    if not 0 <= index < count:
-        raise IndexOutOfRange(f"index {index} not in [0, {count})")
     return GridInterval(
         level=level,
         index=index,
@@ -241,7 +251,7 @@ def encode(alpha: RationalLike, base: BaseSequence, depth: int) -> DigitExpansio
         value(result) <= alpha < value(result) + 1/products[depth].
     """
     alpha = _point(alpha)
-    _check_range(depth, base.depth, DepthExceeded, "depth")
+    depth = _check_range(depth, base.depth, DepthExceeded, "depth")
     index = alpha.numerator * base.products[depth] // alpha.denominator
     return DigitExpansion(base.digits_of(depth, index), base)
 
@@ -259,7 +269,7 @@ def interval_of(alpha: RationalLike, level: int, base: BaseSequence) -> GridInte
     ``level`` digits equal ``prefix_of_interval(level, j, base)``.
     """
     alpha = _point(alpha)
-    _check_range(level, base.depth)
+    level = _check_range(level, base.depth)
     index = (alpha.numerator * base.products[level]) // alpha.denominator
     return grid_interval(level, index, base)
 
@@ -267,8 +277,4 @@ def interval_of(alpha: RationalLike, level: int, base: BaseSequence) -> GridInte
 def prefix_of_interval(level: int, index: int, base: BaseSequence) -> tuple[int, ...]:
     """The unique digit prefix ``(b_0, ..., b_{level-1})`` whose value is
     ``index / products[level]``; inverse of :func:`interval_of` on grid points."""
-    _check_range(level, base.depth)
-    count = base.products[level]
-    if not 0 <= index < count:
-        raise IndexOutOfRange(f"index {index} not in [0, {count})")
-    return base.digits_of(level, index)
+    return base.digits_of(*_check_index(level, index, base))

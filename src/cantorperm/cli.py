@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .base import BaseSequence, as_fraction, encode, make_base, make_expansion
-from .dynamics import OrbitSpec, _level_groups, _orbit_columns, apply_map, make_orbit, orbit_point
+from .dynamics import OrbitSpec, _orbit_columns, apply_map, make_orbit, orbit_point
 # bench/tracing.py wraps orbit_prefix under this name here, though `orbit`
 # rows come from _orbit_columns; kept until the tracer reads library spans
 from .dynamics import orbit_prefix  # noqa: F401
@@ -215,12 +215,12 @@ def cmd_map(args) -> None:
 def _orbit_rows(spec: OrbitSpec, start: int, count: int, first: tuple, sep: str):
     """The ``orbit`` rows of iterates ``start .. start + count - 1``, ``(n,
     value_num, value_den, *digit texts)`` with one text per group of
-    :func:`_level_groups`, its digits joined by ``sep``.  Row ``start`` has
+    ``spec._groups``, its digits joined by ``sep``.  Row ``start`` has
     the digits ``first``; the rest zip the numerators of :func:`_orbit_columns`,
     reduced as Fraction would, with its cycled digit columns, each digit
     tuple rendered once.  No Python code runs per row."""
     total = spec.alpha_digits.base.products[spec.depth]
-    widths = [width for width, _ in _level_groups(spec)]
+    widths = [width for width, _ in spec._groups]
     templates = [sep.join(["%d"] * width) for width in widths]
     digits = iter(first)
     texts = [template % tuple(itertools.islice(digits, width))
@@ -254,9 +254,8 @@ def cmd_orbit(args) -> None:
     # `--at` is the one-row case: random access only, no column is built
     first = orbit_point(spec, start).digits.digits
     rows = functools.partial(_orbit_rows, spec, start, count, first)
-    groups = len(_level_groups(spec))
-    table = Table(("n", "value_num", "value_den", "digits"), rows, (3, groups))
-    line = "n=%d  value=%d/%d  digits=" + ";".join(["%s"] * groups)
+    table = Table(("n", "value_num", "value_den", "digits"), rows, (3, len(spec._groups)))
+    line = "n=%d  value=%d/%d  digits=" + ";".join(["%s"] * len(spec._groups))
     lines = map(line.__mod__, rows(";")) if args.format == "table" else ()
     emit(args, lines, table, table)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
-from .base import _as_int, _as_ints
+from .base import _as_int, _as_ints, as_fraction
 from .errors import (
     BoundsExceedOne,
     CheckFalsified,
@@ -182,7 +182,7 @@ def measurable_partition_check(parts: Iterable[PartLike]) -> PartitionVerdict:
     ``n < P`` counted, to name the smallest covered by no part or by several.
     """
     pairs = [
-        (ps, Fraction(bound))
+        (ps, as_fraction(bound))
         for ps, bound in ((p, density(p)) if isinstance(p, PeriodicSet) else p for p in parts)
     ]
     if not pairs:

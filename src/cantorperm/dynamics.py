@@ -20,6 +20,11 @@ from .errors import CheckFalsified, DepthMismatch, ValidationError
 from .perms import PermutationVector
 
 
+# the most entries a column of _orbit_columns holds, unless one level's
+# cycle alone is longer; read when an OrbitSpec is built
+_GROUP_CAP = 256
+
+
 def _check_fits(pv: PermutationVector, x: DigitExpansion) -> None:
     """Raise DepthMismatch unless ``pv`` has at least ``len(x.digits)`` levels and
     both bases share their first ``len(x.digits)`` moduli: the map permutes digit
@@ -36,20 +41,29 @@ class OrbitSpec:
     """Seed expansion plus the permutation vector driving it.
 
     Precomputes each level's cycle rotated to start at the seed digit, so that
-    :func:`orbit_point` runs one lookup per digit and nothing else.
+    :func:`orbit_point` runs one lookup per digit and nothing else, and the
+    orbit's column groups of consecutive levels as ``(width, period)``: a
+    level joins the group before it while the lcm of the group's cycle
+    lengths, its ``period``, stays at most ``_GROUP_CAP``.
     """
 
     alpha_digits: DigitExpansion
     pv: PermutationVector
     _tables: tuple = field(init=False, repr=False, compare=False)
+    _groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_fits(self.pv, self.alpha_digits)
-        tables = []
+        tables, groups = [], []
         for perm, b in zip(self.pv.perms, self.alpha_digits.digits):
             cycle, start = perm.cycles[perm.cycle_id[b]], perm.cycle_pos[b]
             tables.append(cycle[start:] + cycle[:start])
+            if groups and (period := math.lcm(groups[-1][1], len(cycle))) <= _GROUP_CAP:
+                groups[-1] = (groups[-1][0] + 1, period)
+            else:
+                groups.append((1, len(cycle)))
         object.__setattr__(self, "_tables", tuple(tables))
+        object.__setattr__(self, "_groups", tuple(groups))
 
     @property
     def depth(self) -> int:
@@ -117,28 +131,9 @@ def orbit_point(spec: OrbitSpec, n: int) -> OrbitPoint:
     return point
 
 
-# the most entries a column of _orbit_columns holds, unless one level's
-# cycle alone is longer
-_GROUP_CAP = 256
-
-
-def _level_groups(spec: OrbitSpec) -> list[tuple[int, int]]:
-    """The seed's levels in groups of consecutive levels, most significant
-    first, as ``(width, period)``: a level joins the group before it while
-    the lcm of the group's cycle lengths, its ``period``, stays at most
-    ``_GROUP_CAP``, else it starts a group."""
-    groups: list[tuple[int, int]] = []
-    for table in spec._tables:
-        if groups and (period := math.lcm(groups[-1][1], len(table))) <= _GROUP_CAP:
-            groups[-1] = (groups[-1][0] + 1, period)
-        else:
-            groups.append((1, len(table)))
-    return groups
-
-
 def _orbit_columns(spec: OrbitSpec, start: int, count: int) -> tuple[Iterator[int], Iterable]:
     """Iterates ``start .. start + count - 1`` from one cyclic column per
-    group of :func:`_level_groups`, as ``(numerators, digits)``.
+    group of ``spec._groups``, as ``(numerators, digits)``.
     ``numerators`` streams their numerators over ``B_K``: level ``j`` adds
     ``b_j * B_K / B_{j+1}`` (the mixed-radix weights of Garner's
     reconstruction), summed per group and then over the groups.  ``digits``
@@ -159,12 +154,11 @@ def _orbit_columns(spec: OrbitSpec, start: int, count: int) -> tuple[Iterator[in
         end = shift + min(len(table), count)
         cycles.append(cycle := list(itertools.islice(itertools.cycle(table), shift, end)))
         terms.append(list(map((total // products[j + 1]).__mul__, cycle)))
-    groups = _level_groups(spec)
 
     def columns(levels):
         # each group's levels zipped cyclically, cut at the group's entries
         levels = iter(levels)
-        for width, period in groups:
+        for width, period in spec._groups:
             cycled = map(itertools.cycle, itertools.islice(levels, width))
             yield itertools.islice(zip(*cycled), min(period, count))
 
@@ -254,7 +248,7 @@ def apply_truncated(pv: PermutationVector, x, depth: int) -> Fraction:
     translates each level-``depth`` grid interval onto another one).
     """
     x = _point(x)
-    _check_range(depth, pv.depth, DepthMismatch, "depth")
+    depth = _check_range(depth, pv.depth, DepthMismatch, "depth")
     # one point: cap 1, so every level is its own group over perm.image
     q = x.denominator
     (image,) = _truncated_numerators(pv, [x.numerator], q, depth)
@@ -270,7 +264,7 @@ def modulus_of_continuity_check(pv: PermutationVector, level: int) -> Fraction:
     the finite content of that argument: the induced map on interval indices
     is a bijection of ``[0, products[level])``.
     """
-    _check_range(level, pv.depth)
+    level = _check_range(level, pv.depth)
     if level == 0:
         return Fraction(1)
     count = pv.base.products[level]

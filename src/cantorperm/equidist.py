@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from typing import Sequence
 
-from .base import BaseSequence, RationalLike, _check_range, as_fraction
+from .base import BaseSequence, RationalLike, _as_int, _check_range, as_fraction
 
 # bench/tracing.py wraps prefix_of_interval, prefix_residue, apply_truncated
 # and orbit_point under these names here: the first two are not called, the
@@ -21,6 +21,7 @@ from .dynamics import (
 )
 from .errors import (
     ComputationError,
+    DepthExceeded,
     EquivalenceViolated,
     NotFullCycle,
     PointOutOfRange,
@@ -100,10 +101,11 @@ def star_discrepancy(points: Sequence[RationalLike]) -> DiscrepancyResult:
     return DiscrepancyResult(len(pairs), _dstar(pairs))
 
 
-def _check_level_and_sample(spec: OrbitSpec, level: int, sample: int) -> None:
-    _check_range(level, spec.depth)
-    if sample < 1:
+def _check_level_and_sample(spec: OrbitSpec, level: int, sample: int) -> tuple[int, int]:
+    level = _check_range(level, spec.depth)
+    if (sample := _as_int(sample, "sample")) < 1:
         raise ValidationError("sample must be >= 1")
+    return level, sample
 
 
 def _cycled_counts(nums, period: int, sample: int, width: int, count: int) -> list[int]:
@@ -132,7 +134,7 @@ def interval_counts(spec: OrbitSpec, level: int, sample: int) -> list[int]:
     With full cycles and ``sample`` a multiple of the interval count, every
     entry equals ``sample / products[level]`` exactly.
     """
-    _check_level_and_sample(spec, level, sample)
+    level, sample = _check_level_and_sample(spec, level, sample)
     products = spec.alpha_digits.base.products
     width = products[spec.depth] // products[level]
     period = spec.prefix_period(level)
@@ -185,7 +187,7 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
     lengths, and is injective within a period, so D* comes from the first
     ``min(sample, P)`` numerators over ``B_K`` with their multiplicities.
     """
-    _check_level_and_sample(spec, level, sample)
+    level, sample = _check_level_and_sample(spec, level, sample)
     for perm in spec.pv.perms[:level]:
         if not perm.full_cycle:
             raise NotFullCycle("membership equivalence needs full cycles at every level")
@@ -267,7 +269,7 @@ def kronecker_golden(count: int) -> list[Fraction]:
 
 def grid_points(count: int, base: BaseSequence, depth: int) -> list[Fraction]:
     """``count`` points cycling through the level-``depth`` grid in order."""
-    period = base.products[depth]
+    period = base.products[_check_range(depth, base.depth, DepthExceeded, "depth")]
     return [Fraction(n % period, period) for n in range(count)]
 
 
@@ -314,7 +316,7 @@ def ud_preservation_probe(
     base = pv.base
     if source not in SOURCES:
         raise UnknownSource(f"source {source!r}, expected one of {SOURCES}")
-    _check_range(level, base.depth)
+    level, sample = _check_range(level, base.depth), _as_int(sample, "sample")
     count = base.products[level]
     if sample < count:
         raise ValidationError(

@@ -1,4 +1,7 @@
 """Non-monotonicity witnesses and difference-quotient probes."""
+import functools
+import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -15,20 +18,24 @@ from cantorperm import (
     find_witness_descending,
     make_base,
     make_expansion,
+    make_unchecked,
     parse_permutations,
+    prefix_of_interval,
     shift_vector,
 )
 import cantorperm.analysis
+from cantorperm.analysis import MonotonicityWitness
 from cantorperm.errors import (
     CheckFalsified,
     DegenerateDigit,
     DepthMismatch,
     IndexOutOfRange,
     LevelExceeded,
+    MalformedNumber,
     NoWitnessAtLevel,
     ValidationError,
 )
-from cantorperm.perms import identity_vector
+from cantorperm.perms import PermutationVector, identity_vector
 
 
 def test_witness_shift_mod3():
@@ -265,6 +272,14 @@ ALPHA_235 = encode(Fraction(29, 30), SHIFT_235.base, 3)
     (derivative_probe, (SHIFT_235, ALPHA_235, -1), LevelExceeded, "max level -1 not in [0, 3]"),
     (derivative_probe, (SHIFT_235, ALPHA_235, 4), LevelExceeded, "max level 4 not in [0, 3]"),
     (find_witness_descending, (SHIFT_235, 0, 0, -1), ValidationError, "descent budget -1 < 0"),
+    # levels, interval indices and descent budgets are never truncated
+    (find_monotonicity_witness, (SHIFT_235, 1, 1.5), MalformedNumber,
+     "interval 1.5 is not an integer"),
+    (find_witness_descending, (SHIFT_235, 0, 0, 2.5), MalformedNumber,
+     "descent budget 2.5 is not an integer"),
+    (find_witness_descending, (SHIFT_235, 0.5, 0), MalformedNumber, "level 0.5 is not an integer"),
+    (derivative_probe, (SHIFT_235, ALPHA_235, 1.5), MalformedNumber,
+     "max level 1.5 is not an integer"),
 ])
 def test_invalid_arguments_raise_their_class_and_message(func, args, error, message):
     with pytest.raises(error) as info:
@@ -292,3 +307,91 @@ def test_difference_quotient_raises_when_direct_evaluation_disagrees(monkeypatch
     with pytest.raises(CheckFalsified) as info:
         difference_quotient(SHIFT_235, ALPHA_235, 2, 0)
     assert str(info.value) == "difference-quotient identity violated at level 2: -1/4 != 1"
+
+
+# --- differential oracle: the exception-driven descent the one-scan search replaced ---
+
+def _adjacent_pair(perm, order):
+    """First ``(k, k + 1)`` with ``order(image[k], image[k + 1])``, or None."""
+    for k in range(perm.modulus - 1):
+        if order(perm.image[k], perm.image[k + 1]):
+            return k, k + 1
+    return None
+
+
+# the sweep below asks for each vector's witnesses once per budget and start level
+@functools.lru_cache(maxsize=64)
+def witness_oracle(pv, level, interval_index):
+    """The four-point witness at one level of valid arguments: its pairs from
+    two scans, its points built through the public codec and map."""
+    perm = pv.perms[level]
+    rise, fall = _adjacent_pair(perm, operator.lt), _adjacent_pair(perm, operator.gt)
+    if rise is None or fall is None:
+        missing = "increasing" if rise is None else "decreasing"
+        raise NoWitnessAtLevel(f"permutation at level {level} has no {missing} digit pair")
+    prefix = prefix_of_interval(level, interval_index, pv.base)
+    tail = (0,) * (pv.depth - level - 1)
+    points = [DigitExpansion(prefix + (k,) + tail, pv.base) for k in rise + fall]
+    return MonotonicityWitness(
+        level=level,
+        interval_index=interval_index,
+        points=tuple(x.value for x in points),
+        images=tuple(apply_map(pv, x).value for x in points),
+        increasing_digits=rise,
+        decreasing_digits=fall,
+    )
+
+
+def descending_oracle(pv, level, interval_index, max_descent=None):
+    """The witness of the first level from ``level`` on that has one, found by
+    trying each level in turn and catching NoWitnessAtLevel, the interval
+    index multiplied by each skipped level's modulus."""
+    if max_descent is not None and max_descent < 0:
+        raise ValidationError(f"descent budget {max_descent} < 0")
+    base = pv.base
+    stop = base.depth if max_descent is None else min(level + max_descent + 1, base.depth)
+    j = interval_index
+    for s in range(level, stop):
+        try:
+            return witness_oracle(pv, s, j)
+        except NoWitnessAtLevel:
+            j *= base.moduli[s]
+    raise NoWitnessAtLevel(
+        f"no witness for interval {interval_index} at level {level} "
+        f"within descent budget"
+    )
+
+
+def test_a_two_level_descent_scales_the_interval_by_both_moduli():
+    # identities at levels 1 and 2: from interval 1 of level 1 the witness
+    # lies at level 3, in its sub-interval 1·3·5 = 15
+    pv = parse_permutations("2:1,0\n3:0,1,2\n5:0,1,2,3,4\n7:1,2,3,4,5,6,0", make_base((2, 3, 5, 7)))
+    witness = find_witness_descending(pv, 1, 1)
+    assert (witness.level, witness.interval_index) == (3, 15)
+    assert witness == descending_oracle(pv, 1, 1)
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except NoWitnessAtLevel as exc:
+        return type(exc), str(exc)
+
+
+# every bijection at every level: 2·6·120 = 1,440 vectors and 6·24 = 144 vectors
+@pytest.mark.parametrize("moduli, cases", [((2, 3, 5), 51_840), ((3, 4), 2_304)])
+def test_witness_search_matches_the_descent_oracle_on_every_small_vector(moduli, cases):
+    base = make_base(moduli)
+    levels = [[make_unchecked(m, image) for image in itertools.permutations(range(m))]
+              for m in moduli]
+    checked, mismatches = 0, []
+    for perms in itertools.product(*levels):
+        pv = PermutationVector(perms, base)
+        for level in range(base.depth):
+            for j in range(base.products[level]):
+                for budget in (None, 0, 1, 2):
+                    got = _outcome(find_witness_descending, pv, level, j, budget)
+                    if got != _outcome(descending_oracle, pv, level, j, budget):
+                        mismatches.append((perms, level, j, budget, got))
+                    checked += 1
+    assert (checked, mismatches[:3]) == (cases, [])

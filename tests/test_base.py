@@ -222,6 +222,11 @@ BASE = make_base((2, 3, 5))
     (make_expansion, ([1.5, 0, 0], BASE), MalformedNumber, "digit 1.5 is not an integer"),
     (make_expansion, ([0, Fraction(1, 2)], BASE), MalformedNumber,
      "digit Fraction(1, 2) is not an integer"),
+    # levels, depths and interval indices follow the same rule
+    (prefix_of_interval, (2, 2.5, BASE), MalformedNumber, "index 2.5 is not an integer"),
+    (grid_interval, (1, 1.5, BASE), MalformedNumber, "index 1.5 is not an integer"),
+    (interval_of, ("1/2", 1.5, BASE), MalformedNumber, "level 1.5 is not an integer"),
+    (encode, ("1/2", BASE, 1.5), MalformedNumber, "depth 1.5 is not an integer"),
     # points are read as rationals
     (as_fraction, (None,), MalformedNumber, "not a rational number: None"),
     (as_fraction, (float("inf"),), MalformedNumber, "not a rational number: inf"),
@@ -232,3 +237,10 @@ def test_invalid_arguments_raise_their_class_and_message(func, args, error, mess
     with pytest.raises(error) as info:
         func(*args)
     assert str(info.value) == message
+
+
+def test_integral_levels_and_indices_are_stored_as_ints():
+    interval = grid_interval(True, True, BASE)
+    assert (type(interval.level), type(interval.index)) == (int, int)
+    assert interval == grid_interval(1, 1, BASE)
+    assert prefix_of_interval(2.0, Fraction(5), BASE) == prefix_of_interval(2, 5, BASE) == (1, 2)

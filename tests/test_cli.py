@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import cantorperm.cli
 import cantorperm.dynamics
 import cantorperm.equidist
-from cantorperm import encode, from_cycle, make_orbit, orbit_point
-from cantorperm.cli import Table, _json_pieces, build_parser, emit, fmt_frac, main
+from cantorperm import encode, from_cycle, make_base, make_orbit, orbit_point, shift_vector
+from cantorperm.cli import Table, _json_pieces, build_parser, emit, fmt_frac, frac, main
 from test_cli_golden import CASES, FORMATS, GOLDEN
 from test_dynamics import per_level_prefix
 from test_equidist import collapsed
@@ -636,6 +636,27 @@ def test_orbit_rows_do_not_depend_on_the_group_cap(monkeypatch, capsys, cap):
     expected = [run(capsys, "orbit", *argv) for argv in runs]
     monkeypatch.setattr(cantorperm.dynamics, "_GROUP_CAP", cap)
     assert [run(capsys, "orbit", *argv) for argv in runs] == expected
+
+
+def test_a_spec_keeps_the_group_layout_it_was_built_with(monkeypatch):
+    # built under cap 1 and read under the default cap: every level stays a
+    # group of its own, and the rows' digit cells still match the columns
+    pv = shift_vector(make_base((2, 3, 5, 7)))
+    seed = encode(Fraction(1, 3), pv.base, pv.depth)
+    monkeypatch.setattr(cantorperm.dynamics, "_GROUP_CAP", 1)
+    spec = make_orbit(seed, pv)
+    monkeypatch.undo()
+    same = make_orbit(seed, pv)
+    assert (spec._groups, same._groups) == (((1, 2), (1, 3), (1, 5), (1, 7)), ((4, 210),))
+    assert (spec, hash(spec), repr(spec)) == (same, hash(same), repr(same))
+    _, columns = cantorperm.dynamics._orbit_columns(spec, 1, 299)
+    assert [len(list(column)) for column in columns] == [2, 3, 5, 7]
+    first = orbit_point(spec, 0).digits.digits
+    rows = list(cantorperm.cli._orbit_rows(spec, 0, 300, first, ";"))
+    assert rows == [
+        (n, *frac(Fraction(num, 210)), *map(str, digits))
+        for n, (num, digits) in enumerate(per_level_prefix(spec, 300))
+    ]
 
 
 def test_orbit_at_builds_no_column(monkeypatch, capsys):

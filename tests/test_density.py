@@ -245,6 +245,16 @@ def test_partition_rejects_bound_below_density(bound, other):
     assert str(info.value) == f"bound {bound} for part 0(2) is below its density 1/2"
 
 
+@pytest.mark.parametrize("bound, message", [
+    ("x", "not a rational number: 'x'"),
+    (None, "not a rational number: None"),
+])
+def test_partition_bounds_are_read_as_rationals(bound, message):
+    with pytest.raises(MalformedNumber) as info:
+        measurable_partition_check([(periodic_set([0], 1), bound)])
+    assert str(info.value) == message
+
+
 def test_all_is_the_import_block():
     # the function density shadows the submodule of that name; __all__ exports the function
     tree = ast.parse(Path(cantorperm.__file__).read_text())

@@ -33,7 +33,6 @@ from cantorperm import (
 )
 import cantorperm.dynamics
 from cantorperm.dynamics import (
-    _level_groups,
     _orbit_columns,
     _truncated_numerators,
     orbit_numerators,
@@ -42,6 +41,7 @@ from cantorperm.errors import (
     CheckFalsified,
     DepthMismatch,
     LevelExceeded,
+    MalformedNumber,
     OutOfRange,
     ValidationError,
 )
@@ -489,6 +489,9 @@ SHIFT_235 = shift_vector(make_base((2, 3, 5)))
     (apply_truncated, (SHIFT_235, "1/2", 4), DepthMismatch, "depth 4 not in [0, 3]"),
     (modulus_of_continuity_check, (SHIFT_235, -1), LevelExceeded, "level -1 not in [0, 3]"),
     (modulus_of_continuity_check, (SHIFT_235, 4), LevelExceeded, "level 4 not in [0, 3]"),
+    (apply_truncated, (SHIFT_235, "1/7", 1.5), MalformedNumber, "depth 1.5 is not an integer"),
+    (modulus_of_continuity_check, (SHIFT_235, 1.5), MalformedNumber,
+     "level 1.5 is not an integer"),
 ])
 def test_invalid_arguments_raise_their_class_and_message(func, args, error, message):
     with pytest.raises(error) as info:
@@ -523,6 +526,21 @@ def per_level_prefix(spec, count):
     return zip(numerators, digits)
 
 
+def level_groups(spec):
+    """The levels in groups of consecutive levels, most significant first, as
+    ``(width, period)``: a level joins the group before it while the lcm of
+    the group's cycle lengths, its ``period``, stays at most ``_GROUP_CAP``,
+    else it starts a group.  The cap is read at the call, not when the spec
+    was built."""
+    cap, groups = cantorperm.dynamics._GROUP_CAP, []
+    for table in spec._tables:
+        if groups and (period := math.lcm(groups[-1][1], len(table))) <= cap:
+            groups[-1] = (groups[-1][0] + 1, period)
+        else:
+            groups.append((1, len(table)))
+    return groups
+
+
 def _bijections(m):
     """A full cycle, any bijection (partial cycles, fixed points) or the identity on ``Z_m``."""
     return st.one_of(
@@ -534,18 +552,19 @@ def _bijections(m):
 
 @st.composite
 def orbit_windows(draw):
-    """A seed of depth 0-6 under drawn bijections, a group cap, a start in
-    ``[0, 3·period]`` and a count around one of the group periods."""
+    """A seed of depth 0-6 under drawn bijections, its spec built under a
+    drawn group cap, a start in ``[0, 3·period]`` and a count around one of
+    the group periods."""
     primes = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=6, unique=True))
     moduli = [p * draw(st.sampled_from([1, p])) if p < 5 else p for p in primes] or [2]
     base = make_base(moduli)
     pv = PermutationVector(tuple(draw(_bijections(m)) for m in moduli), base)
     depth = len(primes)
     seed = [draw(st.integers(0, m - 1)) for m in moduli[:depth]]
-    spec = make_orbit(make_expansion(seed, base), pv)
     cap = draw(st.sampled_from([1, 12, 256]))
     with mock.patch.object(cantorperm.dynamics, "_GROUP_CAP", cap):
-        periods = [period for _, period in _level_groups(spec)] or [1]
+        spec = make_orbit(make_expansion(seed, base), pv)
+    periods = [period for _, period in spec._groups] or [1]
     count = max(1, draw(st.sampled_from(periods)) + draw(st.integers(-1, 1)))
     return spec, cap, draw(st.integers(0, 3 * spec.period)), count
 
@@ -557,12 +576,13 @@ def test_grouped_orbit_reader_matches_the_per_level_oracle(window):
     base = spec.alpha_digits.base
     expected = list(itertools.islice(per_level_prefix(spec, start + count), start, None))
     with mock.patch.object(cantorperm.dynamics, "_GROUP_CAP", cap):
-        nums, columns = _orbit_columns(spec, start, count)
-        columns = [list(column) for column in columns]
-        nums = list(nums)
-        head = list(orbit_prefix(spec, count))
-        assert list(orbit_numerators(spec, count)) == [num for num, _ in head]
-        groups = _level_groups(spec) or [(0, 1)]
+        assert spec._groups == tuple(level_groups(spec))
+    nums, columns = _orbit_columns(spec, start, count)
+    columns = [list(column) for column in columns]
+    nums = list(nums)
+    head = list(orbit_prefix(spec, count))
+    assert list(orbit_numerators(spec, count)) == [num for num, _ in head]
+    groups = spec._groups or [(0, 1)]
     assert [len(column) for column in columns] == [min(period, count) for _, period in groups]
     digits = [sum((column[t % len(column)] for column in columns), ()) for t in range(count)]
     assert list(zip(nums, digits)) == expected

@@ -35,6 +35,7 @@ import cantorperm.equidist as equidist_module
 from cantorperm.dynamics import _truncated_numerators, orbit_numerators
 from cantorperm.errors import (
     ComputationError,
+    DepthExceeded,
     EquivalenceViolated,
     LevelExceeded,
     MalformedNumber,
@@ -794,6 +795,16 @@ ZERO_ORBIT_235 = _zero_orbit()[2]
      "level -1 not in [0, 3]"),
     (ud_preservation_probe, (ZERO_ORBIT_235.pv, "vdc", 30, 4), LevelExceeded,
      "level 4 not in [0, 3]"),
+    # levels, depths and sample sizes are never truncated
+    (grid_points, (4, ZERO_ORBIT_235.pv.base, -1), DepthExceeded, "depth -1 not in [0, 3]"),
+    (grid_points, (4, ZERO_ORBIT_235.pv.base, 4), DepthExceeded, "depth 4 not in [0, 3]"),
+    (interval_counts, (ZERO_ORBIT_235, 1, 2.5), MalformedNumber, "sample 2.5 is not an integer"),
+    (membership_equivalence, (ZERO_ORBIT_235, 1, 2.5), MalformedNumber,
+     "sample 2.5 is not an integer"),
+    (membership_equivalence, (ZERO_ORBIT_235, 1.5, 30), MalformedNumber,
+     "level 1.5 is not an integer"),
+    (ud_preservation_probe, (ZERO_ORBIT_235.pv, "grid", 6.5, 1), MalformedNumber,
+     "sample 6.5 is not an integer"),
 ])
 def test_invalid_arguments_raise_their_class_and_message(func, args, error, message):
     with pytest.raises(error) as info:
