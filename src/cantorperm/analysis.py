@@ -155,6 +155,7 @@ def difference_quotient(
     level ``s``, computed by the closed form and cross-checked against direct
     evaluation of both images."""
     _check_fits(pv, alpha)
+    s, ell = _as_int(s, "digit level"), _as_int(ell, "digit")
     if s >= len(alpha.digits) or s < 0:
         raise LevelExceeded(f"digit level {s} not in [0, {len(alpha.digits)})")
     perm = pv.perms[s]

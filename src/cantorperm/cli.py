@@ -16,7 +16,7 @@ import math
 import operator
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +30,7 @@ from .dynamics import OrbitSpec, _orbit_columns, apply_map, make_orbit, orbit_po
 from .dynamics import orbit_prefix  # noqa: F401
 from .analysis import derivative_probe, difference_quotient, find_witness_descending
 from .density import density, intersect, parse_periodic_set
-from .equidist import SOURCES, membership_equivalence, ud_preservation_probe
+from .equidist import SOURCES, _LevelIntervals, membership_equivalence, ud_preservation_probe
 from .errors import (
     CantorPermError,
     CheckFalsified,
@@ -260,28 +260,38 @@ def cmd_orbit(args) -> None:
     emit(args, lines, table, table)
 
 
-def _level_report(args):
+def _interval_columns(report) -> tuple[Sequence[int], Sequence[int]]:
+    """The class residues and the counts of ``report.intervals``, in
+    interval order: the library's lazy intervals hand over their columns; a
+    report rebuilt around a tuple of stats (``dataclasses.replace``) is read
+    stat by stat, so what it holds is what is printed."""
+    intervals = report.intervals
+    if isinstance(intervals, _LevelIntervals):
+        return intervals.residues, intervals.counts
+    return [s.residue.residue for s in intervals], [s.count for s in intervals]
+
+
+def _level_report(args) -> Sequence[int]:
     """The ``check equivalence`` handler, also run by ``check ud``: emit the
-    membership equivalence report and return it; raises (exit 3) on any
-    index violating the congruence."""
+    membership equivalence report and return its interval counts; raises
+    (exit 3) on any index violating the congruence."""
     pv = _vector(args)
     seed = encode(args.alpha, pv.base, pv.depth)
     report = membership_equivalence(make_orbit(seed, pv), args.level, args.count)
-
-    def table_lines():
-        yield (
-            f"level {report.level}, N={report.sample_size}, "
-            f"expected {fmt_frac(report.intervals[0].expected)} per interval"
-        )
-        for s in report.intervals:
-            yield f"I_{s.index}: class {s.residue}  count {s.count}"
-        yield f"d_star: {fmt_frac(report.d_star)}"
-
-    expected = frac(report.intervals[0].expected)
+    residues, counts = _interval_columns(report)
+    expected = report.intervals[0].expected
+    modulus = itertools.repeat(len(residues))
+    table_lines = itertools.chain(
+        [f"level {report.level}, N={report.sample_size}, "
+         f"expected {fmt_frac(expected)} per interval"],
+        map("I_%d: class %d+(%d)  count %d".__mod__,
+            zip(itertools.count(), residues, modulus, counts)),
+        [f"d_star: {fmt_frac(report.d_star)}"],
+    )
+    num, den = map(itertools.repeat, frac(expected))
     table = Table(
         ("j", "residue", "modulus", "count", "expected_num", "expected_den"),
-        ((s.index, s.residue.residue, s.residue.modulus, s.count, *expected)
-         for s in report.intervals),
+        zip(itertools.count(), residues, modulus, counts, num, den),
     )
     payload = {
         "level": report.level,
@@ -289,12 +299,12 @@ def _level_report(args):
         "intervals": table,
         **frac_fields("d_star", report.d_star),
     }
-    emit(args, table_lines(), table, payload)
-    return report
+    emit(args, table_lines, table, payload)
+    return counts
 
 
 def cmd_check_ud(args) -> None:
-    counts = [s.count for s in _level_report(args).intervals]
+    counts = _level_report(args)
     if not (sum(counts) == args.count and max(counts) - min(counts) <= 1):
         raise CheckFalsified("interval counts unbalanced")
 

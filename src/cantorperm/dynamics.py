@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .base import DigitExpansion, _check_range, _point
+from .base import DigitExpansion, _as_int, _check_range, _point
 from .errors import CheckFalsified, DepthMismatch, ValidationError
 from .perms import PermutationVector
 
@@ -118,7 +118,10 @@ def orbit_point(spec: OrbitSpec, n: int) -> OrbitPoint:
 
     Digit ``j`` is read off the precomputed cycle of the seed digit, advanced
     ``n mod cycle_length`` steps; agrees with ``n``-fold :func:`apply_map`.
+    A non-int ``n`` is read by the integer rule (``2.0`` is 2, ``2.5`` raises).
     """
+    if type(n) is not int:
+        n = _as_int(n, "orbit index")
     if n < 0:
         raise ValidationError("orbit index must be >= 0")
     # trusted construction, as perms._residue_class: object.__new__ and the slot setters

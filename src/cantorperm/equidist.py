@@ -5,10 +5,10 @@ discrepancy, and empirical probes of uniform-distribution preservation.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
-from typing import Sequence
 
 from .base import BaseSequence, RationalLike, _as_int, _check_range, as_fraction
 
@@ -42,6 +42,45 @@ class IntervalStat:
     expected: Fraction
 
 
+class _LevelIntervals(Sequence):
+    """The :class:`IntervalStat` of every interval of one level, in interval
+    order, read off two columns: ``residues[j]`` is the class of interval
+    ``j`` mod ``B_k = len(residues)`` and ``counts[j]`` its count.  A stat is
+    built only when it is read; slices are tuples.  Equal to the tuple of
+    the same stats, with its hash and repr."""
+
+    __slots__ = ("residues", "counts", "expected")
+
+    def __init__(self, residues: list[int], counts: list[int], expected: Fraction):
+        self.residues, self.counts, self.expected = residues, counts, expected
+
+    def __len__(self) -> int:
+        return len(self.residues)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self.residues))[i]))
+        j = range(len(self.residues))[i]
+        residue = _residue_class(self.residues[j], len(self.residues))
+        return IntervalStat(j, residue, self.counts[j], self.expected)
+
+    def __iter__(self):
+        size = len(self.residues)
+        classes = map(_residue_class, self.residues, repeat(size))
+        return map(IntervalStat, range(size), classes, self.counts, repeat(self.expected))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _LevelIntervals)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True, slots=True)
 class LevelReport:
     """Per-interval statistics of the first ``sample_size`` orbit points at
@@ -51,11 +90,15 @@ class LevelReport:
     least the period ``B_level``, so the interval/class equivalence checked on
     one period's orbit numerators holds for every iterate by periodicity;
     false when only the ``sample_size`` iterates were checked.  Library-only:
-    the CLI does not print it."""
+    the CLI does not print it.
+
+    ``intervals`` is a lazy sequence of :class:`IntervalStat`, one per
+    interval in interval order, each built when it is read; it equals, hashes
+    and prints as the tuple of those stats."""
 
     level: int
     sample_size: int
-    intervals: tuple[IntervalStat, ...]
+    intervals: Sequence[IntervalStat]
     d_star: Fraction
     period_proved: bool
 
@@ -182,10 +225,13 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
     ``ComputationError``.  A violation is an implementation bug.
 
     Interval ``j`` with class ``r_j`` then holds ``ceil((sample - r_j) /
-    B_k)`` of the iterates, 0 when ``r_j >= sample``.  The depth-``K`` orbit
-    repeats with period ``P``, the ``lcm`` of the seed digits' cycle
-    lengths, and is injective within a period, so D* comes from the first
-    ``min(sample, P)`` numerators over ``B_K`` with their multiplicities.
+    B_k)`` of the iterates, 0 when ``r_j >= sample``: ``copies + (r_j <
+    extra)`` with ``copies, extra = divmod(sample, B_k)``.  The report's
+    intervals read the classes and these counts as two columns, building no
+    stat until one is read.  The depth-``K`` orbit repeats with period
+    ``P``, the ``lcm`` of the seed digits' cycle lengths, and is injective
+    within a period, so D* comes from the first ``min(sample, P)``
+    numerators over ``B_K`` with their multiplicities.
     """
     level, sample = _check_level_and_sample(spec, level, sample)
     for perm in spec.pv.perms[:level]:
@@ -211,21 +257,25 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
             f"iterate {n} lies in interval {idx} but {n} mod {count} != {table[idx]}"
         )
 
-    expected = Fraction(sample, count)
-    intervals = tuple(
-        IntervalStat(j, _residue_class(r, count), -((r - sample) // count), expected)
-        for j, r in enumerate(table)
-    )
+    copies, extra = divmod(sample, count)
+    counts = list(map(copies.__add__, map(extra.__gt__, table)))
     return LevelReport(
         level=level,
         sample_size=sample,
-        intervals=intervals,
+        intervals=_LevelIntervals(table, counts, Fraction(sample, count)),
         d_star=_dstar_cycled(nums, sample, base.products[spec.depth]),
         period_proved=sample >= count,
     )
 
 
 # --- reference sequences for the preservation probe ---
+
+def _check_count(count) -> int:
+    """A point count as an int by :func:`_as_int`'s rule, at least 0."""
+    if (count := _as_int(count, "count")) < 0:
+        raise ValidationError(f"count {count} < 0")
+    return count
+
 
 def _radical_inverses(count: int, radix: int) -> tuple[list[int], int]:
     """Numerators of the first ``count`` van der Corput points over one
@@ -245,6 +295,7 @@ def _radical_inverses(count: int, radix: int) -> tuple[list[int], int]:
 
 def van_der_corput(count: int, base: int = 2) -> list[Fraction]:
     """First ``count`` terms of the van der Corput radical-inverse sequence."""
+    count, base = _check_count(count), _as_int(base, "radix")
     if base < 2:
         raise ValidationError(f"radix {base} < 2")
     nums, q = _radical_inverses(count, base)
@@ -263,12 +314,13 @@ def kronecker_golden(count: int) -> list[Fraction]:
     """Fractional parts ``{n * g}`` for a fixed rational convergent ``g`` of
     the golden rotation; exact stand-in for the irrational Kronecker sequence
     at sample sizes far below the convergent's denominator."""
-    nums, q = _kronecker_numerators(count)
+    nums, q = _kronecker_numerators(_check_count(count))
     return [Fraction(p, q) for p in nums]
 
 
 def grid_points(count: int, base: BaseSequence, depth: int) -> list[Fraction]:
     """``count`` points cycling through the level-``depth`` grid in order."""
+    count = _check_count(count)
     period = base.products[_check_range(depth, base.depth, DepthExceeded, "depth")]
     return [Fraction(n % period, period) for n in range(count)]
 

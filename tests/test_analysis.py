@@ -280,11 +280,25 @@ ALPHA_235 = encode(Fraction(29, 30), SHIFT_235.base, 3)
     (find_witness_descending, (SHIFT_235, 0.5, 0), MalformedNumber, "level 0.5 is not an integer"),
     (derivative_probe, (SHIFT_235, ALPHA_235, 1.5), MalformedNumber,
      "max level 1.5 is not an integer"),
+    (difference_quotient, (SHIFT_235, ALPHA_235, 1.5, 0), MalformedNumber,
+     "digit level 1.5 is not an integer"),
+    (difference_quotient, (SHIFT_235, ALPHA_235, 1, 0.5), MalformedNumber,
+     "digit 0.5 is not an integer"),
+    (difference_quotient, (SHIFT_235, ALPHA_235, None, 0), MalformedNumber,
+     "digit level None is not an integer"),
 ])
 def test_invalid_arguments_raise_their_class_and_message(func, args, error, message):
     with pytest.raises(error) as info:
         func(*args)
     assert str(info.value) == message
+
+
+def test_difference_quotient_reads_integral_levels_and_digits_as_ints():
+    expected = difference_quotient(SHIFT_235, ALPHA_235, 1, 0)
+    for s, ell in ((1.0, 0.0), (Fraction(1), "0"), (True, False)):
+        got = difference_quotient(SHIFT_235, ALPHA_235, s, ell)
+        assert got == expected
+        assert type(got.digit_level) is int and type(got.perturbed_digit) is int
 
 
 @pytest.mark.parametrize("fake_map, message", [

@@ -177,6 +177,27 @@ def test_check_ud_counts_summing_past_the_sample_falsified(capsys, monkeypatch):
     assert [row["count"] for row in report["intervals"]] == [3, 3, 2, 2, 2, 2]
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_check_equivalence_prints_a_planted_count_in_every_format(capsys, monkeypatch, fmt):
+    # a report rebuilt around a tuple of stats is printed as it holds them
+    argv = ("check", "equivalence", "--bases", "2,3,5", "--level", "2", "--count", "30",
+            "--format", fmt)
+    code, out, _ = run(capsys, *argv)
+    _plant_one_more(monkeypatch, 4)
+    planted_code, planted, _ = run(capsys, *argv)
+    assert code == planted_code == 0
+    lines, planted_lines = out.splitlines(), planted.splitlines()
+    assert len(lines) == len(planted_lines)
+    (before, after), = [(a, b) for a, b in zip(lines, planted_lines) if a != b]
+    cells = before.split(",")
+    expected = {
+        "table": before.replace("count 5", "count 6") if before.startswith("I_4: ") else None,
+        "csv": ",".join(cells[:3] + ["6"] + cells[4:]) if cells[0] == "4" else None,
+        "json": before.replace('"count": 5', '"count": 6'),
+    }[fmt]
+    assert before != expected == after
+
+
 GRID = ("check", "preserve", "--bases", "2,3,5", "--source", "grid", "--level", "1", "--count", "60")
 
 

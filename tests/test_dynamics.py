@@ -479,6 +479,20 @@ def test_orbit_point_rejects_a_negative_index():
     assert str(info.value) == "orbit index must be >= 0"
 
 
+def test_orbit_point_reads_its_index_by_the_integer_rule():
+    b, pv = _shift_setup()
+    spec = make_orbit(encode(0, b, 3), pv)
+    for n in (2.0, Fraction(2), "2", True, False):
+        got = orbit_point(spec, n)
+        assert type(got.index) is int and got == orbit_point(spec, int(n))
+    for n in (2.5, None, "x", Fraction(1, 2)):
+        with pytest.raises(MalformedNumber) as info:
+            orbit_point(spec, n)
+        assert str(info.value) == f"orbit index {n!r} is not an integer"
+    with pytest.raises(ValidationError, match="orbit index must be >= 0"):
+        orbit_point(spec, -1.0)
+
+
 SHIFT_235 = shift_vector(make_base((2, 3, 5)))
 
 

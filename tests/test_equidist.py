@@ -1,6 +1,8 @@
 """Interval counting, membership equivalence, discrepancy, preservation."""
+import dataclasses
 import random
 import tracemalloc
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -44,8 +46,10 @@ from cantorperm.errors import (
     UnknownSource,
     ValidationError,
 )
-from cantorperm.equidist import SOURCES, LevelReport, PreservationReport, _dstar_cycled
-from cantorperm.perms import identity_vector
+from cantorperm.equidist import (
+    SOURCES, IntervalStat, LevelReport, PreservationReport, _dstar_cycled
+)
+from cantorperm.perms import _residue_class, identity_vector
 from test_dynamics import outcome, per_level_numerators, prime_power_vectors
 
 
@@ -436,6 +440,93 @@ def test_membership_equivalence_matches_full_scan(case, data):
     assert report.period_proved == (sample >= spec.alpha_digits.base.products[level])
 
 
+# --- the lazy intervals against the per-interval construction they replaced ---
+
+def _per_interval_stats(spec, level, sample):
+    """One IntervalStat and one class per interval, count ``ceil((sample -
+    r_j) / B_k)``: the tuple membership_equivalence built before its
+    intervals became columns."""
+    table = residue_table(spec.pv, spec.alpha_digits.digits[:level])
+    count = len(table)
+    expected = Fraction(sample, count)
+    return tuple(
+        IntervalStat(j, _residue_class(r, count), -((r - sample) // count), expected)
+        for j, r in enumerate(table)
+    )
+
+
+@given(leveled_orbits(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_lazy_intervals_equal_the_per_interval_construction(case, data):
+    spec, level = case
+    assume(all(perm.full_cycle for perm in spec.pv.perms[:level]))
+    # samples below, at and across B_k: below it some counts are 0
+    sample = data.draw(_samples_around(spec, level))
+    report = membership_equivalence(spec, level, sample)
+    expected = _per_interval_stats(spec, level, sample)
+    got = report.intervals
+    assert len(got) == len(expected)
+    assert tuple(got) == expected and list(got) == list(expected)
+    assert [got[j] for j in range(len(got))] == list(expected)
+    back = range(-1, -len(got) - 1, -1)
+    assert [got[j] for j in back] == [expected[j] for j in back]
+    assert all(type(s.index) is int and type(s.count) is int for s in got)
+    assert got == expected and expected == got and not got != expected
+    assert hash(got) == hash(expected) and repr(got) == repr(expected)
+    parent = dataclasses.replace(report, intervals=expected)
+    assert report == parent and parent == report
+    assert hash(report) == hash(parent) and repr(report) == repr(parent)
+
+
+def test_lazy_intervals_keep_the_sequence_contract():
+    b, pv, spec = _zero_orbit((3, 4, 5))
+    report = membership_equivalence(spec, 2, 25)
+    got, expected = report.intervals, _per_interval_stats(spec, 2, 25)
+    assert isinstance(got, Sequence) and len(got) == 12
+    assert got[0].count == 3 and got[-1] == expected[-1] and got[-12] == expected[0]
+    for index in (12, 13, -13, 10**20):
+        with pytest.raises(IndexError):
+            got[index]
+    with pytest.raises(TypeError):
+        got[1.5]
+    for part in (slice(1, None), slice(None, None, -1), slice(2, 9, 3), slice(5, 2),
+                 slice(-3, None)):
+        assert type(got[part]) is tuple and got[part] == expected[part]
+    assert (got[0],) + got[1:] == expected
+    assert expected[4] in got and got.index(expected[4]) == 4 and got.count(expected[4]) == 1
+    assert list(reversed(got)) == list(reversed(expected))
+    # equal to the tuple of its stats, as a tuple is: not to a list of them
+    assert got != list(expected) and got != expected[:-1]
+
+
+def test_lazy_intervals_of_equal_calls_are_equal():
+    b, pv, spec = _zero_orbit((3, 4, 5))
+    first, second = (membership_equivalence(spec, 3, 70) for _ in range(2))
+    assert first == second and hash(first) == hash(second) and repr(first) == repr(second)
+    assert first.intervals is not second.intervals
+    assert dataclasses.replace(first, intervals=tuple(first.intervals)) == first
+    assert membership_equivalence(spec, 3, 71) != first
+    assert {first: 1}[dataclasses.replace(first, intervals=tuple(first.intervals))] == 1
+
+
+def test_a_report_builds_a_stat_only_when_one_is_read(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args[0])
+        return IntervalStat(*args)
+
+    monkeypatch.setattr(equidist_module, "IntervalStat", counted)
+    b, pv, spec = _zero_orbit((3, 4, 5))
+    report = membership_equivalence(spec, 3, 120)
+    assert built == []
+    report.intervals[7]
+    report.intervals[-1]
+    assert built == [7, 59]
+    report.intervals[2:5]
+    assert built == [7, 59, 2, 3, 4]
+
+
 def _orbit_point_proof(spec, level, sample, table):
     """The period proof through orbit_point, one call per iterate ``n <
     min(sample, B_level)``: the loop the numerator read replaced."""
@@ -601,6 +692,8 @@ def test_interval_counts_scans_one_period(monkeypatch, moduli, images, level, sa
 # --- the integer preservation probe against the Fraction probe it replaced ---
 
 def _fraction_van_der_corput(count, base=2):
+    if count < 0:
+        raise ValidationError(f"count {count} < 0")
     if base < 2:
         raise ValidationError(f"radix {base} < 2")
     points = []
@@ -615,6 +708,8 @@ def _fraction_van_der_corput(count, base=2):
 
 
 def _fraction_kronecker_golden(count):
+    if count < 0:
+        raise ValidationError(f"count {count} < 0")
     a, b = 1, 2
     while b <= 10**15:
         a, b = b, a + b
@@ -748,7 +843,7 @@ def test_preservation_probe_tables_stay_as_small_as_the_sample():
 @settings(max_examples=200)
 def test_reference_sequences_match_fraction_oracles(count, radix):
     assert outcome(van_der_corput, count, radix) == outcome(_fraction_van_der_corput, count, radix)
-    assert kronecker_golden(count) == _fraction_kronecker_golden(count)
+    assert outcome(kronecker_golden, count) == outcome(_fraction_kronecker_golden, count)
 
 
 def test_van_der_corput_builds_count_terms_for_any_radix():
@@ -805,8 +900,28 @@ ZERO_ORBIT_235 = _zero_orbit()[2]
      "level 1.5 is not an integer"),
     (ud_preservation_probe, (ZERO_ORBIT_235.pv, "grid", 6.5, 1), MalformedNumber,
      "sample 6.5 is not an integer"),
+    # point counts of the reference sequences: never truncated, never negative
+    (van_der_corput, (2.5,), MalformedNumber, "count 2.5 is not an integer"),
+    (van_der_corput, (4, 2.5), MalformedNumber, "radix 2.5 is not an integer"),
+    (kronecker_golden, (2.5,), MalformedNumber, "count 2.5 is not an integer"),
+    (grid_points, (2.5, ZERO_ORBIT_235.pv.base, 1), MalformedNumber,
+     "count 2.5 is not an integer"),
+    (van_der_corput, (-1,), ValidationError, "count -1 < 0"),
+    (kronecker_golden, (-1,), ValidationError, "count -1 < 0"),
+    (grid_points, (-1, ZERO_ORBIT_235.pv.base, 1), ValidationError, "count -1 < 0"),
 ])
 def test_invalid_arguments_raise_their_class_and_message(func, args, error, message):
     with pytest.raises(error) as info:
         func(*args)
     assert str(info.value) == message
+
+
+def test_integral_point_counts_read_as_ints():
+    base = ZERO_ORBIT_235.pv.base
+    for count in (3.0, Fraction(3), "3", True):
+        number = int(count)
+        assert van_der_corput(count) == van_der_corput(number)
+        assert van_der_corput(count, 3.0) == van_der_corput(number, 3)
+        assert kronecker_golden(count) == kronecker_golden(number)
+        assert grid_points(count, base, 2) == grid_points(number, base, 2)
+    assert van_der_corput(0) == kronecker_golden(0) == grid_points(0, base, 1) == []
