@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .base import DigitExpansion, _as_int, _check_range, prefix_of_interval
+from .base import DigitExpansion, _as_int, _check_range
 from .dynamics import _check_fits, apply_map
 from .errors import (
     CheckFalsified,
@@ -60,24 +60,33 @@ def _rise_and_fall(perm: CyclicPermutation):
     return found.get(True), found.get(False)
 
 
-def _point_at(pv: PermutationVector, level: int, interval_index: int, digit: int):
-    base = pv.base
-    prefix = prefix_of_interval(level, interval_index, base)
-    digits = prefix + (digit,) + (0,) * (base.depth - level - 1)
-    x = DigitExpansion(digits, base)
-    return x.value, apply_map(pv, x).value
-
-
 def _check_interval(pv: PermutationVector, level: int, interval_index: int) -> tuple[int, int]:
-    base = pv.base
-    level, interval_index = _as_int(level, "level"), _as_int(interval_index, "interval")
-    if level >= base.depth or level < 0:
-        raise LevelExceeded(f"level {level} not in [0, {base.depth})")
-    if not 0 <= interval_index < base.products[level]:
+    level, interval_index = _check_range(level, pv.depth - 1), _as_int(interval_index, "interval")
+    if not 0 <= interval_index < pv.base.products[level]:
         raise IndexOutOfRange(
-            f"interval {interval_index} not in [0, {base.products[level]})"
+            f"interval {interval_index} not in [0, {pv.base.products[level]})"
         )
     return level, interval_index
+
+
+def _witness(pv: PermutationVector, level: int, interval_index: int, rise, fall):
+    """The four-point witness of a checked level and interval from that
+    level's first rise and first fall: the interval's digit prefix, the
+    varying digit, a zero tail."""
+    base = pv.base
+    prefix, tail = base.digits_of(level, interval_index), (0,) * (base.depth - level - 1)
+    points, images = [], []
+    for k in rise + fall:
+        x = DigitExpansion(prefix + (k,) + tail, base)
+        points.append(x.value)
+        images.append(apply_map(pv, x).value)
+    # all four share the digit prefix and the zero tail, so the image
+    # comparisons are decided entirely by the varying digit
+    if not (points[0] < points[1] and images[0] < images[1]):
+        raise CheckFalsified("increasing pair failed re-evaluation")
+    if not (points[2] < points[3] and images[2] > images[3]):
+        raise CheckFalsified("decreasing pair failed re-evaluation")
+    return MonotonicityWitness(level, interval_index, tuple(points), tuple(images), rise, fall)
 
 
 def find_monotonicity_witness(
@@ -102,24 +111,7 @@ def find_monotonicity_witness(
         raise NoWitnessAtLevel(
             f"permutation at level {level} has no {missing} digit pair"
         )
-    chosen = (rise[0], rise[1], fall[0], fall[1])
-    evaluated = [_point_at(pv, level, interval_index, k) for k in chosen]
-    points = tuple(x for x, _ in evaluated)
-    images = tuple(y for _, y in evaluated)
-    # all four share the digit prefix and the zero tail, so the image
-    # comparisons are decided entirely by the varying digit
-    if not (points[0] < points[1] and images[0] < images[1]):
-        raise CheckFalsified("increasing pair failed re-evaluation")
-    if not (points[2] < points[3] and images[2] > images[3]):
-        raise CheckFalsified("decreasing pair failed re-evaluation")
-    return MonotonicityWitness(
-        level=level,
-        interval_index=interval_index,
-        points=points,
-        images=images,
-        increasing_digits=rise,
-        decreasing_digits=fall,
-    )
+    return _witness(pv, level, interval_index, rise, fall)
 
 
 def find_witness_descending(
@@ -140,8 +132,9 @@ def find_witness_descending(
     products = pv.base.products
     stop = pv.depth if max_descent is None else min(level + max_descent + 1, pv.depth)
     for s in range(level, stop):
-        if None not in _rise_and_fall(pv.perms[s]):
-            return find_monotonicity_witness(pv, s, interval_index * products[s] // products[level])
+        rise, fall = _rise_and_fall(pv.perms[s])
+        if rise is not None and fall is not None:
+            return _witness(pv, s, interval_index * products[s] // products[level], rise, fall)
     raise NoWitnessAtLevel(
         f"no witness for interval {interval_index} at level {level} "
         f"within descent budget"

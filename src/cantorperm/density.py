@@ -86,6 +86,8 @@ def density(ps: PeriodicSet) -> Fraction:
 def expand_to(ps: PeriodicSet, modulus: int) -> PeriodicSet:
     """Rewrite the same set with a larger modulus (must be a multiple); the
     set's own modulus gives back ``ps`` itself."""
+    if type(modulus) is not int:
+        modulus = _as_int(modulus, "modulus")
     if modulus % ps.modulus != 0:
         raise ValidationError(f"{modulus} is not a multiple of {ps.modulus}")
     if modulus == ps.modulus:
@@ -139,7 +141,7 @@ def covering_bound(
     decided by ``member_oracle`` on ``[0, target_period)``, asked once per
     residue; verification compares residue sets over one common period.
     """
-    if target_period < 1:
+    if (target_period := _as_int(target_period, "target period")) < 1:
         raise ValidationError(f"target period {target_period} < 1")
     period = math.lcm(target_period, *(cond.modulus for cond in covering))
     members = periodic_set((r for r in range(target_period) if member_oracle(r)), target_period)

@@ -143,7 +143,10 @@ def _orbit_columns(spec: OrbitSpec, start: int, count: int) -> tuple[Iterator[in
     yields each group's column of digit tuples, entry ``t`` those of
     iterate ``start + t`` when read cyclically, built only when read.  A
     column holds ``min(period, count)`` entries; at depth 0 the numerators
-    are 0 and the one column holds ``()``."""
+    are 0 and the one column holds ``()``.  A non-int ``count`` is read by
+    the integer rule."""
+    if type(count) is not int:
+        count = _as_int(count, "count")
     if count < 1:
         raise ValidationError("count must be >= 1")
     if not spec._tables:

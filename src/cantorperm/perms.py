@@ -130,6 +130,7 @@ def identity(modulus: int) -> CyclicPermutation:
 
 def power_apply(perm: CyclicPermutation, n: int, b: int) -> int:
     """``n``-th power of the permutation applied to digit ``b``, in O(1)."""
+    n, b = _as_int(n, "power"), _as_int(b, "digit")
     if not 0 <= b < perm.modulus:
         raise DigitOutOfRange(f"digit {b} not in [0, {perm.modulus})")
     if n < 0:

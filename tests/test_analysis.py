@@ -409,3 +409,22 @@ def test_witness_search_matches_the_descent_oracle_on_every_small_vector(moduli,
                         mismatches.append((perms, level, j, budget, got))
                     checked += 1
     assert (checked, mismatches[:3]) == (cases, [])
+
+
+# find_witness_descending builds its witness without find_monotonicity_witness,
+# so this one is swept on its own: every vector as above, level and interval
+@pytest.mark.parametrize("moduli, cases", [((2, 3, 5), 12_960), ((3, 4), 576)])
+def test_single_level_witness_matches_the_oracle_on_every_small_vector(moduli, cases):
+    base = make_base(moduli)
+    levels = [[make_unchecked(m, image) for image in itertools.permutations(range(m))]
+              for m in moduli]
+    checked, mismatches = 0, []
+    for perms in itertools.product(*levels):
+        pv = PermutationVector(perms, base)
+        for level in range(base.depth):
+            for j in range(base.products[level]):
+                got = _outcome(find_monotonicity_witness, pv, level, j)
+                if got != _outcome(witness_oracle, pv, level, j):
+                    mismatches.append((perms, level, j, got))
+                checked += 1
+    assert (checked, mismatches[:3]) == (cases, [])

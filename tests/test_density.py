@@ -547,6 +547,28 @@ def test_covering_bound_matches_period_scan(target, covering):
     assert sorted(calls) == list(range(target.modulus))
 
 
+@pytest.mark.parametrize("func, args, error, message", [
+    (covering_bound, (2.5, bool, [ResidueCondition(0, 1)]), MalformedNumber,
+     "target period 2.5 is not an integer"),
+    (expand_to, (periodic_set([0], 2), 4.5), MalformedNumber, "modulus 4.5 is not an integer"),
+    (expand_to, (periodic_set([0], 2), None), MalformedNumber, "modulus None is not an integer"),
+])
+def test_invalid_arguments_raise_their_class_and_message(func, args, error, message):
+    with pytest.raises(error) as info:
+        func(*args)
+    assert str(info.value) == message
+
+
+def test_integral_periods_and_moduli_read_as_ints():
+    covering = [ResidueCondition(0, 2)]
+    expected = covering_bound(6, lambda r: r % 2 == 0, covering)
+    for period in (6.0, Fraction(6), "6"):
+        assert covering_bound(period, lambda r: r % 2 == 0, covering) == expected
+    for modulus in (4.0, Fraction(4), "4"):
+        wide = expand_to(periodic_set([0], 2), modulus)
+        assert wide == periodic_set([0, 2], 4) and type(wide.modulus) is int
+
+
 @pytest.mark.parametrize("func, args, message", [
     (covering_bound, (0, bool, [ResidueCondition(0, 1)]), "target period 0 < 1"),
     (parse_periodic_set, ("a(3)",), "cannot parse periodic set 'a(3)'"),

@@ -494,6 +494,7 @@ def test_orbit_point_reads_its_index_by_the_integer_rule():
 
 
 SHIFT_235 = shift_vector(make_base((2, 3, 5)))
+ORBIT_235 = make_orbit(encode(0, SHIFT_235.base, 3), SHIFT_235)
 
 
 @pytest.mark.parametrize("func, args, error, message", [
@@ -506,11 +507,21 @@ SHIFT_235 = shift_vector(make_base((2, 3, 5)))
     (apply_truncated, (SHIFT_235, "1/7", 1.5), MalformedNumber, "depth 1.5 is not an integer"),
     (modulus_of_continuity_check, (SHIFT_235, 1.5), MalformedNumber,
      "level 1.5 is not an integer"),
+    # the count of an orbit stream is read once, where the columns are cut
+    (orbit_prefix, (ORBIT_235, 2.5), MalformedNumber, "count 2.5 is not an integer"),
+    (orbit_numerators, (ORBIT_235, None), MalformedNumber, "count None is not an integer"),
 ])
 def test_invalid_arguments_raise_their_class_and_message(func, args, error, message):
     with pytest.raises(error) as info:
         func(*args)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("stream", [orbit_numerators, orbit_prefix])
+def test_orbit_streams_read_an_integral_count_as_an_int(stream):
+    expected = list(stream(ORBIT_235, 3))
+    for count in (3.0, Fraction(3), "3"):
+        assert list(stream(ORBIT_235, count)) == expected
 
 
 # --- differential oracle: the per-level orbit reader the grouped columns replaced ---

@@ -659,6 +659,8 @@ def test_only_an_exact_tuple_of_digits_is_stored(seed):
     (from_cycle, (2.5, [0, 1]), MalformedNumber, "modulus 2.5 is not an integer"),
     (shift, ("x",), MalformedNumber, "modulus 'x' is not an integer"),
     (identity, (None,), MalformedNumber, "modulus None is not an integer"),
+    (power_apply, (shift(5), 2.5, 1), MalformedNumber, "power 2.5 is not an integer"),
+    (power_apply, (shift(5), 1, 1.5), MalformedNumber, "digit 1.5 is not an integer"),
     (ResidueCondition, (1.5, 4), MalformedNumber, "residue 1.5 is not an integer"),
     (ResidueCondition, (1, None), MalformedNumber, "modulus None is not an integer"),
     (from_cycle, (3, (0, 5, 1)), DigitOutOfRange, "cycle entry 5 not in [0, 3)"),
@@ -683,6 +685,12 @@ def test_invalid_arguments_raise_their_class_and_message(func, args, error, mess
 def test_integral_moduli_read_as_ints(func, args, expected):
     perm = func(*args)
     assert perm == expected and type(perm.modulus) is int
+
+
+def test_power_apply_reads_an_integral_power_and_digit_as_ints():
+    for n, b in ((2.0, 1), (Fraction(2), 1.0), ("2", True)):
+        got = power_apply(shift(5), n, b)
+        assert got == 3 and type(got) is int
 
 
 def test_residue_condition_reads_integral_values_as_ints():
