@@ -322,7 +322,7 @@ def cmd_check_preserve(args) -> None:
         table_lines.append(f"grid image equals grid: {probe.grid_exact}")
     table = Table(
         ("j", "count", "expected_num", "expected_den"),
-        ((j, c, *frac(probe.expected)) for j, c in enumerate(probe.counts)),
+        zip(itertools.count(), probe.counts, *map(itertools.repeat, frac(probe.expected))),
     )
     payload = {
         "source": probe.source,
@@ -542,8 +542,11 @@ def main(argv=None) -> int:
     except CheckFalsified as exc:
         print(f"check falsified: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (CantorPermError, MemoryError) as exc:
+    except CantorPermError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # str(MemoryError()) is empty
+        print(f"error: MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

@@ -223,24 +223,19 @@ def _truncated_numerators(
     """The depth-``depth`` truncated map on the points ``p / q``, ``p`` in
     ``nums`` with ``0 <= p < q``: the image numerators over ``q·B_depth``.
 
-    Point ``p`` lies in interval ``index`` with tail ``rem``, ``(index,
-    rem) = divmod(p·B_depth, q)``, and maps to ``image_index·q + rem``.
-    The levels are grouped by :func:`_image_tables` with ``cap =
-    len(nums)``, so the tables cost no more than the points do, and
-    ``image_index`` takes one ``divmod`` and one lookup per group, least
-    significant group first, each image entering at its group's weight.
+    Point ``p`` lies in interval ``index = x // q``, ``x = p·B_depth``, and
+    maps to ``x + (image_index - index)·q``, its tail kept.  In columns:
+    ``moved = image_index - index`` starts at ``-index`` and takes one
+    table-lookup pass per group of :func:`_image_tables` (``cap =
+    len(nums)``: tables cost no more than the points), the group's digit
+    ``index // weight mod size`` at its weight; ``x`` is not kept.
     """
     total = pv.base.products[depth]
-    groups = _image_tables(pv, depth, len(nums))
-    images = []
-    for p in nums:
-        index, rem = divmod(p * total, q)
-        image_index = 0
-        for size, table, weight in groups:
-            index, digit = divmod(index, size)
-            image_index += table[digit] * weight
-        images.append(image_index * q + rem)
-    return images
+    index = [p * total // q for p in nums]
+    moved = list(map(operator.neg, index))
+    for size, table, weight in _image_tables(pv, depth, len(nums)):
+        moved = [s + table[i // weight % size] * weight for s, i in zip(moved, index)]
+    return [p * total + s * q for p, s in zip(nums, moved)]
 
 
 def apply_truncated(pv: PermutationVector, x, depth: int) -> Fraction:

@@ -191,16 +191,18 @@ def _dstar_cycled(nums: list[int], sample: int, q: int) -> Fraction:
 
     Iterate ``n < sample mod len(nums)`` occurs once more than the others.
     An entry ``p`` of multiplicity ``c`` after ``cum`` points sorted before
-    it contributes ``max((cum + c)·q - N·p, N·p - cum·q)`` over ``N·q``;
-    with one denominator each of the two maxima is one pass over integers.
+    it contributes ``max((cum + c)·q - N·p, N·p - cum·q)`` over ``N·q``.
+    When all occur ``c`` times, the maxima are ``max(d)`` and ``c·q -
+    min(d)`` of one column ``d_i = N·v_i - i·c·q``, ``v`` the sorted values.
     """
     period = len(nums)
     copies, extra = divmod(sample, period)
-    if extra:
-        values, mults = zip(*sorted(zip(nums, chain(repeat(copies + 1, extra), repeat(copies)))))
-        steps = list(map(q.__mul__, accumulate(mults, initial=0)))
-    else:
-        values, steps = sorted(nums), range(0, (period + 1) * copies * q, copies * q)
+    if not extra:
+        step = copies * q
+        diffs = [sample * v - i * step for i, v in enumerate(sorted(nums))]
+        return Fraction(max(max(diffs), step - min(diffs)), sample * q)
+    values, mults = zip(*sorted(zip(nums, chain(repeat(copies + 1, extra), repeat(copies)))))
+    steps = list(map(q.__mul__, accumulate(mults, initial=0)))
     scaled = list(map(sample.__mul__, values))
     best = max(max(map(operator.sub, steps[1:], scaled)), max(map(operator.sub, scaled, steps)))
     return Fraction(best, sample * q)
@@ -356,12 +358,12 @@ def ud_preservation_probe(
     ``B_K`` for ``grid``.  The grid repeats with period ``B_K``, so only its
     first ``min(sample, B_K)`` points are built, each weighted by how often
     it occurs among the ``sample``.  The built points go through the
-    truncated map by grouped image tables (:func:`_truncated_numerators`,
-    no table larger than about the number of points), which give each image
-    as a numerator over ``Q·B_K``; the first point also goes through
-    :func:`apply_truncated`, and a disagreement raises
-    ``ComputationError``.  Counts are floor divisions by ``Q·B_K /
-    B_level``, and both D* values come from the kernel
+    truncated map in columns, one table-lookup pass per group of image
+    tables (:func:`_truncated_numerators`, none larger than about the
+    number of points), giving each image as a numerator over ``Q·B_K``; the
+    first point also goes through :func:`apply_truncated`, and a
+    disagreement raises ``ComputationError``.  Counts are floor divisions
+    by ``Q·B_K / B_level``, and both D* values come from the kernel
     :func:`membership_equivalence` uses: no ``Fraction`` is compared or
     sorted.
     """

@@ -257,6 +257,20 @@ def test_memory_error_exits_1_with_one_error_line(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_memory_error_without_text_exits_1_saying_out_of_memory(monkeypatch, capsys):
+    # an allocation failure raised by the interpreter carries no text
+    def exhausted(pv, source, sample, level):
+        raise MemoryError()
+
+    monkeypatch.setattr(sys.modules["cantorperm.cli"], "ud_preservation_probe", exhausted)
+    code = main(["check", "preserve", "--bases", "2,3,5", "--source", "vdc", "--level", "2",
+                 "--count", "30"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: MemoryError: out of memory\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("check", ["equivalence", "ud"])
 def test_equivalence_cross_check_fault_exits_1_with_one_error_line(monkeypatch, capsys, check):
     # orbit_point one step ahead of the numerator stream the proof reads

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 from unittest import mock
@@ -33,6 +34,7 @@ from cantorperm import (
 )
 import cantorperm.dynamics
 from cantorperm.dynamics import (
+    _image_tables,
     _orbit_columns,
     _truncated_numerators,
     orbit_numerators,
@@ -452,6 +454,86 @@ def test_truncated_numerators_match_fraction_oracle(pv, data):
     assert images == [
         _fraction_apply_truncated(pv, Fraction(p, q), depth) * (q * total) for p in nums
     ]
+
+
+# --- differential oracle: the per-point divmod loop the image columns replaced ---
+
+def _per_point_truncated_numerators(pv, nums, q, depth):
+    """One ``divmod`` for ``(index, rem)`` per point, then one ``divmod``
+    and one lookup per group, least significant group first."""
+    total = pv.base.products[depth]
+    groups = _image_tables(pv, depth, len(nums))
+    images = []
+    for p in nums:
+        index, rem = divmod(p * total, q)
+        image_index = 0
+        for size, table, weight in groups:
+            index, digit = divmod(index, size)
+            image_index += table[digit] * weight
+        images.append(image_index * q + rem)
+    return images
+
+
+@pytest.mark.parametrize("moduli, seed, depth, nums, q", [
+    # depth 0: no group, each image is p itself
+    ((4, 9, 25), 1, 0, [0, 3, 6], 7),
+    # ranges of points: one group spans every level
+    ((4, 9, 25), 2, 3, range(900), 900),
+    ((4, 9, 25), 3, 3, range(5, 905, 3), 907),
+    # no point
+    ((4, 9, 25), 4, 3, [], 11),
+    # one point: cap 1, each level its own group over perm.image
+    ((4, 9, 25), 5, 3, [5], 13),
+    ((999983,), None, 1, [10**15 - 1], 10**15),
+    # three points: the level of modulus 49 is a group of its own, larger than the count
+    ((4, 49, 9), 6, 3, [1, 2, 10**15 + 36], 10**15 + 37),
+])
+def test_truncated_numerators_match_the_per_point_oracle(moduli, seed, depth, nums, q):
+    # random full bijections, or the shift where a shuffle would be slow
+    base = make_base(moduli)
+    if seed is None:
+        pv = shift_vector(base)
+    else:
+        rng = random.Random(seed)
+        pv = PermutationVector(
+            tuple(make_unchecked(m, rng.sample(range(m), m)) for m in moduli), base
+        )
+    assert _truncated_numerators(pv, nums, q, depth) == _per_point_truncated_numerators(
+        pv, nums, q, depth
+    )
+
+
+@given(prime_power_vectors(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_truncated_numerators_match_the_per_point_oracle_on_any_vector(pv, data):
+    # the point counts of the Fraction-oracle test, as a list or as a range of top numerators
+    depth = data.draw(st.integers(min_value=0, max_value=pv.depth))
+    widest = max(pv.base.moduli[:depth], default=1)
+    length = data.draw(st.sampled_from([0, 1, 2, max(widest - 1, 0), pv.base.products[depth]]))
+    q = data.draw(st.integers(min_value=length + 1, max_value=10**15))
+    if data.draw(st.booleans()):
+        nums = range(q - length, q)
+    else:
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32)))
+        nums = [rng.randrange(q) for _ in range(length)]
+    assert _truncated_numerators(pv, nums, q, depth) == _per_point_truncated_numerators(
+        pv, nums, q, depth
+    )
+
+
+def test_apply_truncated_copies_no_table():
+    # one point on a level of 999,983 digits: its group is perm.image itself
+    pv = shift_vector(make_base((999983,)))
+    x = Fraction(1, 3)
+    expected = _fraction_apply_truncated(pv, x, 1)
+    tracemalloc.start()
+    try:
+        image = apply_truncated(pv, x, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert image == expected == Fraction(333328 * 3 + 2, 3 * 999983)
+    assert peak < 100_000
 
 
 def test_orbit_points_equal_the_publicly_constructed_ones():

@@ -1,5 +1,6 @@
 """Interval counting, membership equivalence, discrepancy, preservation."""
 import dataclasses
+import operator
 import random
 import tracemalloc
 from collections.abc import Sequence
@@ -870,6 +871,56 @@ def test_dstar_cycled_with_ties_matches_star_discrepancy(q, data):
     assert _dstar_cycled(nums, sample, q) == star_discrepancy(points).d_star
     if sample == len(nums):
         assert _dstar_cycled(sorted(nums), sample, q) == star_discrepancy(points).d_star
+
+
+# --- differential oracle: the two maxima of whole copies the difference column replaced ---
+
+def _two_maxima_dstar_whole_copies(nums, sample, q):
+    """``_dstar_cycled`` when ``len(nums)`` divides ``sample``: the steps
+    ``i·c·q`` as a range, one subtraction pass for each maximum."""
+    period = len(nums)
+    copies, extra = divmod(sample, period)
+    assert extra == 0
+    values, steps = sorted(nums), range(0, (period + 1) * copies * q, copies * q)
+    scaled = list(map(sample.__mul__, values))
+    best = max(max(map(operator.sub, steps[1:], scaled)), max(map(operator.sub, scaled, steps)))
+    return Fraction(best, sample * q)
+
+
+# a depth-7 probe's image D* is over q·B_7, q the kronecker convergent's denominator
+BIG_Q = 10**15 * 510510
+BIG_NUMS = list(map(random.Random(26).randrange, [BIG_Q] * 1500))
+
+
+@given(
+    st.one_of(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=BIG_Q)),
+    st.integers(min_value=1, max_value=6),
+    st.data(),
+)
+@settings(max_examples=300)
+def test_dstar_cycled_of_whole_copies_matches_the_two_maxima_oracle(q, copies, data):
+    # numerators drawn from a pool of at most five tie at any q
+    pool = data.draw(st.lists(st.integers(min_value=0, max_value=q - 1), min_size=1, max_size=5))
+    nums = data.draw(st.one_of(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=40),
+        st.lists(st.integers(min_value=0, max_value=q - 1), min_size=1, max_size=40),
+    ))
+    sample = copies * len(nums)
+    assert _dstar_cycled(nums, sample, q) == _two_maxima_dstar_whole_copies(nums, sample, q)
+
+
+# c copies of a multiset have its D*: ties, big numerators and a repeated grid
+@pytest.mark.parametrize("nums, copies, q", [
+    ([5, 0, 9, 5, 0, 5], 2, 10),
+    ([BIG_Q - 1, 0, BIG_Q // 2, BIG_Q // 2, BIG_Q - 1], 3, BIG_Q),
+    (BIG_NUMS, 4, BIG_Q),
+    (list(range(7)) * 3, 5, 7),
+])
+def test_dstar_cycled_of_whole_copies_with_ties_and_big_q(nums, copies, q):
+    sample = copies * len(nums)
+    points = [Fraction(p, q) for p in nums]
+    expected = _two_maxima_dstar_whole_copies(nums, sample, q)
+    assert _dstar_cycled(nums, sample, q) == expected == star_discrepancy(points).d_star
 
 
 def test_star_discrepancy_rejects_an_empty_sample():
