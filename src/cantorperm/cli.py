@@ -87,43 +87,59 @@ class Table(NamedTuple):
     ``i`` is an int sequence: the ``width`` cells from cell ``i`` on, each an
     int or a text of ints pre-rendered with the sequence's separator.  Rows
     with such texts come as a function of that separator, called with ``;``
-    for CSV and with the JSON list's own for JSON."""
+    for CSV and with the JSON list's own for JSON.  ``fixed`` maps the
+    position of a cell in the whole row to the value it holds in every row:
+    the rows leave those cells out, and the row template holds their text."""
 
     header: tuple[str, ...]
     rows: Iterable[tuple] | Callable[[str], Iterable[tuple]]
     ints: tuple[int, int] | None = None
+    fixed: dict[int, object] | None = None
 
 
 @functools.lru_cache(maxsize=64)
-def _json_template(header: tuple, pieces: tuple, pad: str) -> str:
-    """The JSON object ``header`` -> placeholder ``pieces`` at ``pad``, once per
-    shape: quoted placeholders become bare ones, a key's own "%" is doubled."""
-    cells = {key.replace("%", "%%"): piece for key, piece in zip(header, pieces)}
-    template = json.dumps(cells, indent=2).replace("\n", "\n" + pad)
-    return template.replace('"%d"', "%d").replace('"%s"', "%s")
+def _json_template(header: tuple, slots: tuple, pad: str) -> str:
+    """The JSON object ``header`` -> ``slots`` at ``pad``, once per shape:
+    each slot a bare ``%s``, or a tuple of them as a list; a key's own "%"
+    is doubled."""
+    cells = {key.replace("%", "%%"): slot for key, slot in zip(header, slots)}
+    return json.dumps(cells, indent=2).replace("\n", "\n" + pad).replace('"%s"', "%s")
 
 
-def _row_renderer(table: Table, first: tuple, csv: bool, pad: str = ""):
+def _row_renderer(table: Table, first: tuple, csv: bool, pad: str = "", lead: str = ""):
     """One ``%`` template for the rows shaped like ``first``, as the function
-    that renders a row with it: a CSV line, or the JSON object at ``pad``."""
-    pieces = ["%d" if type(v) is int else "%s" for v in first]
-    quoted = [type(v) is not int for v in first]
+    that renders a row with it: ``lead`` (no "%" in it) then a CSV line, or
+    the JSON object at ``pad``.  The template is built with a ``%s`` slot
+    per cell and filled once: each slot gets its cell's placeholder, or the
+    text of a ``fixed`` cell with its own "%" doubled."""
+    fixed = table.fixed or {}
+    cells = list(first)
+    for i in sorted(fixed):
+        cells.insert(i, fixed[i])
+    quoted = [type(v) is not int for v in cells]
+    own = ["%d" if type(v) is int else "%s" for v in cells]
+    for i, v in fixed.items():
+        own[i] = (own[i] % (json.dumps(v) if quoted[i] and not csv else v)).replace("%", "%%")
+    slots = ["%s"] * len(cells)
     if table.ints:
         i, width = table.ints
-        ints = tuple(pieces[i : i + width])
-        pieces[i : i + width] = [";".join(ints) if csv else ints]
+        ints = tuple(slots[i : i + width])
+        slots[i : i + width] = [";".join(ints) if csv else ints]
         quoted[i : i + width] = [False] * width  # pre-rendered texts go in bare
     if csv:
-        return (",".join(pieces) + "\n").__mod__
-    template = _json_template(tuple(table.header), tuple(pieces), pad)
-    if not any(quoted):
+        skeleton = ",".join(slots) + "\n"
+    else:
+        skeleton = _json_template(tuple(table.header), tuple(slots), pad)
+    template = (lead + skeleton).replace("%%", "%%%%") % tuple(own)
+    quoted = [q for i, q in enumerate(quoted) if i not in fixed]
+    if csv or not any(quoted):
         return template.__mod__
     return lambda row: template % tuple(json.dumps(v) if q else v for v, q in zip(row, quoted))
 
 
 def _rendered(table: Table, csv: bool, pad: str = "") -> Iterator[str]:
     """``table`` in pieces: CSV under its header, or the JSON list of its
-    rows at ``pad``."""
+    rows at ``pad``, each row's template led by the separator before it."""
     inner = pad + "  "
     rows = table.rows
     if callable(rows):
@@ -134,11 +150,12 @@ def _rendered(table: Table, csv: bool, pad: str = "") -> Iterator[str]:
     header = ",".join(table.header) + "\n"
     if first is None:
         return iter([header if csv else "[]"])
-    render = _row_renderer(table, first, csv, inner)
     if csv:
+        render = _row_renderer(table, first, csv)
         return itertools.chain([header, render(first)], map(render, rows))
-    rest = map(f",\n{inner}".__add__, map(render, rows))
-    return itertools.chain([f"[\n{inner}", render(first)], rest, [f"\n{pad}]"])
+    render = _row_renderer(table, first, csv, inner, lead=f",\n{inner}")
+    # the first row's lead with "[" in place of its ","
+    return itertools.chain(["[", render(first)[1:]], map(render, rows), [f"\n{pad}]"])
 
 
 def _json_pieces(payload) -> Iterator[str]:
@@ -280,18 +297,19 @@ def _level_report(args) -> Sequence[int]:
     report = membership_equivalence(make_orbit(seed, pv), args.level, args.count)
     residues, counts = _interval_columns(report)
     expected = report.intervals[0].expected
-    modulus = itertools.repeat(len(residues))
+    modulus = len(residues)
     table_lines = itertools.chain(
         [f"level {report.level}, N={report.sample_size}, "
          f"expected {fmt_frac(expected)} per interval"],
-        map("I_%d: class %d+(%d)  count %d".__mod__,
-            zip(itertools.count(), residues, modulus, counts)),
+        map(f"I_%d: class %d+({modulus})  count %d".__mod__,
+            zip(itertools.count(), residues, counts)),
         [f"d_star: {fmt_frac(report.d_star)}"],
     )
-    num, den = map(itertools.repeat, frac(expected))
+    num, den = frac(expected)
     table = Table(
         ("j", "residue", "modulus", "count", "expected_num", "expected_den"),
-        zip(itertools.count(), residues, modulus, counts, num, den),
+        zip(itertools.count(), residues, counts),
+        fixed={2: modulus, 4: num, 5: den},
     )
     payload = {
         "level": report.level,
@@ -320,9 +338,11 @@ def cmd_check_preserve(args) -> None:
     ]
     if probe.grid_exact is not None:
         table_lines.append(f"grid image equals grid: {probe.grid_exact}")
+    num, den = frac(probe.expected)
     table = Table(
         ("j", "count", "expected_num", "expected_den"),
-        zip(itertools.count(), probe.counts, *map(itertools.repeat, frac(probe.expected))),
+        zip(itertools.count(), probe.counts),
+        fixed={2: num, 3: den},
     )
     payload = {
         "source": probe.source,

@@ -4,6 +4,7 @@ discrepancy, and empirical probes of uniform-distribution preservation.
 """
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -208,21 +209,50 @@ def _dstar_cycled(nums: list[int], sample: int, q: int) -> Fraction:
     return Fraction(best, sample * q)
 
 
+def _dstar_of_classes(tails: list[int], copies: int, count: int, width: int) -> Fraction:
+    """Exact D* of ``N = copies·count`` distinct points over ``count·width``
+    when each of the ``count`` intervals of width ``width`` holds the points
+    of the iterates ``r_j + s·count``, ``s < copies``, the classes ``r_j`` a
+    complete residue system mod ``count``, and the point of iterate ``n``
+    has the tail (offset in its interval) ``tails[n mod T]``, ``T =
+    len(tails)`` at most ``count``.
+
+    The discrepancy is 0 at each interval boundary; inside an interval, the
+    point of rank ``t`` and tail ``u`` contributes ``max((t+1)·width -
+    copies·u, copies·u - t·width)`` over ``copies·count·width``
+    (Kuipers and Niederreiter, ch. 2).  The tails of interval ``j`` are
+    those of row ``a = r_j mod T``: ``tails[(a + s·count) mod T]``; as
+    ``T <= count``, every row ``a < T`` is some interval's.  D*
+    takes, per rank, the least and the largest tail over the ``T`` rows:
+    ``copies·T`` tails, not a sort of the ``N`` points.
+    """
+    tail = len(tails)
+    starts = range(0, copies * count, count)
+    rows = [sorted([tails[(a + s) % tail] for s in starts]) for a in range(tail)]
+    # per rank over the rows; rows[0] once more, so min and max get two values
+    least, most = map(min, *rows, rows[0]), map(max, *rows, rows[0])
+    steps = range(0, (copies + 1) * width, width)
+    below = map(operator.sub, steps[1:], map(copies.__mul__, least))
+    above = map(operator.sub, map(copies.__mul__, most), steps)
+    return Fraction(max(max(below), max(above)), copies * count * width)
+
+
 def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelReport:
     """Compute each interval's residue class and prove, for every ``n <
     sample``, that iterate ``n`` lies in the interval carrying the class of
     ``n``.
 
     The classes come from :func:`residue_table`, discrete logs and CRT
-    only; they form a complete residue system mod ``B_k`` (``k = level``).
-    With full cycles below ``level``, digit ``j`` of iterate ``n`` depends
-    on ``n mod m_j`` and every ``m_j`` divides ``B_k``, so the level-``k``
-    interval of iterate ``n`` depends only on ``n mod B_k``.  Checking the
-    iterates ``n < min(sample, B_k)`` therefore proves the equivalence for
-    every ``n``: ``period_proved`` is true when that covers a whole period
-    (``sample >= B_k``), false when only the ``sample`` iterates were
-    checked.  They are the numerators D* reads (``P`` below is a multiple of
-    ``B_k``), numerator ``p`` in interval ``p // (B_K / B_k)``; the last one
+    only.  With full cycles below ``level``, digit ``j`` of iterate ``n``
+    depends on ``n mod m_j`` and every ``m_j`` divides ``B_k`` (``k =
+    level``), so the level-``k`` interval of iterate ``n`` depends only on
+    ``n mod B_k``.  Checking the iterates ``n < min(sample, B_k)`` therefore
+    proves the equivalence for every ``n``: ``period_proved`` is true when
+    that covers a whole period (``sample >= B_k``), false when only the
+    ``sample`` iterates were checked.  A whole period checked also proves
+    that the classes form a complete residue system mod ``B_k``; below one,
+    the table is checked for it.  The iterates are read as numerators over
+    ``B_K``, numerator ``p`` in interval ``p // (B_K / B_k)``; the last one
     also goes through :func:`orbit_point`, a disagreement raising
     ``ComputationError``.  A violation is an implementation bug.
 
@@ -232,8 +262,15 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
     intervals read the classes and these counts as two columns, building no
     stat until one is read.  The depth-``K`` orbit repeats with period
     ``P``, the ``lcm`` of the seed digits' cycle lengths, and is injective
-    within a period, so D* comes from the first ``min(sample, P)``
-    numerators over ``B_K`` with their multiplicities.
+    within a period.  The tail of iterate ``n``, its numerator mod ``B_K /
+    B_k``, depends only on ``n mod T``, ``T`` the lcm of the cycle lengths
+    at levels ``k`` on.  When ``B_k`` divides ``sample``, ``sample < P`` and
+    ``T < B_k``, D* comes from the proved classes and the first ``T``
+    tails (:func:`_dstar_of_classes`), all read from the proof's ``B_k``
+    numerators.  Otherwise one stream of the first ``min(sample, P)``
+    numerators serves the proof and D*, each numerator with its
+    multiplicity: with ``T >= B_k`` the classes would take as many values
+    as the sort.
     """
     level, sample = _check_level_and_sample(spec, level, sample)
     for perm in spec.pv.perms[:level]:
@@ -242,12 +279,15 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
     base = spec.alpha_digits.base
     count = base.products[level]
     table = residue_table(spec.pv, spec.alpha_digits.digits[:level])
-    if len(set(table)) != count:
+    if sample < count and len(set(table)) != count:
         raise EquivalenceViolated(
             f"residues at level {level} do not form a complete system mod {count}"
         )
 
-    nums = list(orbit_numerators(spec, min(sample, spec.period)))
+    copies, extra = divmod(sample, count)
+    tail = math.lcm(*map(len, spec._tables[level:]))
+    by_classes = not extra and sample < spec.period and tail < count
+    nums = list(orbit_numerators(spec, min(sample, count if by_classes else spec.period)))
     proved = min(sample, count)
     if orbit_point(spec, proved - 1).digits.prefix_index(spec.depth) != nums[proved - 1]:
         raise ComputationError(f"orbit_point disagrees with the stream on iterate {proved - 1}")
@@ -259,13 +299,16 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
             f"iterate {n} lies in interval {idx} but {n} mod {count} != {table[idx]}"
         )
 
-    copies, extra = divmod(sample, count)
+    if by_classes:
+        d_star = _dstar_of_classes(list(map(width.__rmod__, nums[:tail])), copies, count, width)
+    else:
+        d_star = _dstar_cycled(nums, sample, base.products[spec.depth])
     counts = list(map(copies.__add__, map(extra.__gt__, table)))
     return LevelReport(
         level=level,
         sample_size=sample,
         intervals=_LevelIntervals(table, counts, Fraction(sample, count)),
-        d_star=_dstar_cycled(nums, sample, base.products[spec.depth]),
+        d_star=d_star,
         period_proved=sample >= count,
     )
 

@@ -462,22 +462,33 @@ KEYS = st.text(st.sampled_from('ab"\\%dsé😀 '), min_size=1, max_size=4)
 @st.composite
 def tables(draw):
     """``(header, rows, table)``: ``rows`` nested, one value per header name,
-    and ``table`` the same rows flat, with at most one int sequence column."""
+    and ``table`` the same rows flat, with at most one int sequence column
+    and any other columns fixed: one value in every row, left out of the
+    table's rows."""
     header = tuple(draw(st.lists(KEYS, min_size=1, max_size=5, unique=True)))
     cells = [CELLS[draw(st.sampled_from(sorted(CELLS)))] for _ in header]
-    ints = None
+    i, width = len(header), 1  # no int sequence: i past the last column
     if draw(st.booleans()):
-        ints = i, width = draw(st.integers(0, len(header) - 1)), draw(st.integers(0, 3))
+        i, width = draw(st.integers(0, len(header) - 1)), draw(st.integers(0, 3))
         cells[i] = st.lists(INT, min_size=width, max_size=width)
+    fixed = {h: draw(cells[h]) for h in range(len(header)) if h != i and draw(st.booleans())}
+    cells = [st.just(fixed[h]) if h in fixed else cell for h, cell in enumerate(cells)]
     rows = draw(st.lists(st.tuples(*cells), max_size=4))
-    if ints:
-        return header, rows, Table(header, [(*r[:i], *r[i], *r[i + 1:]) for r in rows], ints)
-    return header, rows, Table(header, rows)
+    flat = [(*r[:i], *r[i], *r[i + 1:]) if i < len(header) else r for r in rows]
+    # a column after the int sequence is width - 1 cells further in a flat row
+    at = {h + (width - 1) * (h > i): value for h, value in fixed.items()}
+    table = Table(header, [tuple(v for c, v in enumerate(r) if c not in at) for r in flat],
+                  (i, width) if i < len(header) else None, at or None)
+    return header, rows, table
 
 
 @given(tables())
 @example((("%d", '"%s"'), [(1, "%s")], Table(("%d", '"%s"'), [(1, "%s")])))
 @example((("residues", "n"), [([], 4)], Table(("residues", "n"), [(4,)], (0, 0))))
+# fixed texts with a "%" of their own, and "%" in a key
+@example((("%d", "b", "%s"), [("%d", 1, "%")] * 2,
+          Table(("%d", "b", "%s"), [(1,)] * 2, None, {0: "%d", 2: "%"})))
+@example((("j", "%"), [(0, 100)], Table(("j", "%"), [(0,)], None, {1: 100})))
 def test_row_renderer_matches_dicts_through_stdlib_json_and_old_csv_cells(case):
     header, rows, table = case
     dicts = [dict(zip(header, row)) for row in rows]

@@ -1,5 +1,7 @@
 """Interval counting, membership equivalence, discrepancy, preservation."""
 import dataclasses
+import itertools
+import math
 import operator
 import random
 import tracemalloc
@@ -413,12 +415,14 @@ def leveled_orbits(draw):
 
 
 def _samples_around(spec, level):
-    """Sample sizes below, at and across the level period and the orbit period."""
-    marks = (spec.alpha_digits.base.products[level], spec.period)
+    """Sample sizes below, at and across the level period and the orbit
+    period, and whole numbers of level periods up to past the orbit period."""
+    marks = count, period = spec.alpha_digits.base.products[level], spec.period
     near = [mark + d for mark in marks for d in (-1, 0, 1)]
     return st.one_of(
         st.sampled_from(sorted({n for n in near if n >= 1})),
         st.integers(min_value=1, max_value=3 * max(marks) + 7),
+        st.integers(min_value=1, max_value=period // count + 1).map(count.__mul__),
     )
 
 
@@ -540,10 +544,14 @@ def _orbit_point_proof(spec, level, sample, table):
             )
 
 
-@pytest.mark.parametrize("level, sample", [(0, 1), (0, 9), (2, 5), (2, 12), (2, 13), (3, 59), (3, 60), (3, 250)])
+@pytest.mark.parametrize("level, sample", [
+    (0, 1), (0, 9), (1, 6), (2, 5), (2, 12), (2, 13), (2, 24), (2, 48), (3, 59), (3, 60), (3, 250)
+])
 def test_membership_equivalence_reads_one_numerator_stream(monkeypatch, level, sample):
-    # the proof reads the numerators D* reads, and random access only once,
-    # on the last iterate it checks
+    # a whole number of level periods B_k below the orbit's period P, with a
+    # tail period T below B_k: one level period serves the proof and, its
+    # first T numerators, D*.  Otherwise the proof reads the numerators D*
+    # reads.  Random access only once, on the last iterate the proof checks
     streams, points = [], []
 
     def counted_stream(spec, count):
@@ -558,8 +566,12 @@ def test_membership_equivalence_reads_one_numerator_stream(monkeypatch, level, s
     monkeypatch.setattr(equidist_module, "orbit_point", counted_point)
     b, pv, spec = _zero_orbit((3, 4, 5))
     membership_equivalence(spec, level, sample)
-    assert streams == [min(sample, spec.period)]
-    assert points == [min(sample, b.products[level]) - 1]
+    count, tail = b.products[level], math.prod(b.moduli[level:])
+    if sample % count == 0 and sample < spec.period and tail < count:
+        assert streams == [count]
+    else:
+        assert streams == [min(sample, spec.period)]
+    assert points == [min(sample, count) - 1]
 
 
 @pytest.mark.parametrize("level, sample", [(2, 3), (2, 12), (3, 17), (3, 60), (3, 500)])
@@ -597,17 +609,23 @@ def _planted(edit):
     return table
 
 
-@pytest.mark.parametrize("sample", [2, 60, 61, 500])
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        # two classes trade intervals: still a complete system, caught by the proof
-        (lambda t: [{0: 1, 1: 0}.get(r, r) for r in t], "iterate 0 lies in interval"),
-        # one class twice: not a complete system
-        (lambda t: [r or 1 for r in t], "do not form a complete system"),
-    ],
-)
-def test_membership_equivalence_rejects_a_planted_table(monkeypatch, sample, edit, message):
+def _swap_zero_and_one(table):
+    return [{0: 1, 1: 0}.get(r, r) for r in table]
+
+
+def _one_class_twice(table):
+    return [r or 1 for r in table]
+
+
+# two classes trade intervals: still a complete system, caught by the proof.
+# One class twice: not a complete system, seen in the table below one period
+# and by the proof over a whole period, which checks every class
+@pytest.mark.parametrize("edit, sample, message", [
+    *((_swap_zero_and_one, n, "iterate 0 lies in interval") for n in (2, 60, 61, 500)),
+    (_one_class_twice, 2, "do not form a complete system"),
+    *((_one_class_twice, n, "iterate 0 lies in interval") for n in (60, 61, 500)),
+])
+def test_membership_equivalence_rejects_a_planted_table(monkeypatch, edit, sample, message):
     monkeypatch.setattr(equidist_module, "residue_table", _planted(edit))
     b, pv, spec = _zero_orbit((3, 4, 5))
     with pytest.raises(EquivalenceViolated, match=message):
@@ -921,6 +939,78 @@ def test_dstar_cycled_of_whole_copies_with_ties_and_big_q(nums, copies, q):
     points = [Fraction(p, q) for p in nums]
     expected = _two_maxima_dstar_whole_copies(nums, sample, q)
     assert _dstar_cycled(nums, sample, q) == expected == star_discrepancy(points).d_star
+
+
+# --- D* from the proved classes against the sort of the orbit it replaced ---
+
+def _cycles_through(m, digit, full):
+    """Every permutation of ``Z_m`` whose only cycle longer than 1 passes
+    through ``digit``: of length ``m`` only if ``full``, else of any length."""
+    others = [d for d in range(m) if d != digit]
+    for length in [m - 1] if full else range(m):
+        for rest in itertools.permutations(others, length):
+            cycle = (digit, *rest)
+            image = list(range(m))
+            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                image[x] = y
+            yield make_unchecked(m, image)
+
+
+def _every_orbit(moduli):
+    """``(spec, level)`` for every level and every orbit of the top-digit seed
+    with full cycles below the level: from the level on, every cycle through
+    the seed digit.  The orbit depends only on the cycles through the seed
+    digits, so these are all vectors' orbits of that seed."""
+    base = make_base(moduli)
+    seed = make_expansion([m - 1 for m in moduli], base)
+    for level in range(len(moduli) + 1):
+        choices = [list(_cycles_through(m, m - 1, j < level)) for j, m in enumerate(moduli)]
+        for perms in itertools.product(*choices):
+            yield make_orbit(seed, PermutationVector(perms, base)), level
+
+
+@pytest.mark.parametrize("moduli", [(2, 3, 5), (3, 4, 5)])
+def test_dstar_from_the_classes_matches_the_sorted_orbit_on_every_orbit(moduli):
+    # N = c·B_k for c from 1 to past P / B_k: below P, D* comes from the
+    # proved classes and the tails when the tail period T is below B_k;
+    # otherwise, and from P on, from the sorted period.  At level 0 over
+    # (3, 4, 5), where B_0 = 1 and every N takes the sort, only N = P - 1
+    # and N = P, to keep the time down
+    total = math.prod(moduli)
+    for spec, level in _every_orbit(moduli):
+        count, period = spec.alpha_digits.base.products[level], spec.period
+        nums = list(orbit_numerators(spec, period))
+        every = range(1, period // count + 2)
+        for copies in every if level or moduli == (2, 3, 5) else every[-3:-1]:
+            sample = copies * count
+            d_star = membership_equivalence(spec, level, sample).d_star
+            assert d_star == _dstar_cycled(nums[:sample], sample, total), (spec, level, sample)
+            if moduli == (2, 3, 5):
+                points = [Fraction(nums[n % period], total) for n in range(sample)]
+                assert d_star == star_discrepancy(points).d_star
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_dstar_from_the_classes_matches_the_sorted_orbit_on_deeper_tails(data):
+    # whole level periods below the orbit's period, mostly with a tail
+    # period T below B_k
+    moduli = data.draw(st.sampled_from([(2, 3, 5, 7), (4, 3, 5, 7), (3, 8, 5, 7), (9, 2, 5, 7)]))
+    level = data.draw(st.integers(min_value=2, max_value=3))
+    base = make_base(moduli)
+    perms = [
+        (from_cycle if j < level else make_unchecked)(m, data.draw(st.permutations(range(m))))
+        for j, m in enumerate(moduli)
+    ]
+    seed = make_expansion([data.draw(st.integers(0, m - 1)) for m in moduli], base)
+    spec = make_orbit(seed, PermutationVector(tuple(perms), base))
+    count = base.products[level]
+    assume(spec.period > count)
+    sample = count * data.draw(st.integers(min_value=1, max_value=spec.period // count - 1))
+    nums = list(orbit_numerators(spec, sample))
+    d_star = membership_equivalence(spec, level, sample).d_star
+    assert d_star == _dstar_cycled(nums, sample, base.products[-1])
+    assert d_star == star_discrepancy([Fraction(p, base.products[-1]) for p in nums]).d_star
 
 
 def test_star_discrepancy_rejects_an_empty_sample():
