@@ -81,81 +81,122 @@ def _vector(args) -> PermutationVector:
     return parse_permutations("\n".join(lines[: base.depth]), base)
 
 
+# the rows written by one str.join
+_ROW_BLOCK = 1024
+
+
 class Table(NamedTuple):
-    """A header and its rows: flat tuples of ints and strs (or bools), each
-    row with the first row's cell kinds.  With ``ints = (i, width)``, column
-    ``i`` is an int sequence: the ``width`` cells from cell ``i`` on, each an
-    int or a text of ints pre-rendered with the sequence's separator.  Rows
-    with such texts come as a function of that separator, called with ``;``
-    for CSV and with the JSON list's own for JSON.  ``fixed`` maps the
-    position of a cell in the whole row to the value it holds in every row:
-    the rows leave those cells out, and the row template holds their text."""
+    """A header and ``count`` rows, held as columns: ``columns`` has one
+    iterable per varying cell of a row, each read for ``count`` cells of
+    one kind (int, str or bool).  ``fixed`` maps the position of a cell in
+    the whole row to the value it holds in every row; ``columns`` leaves
+    those positions out.  With ``ints = (i, width)``, the ``width`` cells
+    from position ``i`` on are an int sequence, each cell an int or a text
+    of ints pre-rendered with the sequence's separator.  Columns with such
+    texts come as a function of that separator, called with ``;`` for CSV
+    and with the JSON list's own for JSON."""
 
     header: tuple[str, ...]
-    rows: Iterable[tuple] | Callable[[str], Iterable[tuple]]
+    columns: Iterable[Iterable] | Callable[[str], Iterable[Iterable]]
+    count: int
     ints: tuple[int, int] | None = None
     fixed: dict[int, object] | None = None
 
 
+def _between(sep: str, items: Iterable[list]) -> list:
+    """The parts of ``items``, ``sep`` between each two of them."""
+    return [part for item in items for part in (sep, *item)][1:]
+
+
 @functools.lru_cache(maxsize=64)
-def _json_template(header: tuple, slots: tuple, pad: str) -> str:
-    """The JSON object ``header`` -> ``slots`` at ``pad``, once per shape:
-    each slot a bare ``%s``, or a tuple of them as a list; a key's own "%"
-    is doubled."""
-    cells = {key.replace("%", "%%"): slot for key, slot in zip(header, slots)}
-    return json.dumps(cells, indent=2).replace("\n", "\n" + pad).replace('"%s"', "%s")
-
-
-def _row_renderer(table: Table, first: tuple, csv: bool, pad: str = "", lead: str = ""):
-    """One ``%`` template for the rows shaped like ``first``, as the function
-    that renders a row with it: ``lead`` (no "%" in it) then a CSV line, or
-    the JSON object at ``pad``.  The template is built with a ``%s`` slot
-    per cell and filled once: each slot gets its cell's placeholder, or the
-    text of a ``fixed`` cell with its own "%" doubled."""
-    fixed = table.fixed or {}
-    cells = list(first)
-    for i in sorted(fixed):
-        cells.insert(i, fixed[i])
-    quoted = [type(v) is not int for v in cells]
-    own = ["%d" if type(v) is int else "%s" for v in cells]
-    for i, v in fixed.items():
-        own[i] = (own[i] % (json.dumps(v) if quoted[i] and not csv else v)).replace("%", "%%")
-    slots = ["%s"] * len(cells)
-    if table.ints:
-        i, width = table.ints
-        ints = tuple(slots[i : i + width])
-        slots[i : i + width] = [";".join(ints) if csv else ints]
-        quoted[i : i + width] = [False] * width  # pre-rendered texts go in bare
+def _row_parts(header: tuple, ints: tuple | None, fixed: tuple, csv: bool, pad: str) -> tuple:
+    """A row as its parts, once per shape: constant texts, the position of
+    each fixed cell in ``fixed``, and for each varying cell whether it is
+    in the int sequence ``ints``; a CSV line, or the JSON object at ``pad``
+    as ``json.dumps(row, indent=2)`` writes it."""
+    i, width = ints or (0, 1)
+    # one field per header name: its parts
+    fields = [[False] for _ in range(len(header) + width - 1)]
+    for at in fixed:
+        fields[at] = [at]
+    if ints:
+        items = _between(";" if csv else f",\n{pad}    ", [[True]] * width)
+        if not csv:
+            items = [f"[\n{pad}    ", *items, f"\n{pad}  ]"] if width else ["[]"]
+        fields[i : i + width] = [items]
     if csv:
-        skeleton = ",".join(slots) + "\n"
-    else:
-        skeleton = _json_template(tuple(table.header), tuple(slots), pad)
-    template = (lead + skeleton).replace("%%", "%%%%") % tuple(own)
-    quoted = [q for i, q in enumerate(quoted) if i not in fixed]
-    if csv or not any(quoted):
-        return template.__mod__
-    return lambda row: template % tuple(json.dumps(v) if q else v for v, q in zip(row, quoted))
+        return (*_between(",", fields), "\n")
+    keys = [[f"\n{pad}  {json.dumps(key)}: ", *field] for key, field in zip(header, fields)]
+    return ("{", *_between(",", keys), f"\n{pad}}}") if keys else ("{}",)
+
+
+def _row_texts(table: Table, csv: bool, pad: str = "") -> tuple[list[str], list[bool]]:
+    """The constant texts of a row of ``table`` (:func:`_row_parts`), one
+    more than its varying cells, and whether each varying cell is in the
+    int sequence.  A fixed cell's text is its ``str`` in CSV and its
+    ``json.dumps`` in JSON."""
+    fixed = table.fixed or {}
+    texts, in_ints = [""], []
+    for part in _row_parts(tuple(table.header), table.ints, tuple(sorted(fixed)), csv, pad):
+        if type(part) is bool:
+            texts.append("")
+            in_ints.append(part)
+        elif type(part) is int:
+            value = fixed[part]
+            texts[-1] += str(value) if csv or type(value) is int else json.dumps(value)
+        else:
+            texts[-1] += part
+    return texts, in_ints
+
+
+def _blocks(table: Table, columns: Iterable[Iterable], csv: bool, pad: str = "",
+            lead: str = "", opening: str = "") -> Iterator[str]:
+    """The rows of ``table`` (:func:`_row_texts`) from ``columns``, each
+    block of ``_ROW_BLOCK`` rows one ``str.join``: the constant texts go in
+    by list repetition, column ``i`` by slice assignment into the slots
+    ``2·i + 1``.  Every row is led by ``lead``, the first one by
+    ``opening`` instead.  A column's cells go in as its first cell's kind
+    asks: an int by ``str``, a str as it is, and in JSON a str outside the
+    int sequence or any other kind by ``json.dumps`` (by ``str`` in CSV)."""
+    texts, in_ints = _row_texts(table, csv, pad)
+    step = 2 * len(in_ints) + 1
+    row = [None] * step
+    row[::2] = texts
+    row[0] = lead + texts[0]
+    columns = list(map(iter, columns))
+    for start in range(0, table.count, _ROW_BLOCK):
+        m = min(_ROW_BLOCK, table.count - start)
+        pieces = row * m
+        for i, (column, bare) in enumerate(zip(columns, in_ints)):
+            cells = list(itertools.islice(column, m))
+            kind = type(cells[0])
+            if kind is str and (csv or bare):
+                pieces[2 * i + 1 :: step] = cells
+            elif kind is int or csv:
+                pieces[2 * i + 1 :: step] = map(str, cells)
+            else:
+                pieces[2 * i + 1 :: step] = map(json.dumps, cells)
+        if not start:
+            pieces[0] = opening + texts[0]
+        yield "".join(pieces)
 
 
 def _rendered(table: Table, csv: bool, pad: str = "") -> Iterator[str]:
     """``table`` in pieces: CSV under its header, or the JSON list of its
-    rows at ``pad``, each row's template led by the separator before it."""
+    rows at ``pad``, in blocks of rows (:func:`_blocks`); a block is
+    rendered when it is read."""
     inner = pad + "  "
-    rows = table.rows
-    if callable(rows):
+    columns = table.columns
+    if callable(columns):
         # a list value of a row object at `inner` has its items at inner + 4
-        rows = rows(";" if csv else f",\n{inner}    ")
-    rows = iter(rows)
-    first = next(rows, None)
+        columns = columns(";" if csv else f",\n{inner}    ")
     header = ",".join(table.header) + "\n"
-    if first is None:
+    if not table.count:
         return iter([header if csv else "[]"])
     if csv:
-        render = _row_renderer(table, first, csv)
-        return itertools.chain([header, render(first)], map(render, rows))
-    render = _row_renderer(table, first, csv, inner, lead=f",\n{inner}")
-    # the first row's lead with "[" in place of its ","
-    return itertools.chain(["[", render(first)[1:]], map(render, rows), [f"\n{pad}]"])
+        return _blocks(table, columns, csv, opening=header)
+    rows = _blocks(table, columns, csv, inner, f",\n{inner}", f"[\n{inner}")
+    return itertools.chain(rows, [f"\n{pad}]"])
 
 
 def _json_pieces(payload) -> Iterator[str]:
@@ -186,8 +227,7 @@ def emit(args, table_lines, table: Table, payload=None) -> None:
     elif args.format == "csv":
         pieces = _rendered(table, csv=True)
     elif payload is None:
-        (row,) = table.rows
-        pieces = [_row_renderer(table, row, csv=False)(row), "\n"]
+        pieces = itertools.chain(_blocks(table, table.columns, csv=False), "\n")
     else:
         pieces = itertools.chain(_json_pieces(payload), "\n")
     if not args.out:
@@ -212,12 +252,13 @@ def cmd_expand(args) -> None:
     value = as_fraction(args.value)
     digits = encode(value, base, base.depth)
     row = (*digits.digits, *frac(value))
-    emit(args, [str(digits)], Table(("digits", "value_num", "value_den"), [row], (0, base.depth)))
+    table = Table(("digits", "value_num", "value_den"), zip(row), 1, (0, base.depth))
+    emit(args, [str(digits)], table)
 
 
 def cmd_decode(args) -> None:
     value = make_expansion(args.digits, _base(args)).value
-    emit(args, [fmt_frac(value)], Table(("value_num", "value_den"), [frac(value)]))
+    emit(args, [fmt_frac(value)], Table(("value_num", "value_den"), zip(frac(value)), 1))
 
 
 def cmd_map(args) -> None:
@@ -225,40 +266,44 @@ def cmd_map(args) -> None:
     image = apply_map(pv, encode(args.value, pv.base, pv.depth))
     value = image.value
     row = (*image.digits, *frac(value))
-    table = Table(("digits", "value_num", "value_den"), [row], (0, pv.depth))
+    table = Table(("digits", "value_num", "value_den"), zip(row), 1, (0, pv.depth))
     emit(args, [f"digits: {image}", f"value: {fmt_frac(value)}"], table)
 
 
-def _orbit_rows(spec: OrbitSpec, start: int, count: int, first: tuple, sep: str):
-    """The ``orbit`` rows of iterates ``start .. start + count - 1``, ``(n,
-    value_num, value_den, *digit texts)`` with one text per group of
-    ``spec._groups``, its digits joined by ``sep``.  Row ``start`` has
-    the digits ``first``; the rest zip the numerators of :func:`_orbit_columns`,
-    reduced as Fraction would, with its cycled digit columns, each digit
-    tuple rendered once.  No Python code runs per row."""
+def _orbit_rows(spec: OrbitSpec, start: int, count: int, first: tuple, sep: str) -> list:
+    """The columns of the ``orbit`` rows of iterates ``start .. start +
+    count - 1``: ``n``, ``value_num``, ``value_den`` and one digit text per
+    group of ``spec._groups``, its digits joined by ``sep``.  Row ``start``
+    has the digits ``first``; the rest read the numerators of
+    :func:`_orbit_columns` and its cycled digit columns, each digit tuple
+    rendered once.  The numerators are reduced as Fraction would, a block
+    of ``_ROW_BLOCK`` of them at a time from a list.  No Python code runs
+    per row."""
     total = spec.alpha_digits.base.products[spec.depth]
     widths = [width for width, _ in spec._groups]
     templates = [sep.join(["%d"] * width) for width in widths]
     digits = iter(first)
-    texts = [template % tuple(itertools.islice(digits, width))
+    texts = [[template % tuple(itertools.islice(digits, width))]
              for template, width in zip(templates, widths)]
-    num = spec.alpha_digits.base.index_of(first)
-    g = math.gcd(num, total)
-    row = (start, num // g, total // g, *texts)
-    if count == 1:
-        return iter([row])
-    nums, columns = _orbit_columns(spec, start + 1, count - 1)
-    texts = [itertools.cycle(list(map(template.__mod__, digits)))
-             for template, digits in zip(templates, columns)]
-    nums, to_reduce = itertools.tee(nums)
-    gcds, to_divide = itertools.tee(map(math.gcd, to_reduce, itertools.repeat(total)))
-    rest = zip(
-        itertools.count(start + 1),
-        map(operator.floordiv, nums, gcds),
-        map(total.__floordiv__, to_divide),
-        *texts,
-    )
-    return itertools.chain([row], rest)
+    nums = [spec.alpha_digits.base.index_of(first)]
+    if count > 1:
+        rest, columns = _orbit_columns(spec, start + 1, count - 1)
+        nums = itertools.chain(nums, rest)
+        texts = [itertools.chain(text, itertools.cycle(list(map(template.__mod__, digits))))
+                 for text, template, digits in zip(texts, templates, columns)]
+
+    def reduced(nums):
+        while block := list(itertools.islice(nums, _ROW_BLOCK)):
+            gcds = list(map(math.gcd, block, itertools.repeat(total)))
+            # read to their ends, both drop the block's lists, which tee's
+            # buffer of recent items would otherwise hold
+            yield iter(list(map(operator.floordiv, block, gcds))), map(total.__floordiv__, gcds)
+
+    # the two value columns share one reduction per block
+    pairs = itertools.tee(reduced(iter(nums)))
+    values = [itertools.chain.from_iterable(map(operator.itemgetter(k), blocks))
+              for k, blocks in enumerate(pairs)]
+    return [range(start, start + count), *values, *texts]
 
 
 def cmd_orbit(args) -> None:
@@ -270,10 +315,11 @@ def cmd_orbit(args) -> None:
         raise ValidationError("count must be >= 1")
     # `--at` is the one-row case: random access only, no column is built
     first = orbit_point(spec, start).digits.digits
-    rows = functools.partial(_orbit_rows, spec, start, count, first)
-    table = Table(("n", "value_num", "value_den", "digits"), rows, (3, len(spec._groups)))
+    columns = functools.partial(_orbit_rows, spec, start, count, first)
+    header = ("n", "value_num", "value_den", "digits")
+    table = Table(header, columns, count, (3, len(spec._groups)))
     line = "n=%d  value=%d/%d  digits=" + ";".join(["%s"] * len(spec._groups))
-    lines = map(line.__mod__, rows(";")) if args.format == "table" else ()
+    lines = map(line.__mod__, zip(*columns(";"))) if args.format == "table" else ()
     emit(args, lines, table, table)
 
 
@@ -291,7 +337,8 @@ def _interval_columns(report) -> tuple[Sequence[int], Sequence[int]]:
 def _level_report(args) -> Sequence[int]:
     """The ``check equivalence`` handler, also run by ``check ud``: emit the
     membership equivalence report and return its interval counts; raises
-    (exit 3) on any index violating the congruence."""
+    (exit 3) on any index violating the congruence.  The rows' count is a
+    fixed cell when the report's counts are all equal."""
     pv = _vector(args)
     seed = encode(args.alpha, pv.base, pv.depth)
     report = membership_equivalence(make_orbit(seed, pv), args.level, args.count)
@@ -306,10 +353,14 @@ def _level_report(args) -> Sequence[int]:
         [f"d_star: {fmt_frac(report.d_star)}"],
     )
     num, den = frac(expected)
+    columns, fixed = [range(modulus), residues], {2: modulus, 4: num, 5: den}
+    if counts.count(counts[0]) == len(counts):
+        fixed[3] = counts[0]
+    else:
+        columns.append(counts)
     table = Table(
         ("j", "residue", "modulus", "count", "expected_num", "expected_den"),
-        zip(itertools.count(), residues, counts),
-        fixed={2: modulus, 4: num, 5: den},
+        columns, modulus, fixed=fixed,
     )
     payload = {
         "level": report.level,
@@ -339,10 +390,10 @@ def cmd_check_preserve(args) -> None:
     if probe.grid_exact is not None:
         table_lines.append(f"grid image equals grid: {probe.grid_exact}")
     num, den = frac(probe.expected)
+    size = len(probe.counts)
     table = Table(
         ("j", "count", "expected_num", "expected_den"),
-        zip(itertools.count(), probe.counts),
-        fixed={2: num, 3: den},
+        (range(size), probe.counts), size, fixed={2: num, 3: den},
     )
     payload = {
         "source": probe.source,
@@ -371,7 +422,8 @@ def cmd_density(args) -> None:
     d = density(ps)
     residues = sorted(ps.residues)
     row = (*residues, ps.modulus, *frac(d))
-    table = Table(("residues", "modulus", "density_num", "density_den"), [row], (0, len(residues)))
+    table = Table(("residues", "modulus", "density_num", "density_den"), zip(row), 1,
+                  (0, len(residues)))
     payload = {"modulus": ps.modulus, "residues": residues, **frac_fields("density", d)}
     emit(args, [f"set: {ps}", f"density: {fmt_frac(d)}"], table, payload)
 
@@ -405,7 +457,7 @@ def cmd_probe_monotone(args) -> None:
         "points": witness.points,
         "images": witness.images,
     }
-    emit(args, table_lines, Table(header, rows), payload)
+    emit(args, table_lines, Table(header, list(zip(*rows)), len(rows)), payload)
 
 
 QUOTIENT_HEADER = ("s", "a_s", "ell", "quot_num", "quot_den")
@@ -420,7 +472,7 @@ def cmd_probe_quotient(args) -> None:
     pv = _vector(args)
     seed = encode(args.alpha, pv.base, pv.depth)
     sample = difference_quotient(pv, seed, args.digit, args.ell)
-    emit(args, [fmt_frac(sample.quotient)], Table(QUOTIENT_HEADER, [_quotient_row(sample)]))
+    emit(args, [fmt_frac(sample.quotient)], Table(QUOTIENT_HEADER, zip(_quotient_row(sample)), 1))
 
 
 def cmd_probe_derivative(args) -> None:
@@ -444,7 +496,7 @@ def cmd_probe_derivative(args) -> None:
         "candidates: " + ",".join(str(c) for c in report.candidates),
         f"candidates_stable: {report.candidates_stable}",
     ]
-    emit(args, table_lines, Table(QUOTIENT_HEADER, rows), asdict(report))
+    emit(args, table_lines, Table(QUOTIENT_HEADER, list(zip(*rows)), len(rows)), asdict(report))
 
 
 # --- parser ---

@@ -24,6 +24,9 @@ from .perms import PermutationVector
 # cycle alone is longer; read when an OrbitSpec is built
 _GROUP_CAP = 256
 
+# the points _truncated_numerators maps in one pass of its columns
+_POINT_BLOCK = 2048
+
 
 def _check_fits(pv: PermutationVector, x: DigitExpansion) -> None:
     """Raise DepthMismatch unless ``pv`` has at least ``len(x.digits)`` levels and
@@ -224,18 +227,25 @@ def _truncated_numerators(
     ``nums`` with ``0 <= p < q``: the image numerators over ``q·B_depth``.
 
     Point ``p`` lies in interval ``index = x // q``, ``x = p·B_depth``, and
-    maps to ``x + (image_index - index)·q``, its tail kept.  In columns:
-    ``moved = image_index - index`` starts at ``-index`` and takes one
-    table-lookup pass per group of :func:`_image_tables` (``cap =
-    len(nums)``: tables cost no more than the points), the group's digit
-    ``index // weight mod size`` at its weight; ``x`` is not kept.
+    maps to ``x + (image_index - index)·q``, its tail kept.  In columns, a
+    block of ``_POINT_BLOCK`` points at a time: ``moved = image_index -
+    index`` starts at ``-index`` and takes one table-lookup pass per group
+    of :func:`_image_tables` (``cap = len(nums)``: tables cost no more than
+    the points, built once for all blocks), the group's digit ``index //
+    weight mod size`` at its weight; ``x`` is not kept.  Besides the
+    images, the columns hold one block of points.
     """
     total = pv.base.products[depth]
-    index = [p * total // q for p in nums]
-    moved = list(map(operator.neg, index))
-    for size, table, weight in _image_tables(pv, depth, len(nums)):
-        moved = [s + table[i // weight % size] * weight for s, i in zip(moved, index)]
-    return [p * total + s * q for p, s in zip(nums, moved)]
+    groups = _image_tables(pv, depth, len(nums))
+    images: list[int] = []
+    for start in range(0, len(nums), _POINT_BLOCK):
+        block = nums[start : start + _POINT_BLOCK]
+        index = [p * total // q for p in block]
+        moved = list(map(operator.neg, index))
+        for size, table, weight in groups:
+            moved = [s + table[i // weight % size] * weight for s, i in zip(moved, index)]
+        images += [p * total + s * q for p, s in zip(block, moved)]
+    return images
 
 
 def apply_truncated(pv: PermutationVector, x, depth: int) -> Fraction:

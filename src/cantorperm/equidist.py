@@ -258,7 +258,8 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
 
     Interval ``j`` with class ``r_j`` then holds ``ceil((sample - r_j) /
     B_k)`` of the iterates, 0 when ``r_j >= sample``: ``copies + (r_j <
-    extra)`` with ``copies, extra = divmod(sample, B_k)``.  The report's
+    extra)`` with ``copies, extra = divmod(sample, B_k)``, one repeated
+    ``copies`` when ``extra`` is 0.  The report's
     intervals read the classes and these counts as two columns, building no
     stat until one is read.  The depth-``K`` orbit repeats with period
     ``P``, the ``lcm`` of the seed digits' cycle lengths, and is injective
@@ -303,7 +304,7 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
         d_star = _dstar_of_classes(list(map(width.__rmod__, nums[:tail])), copies, count, width)
     else:
         d_star = _dstar_cycled(nums, sample, base.products[spec.depth])
-    counts = list(map(copies.__add__, map(extra.__gt__, table)))
+    counts = list(map(copies.__add__, map(extra.__gt__, table))) if extra else [copies] * count
     return LevelReport(
         level=level,
         sample_size=sample,

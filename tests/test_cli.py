@@ -2,11 +2,16 @@
 import argparse
 import contextlib
 import dataclasses
+import functools
 import io
+import itertools
 import json
 import math
+import pathlib
 import random
+import sys
 import tracemalloc
+import typing
 from fractions import Fraction
 
 import pytest
@@ -196,6 +201,75 @@ def test_check_equivalence_prints_a_planted_count_in_every_format(capsys, monkey
         "json": before.replace('"count": 5', '"count": 6'),
     }[fmt]
     assert before != expected == after
+
+
+EQUIVALENCE_CYCLES = ";".join(
+    f"{m}:" + ",".join(map(str, from_cycle(m, random.Random(m).sample(range(m), m)).image))
+    for m in (2, 3, 5, 7, 11)
+)
+# (argv, whether B_k divides N: every count the same, printed as a fixed cell)
+EQUIVALENCE_RUNS = {
+    "whole periods": (["--bases", "2,3,5,7", "--level", "2", "--count", "30"], True),
+    "whole periods, random cycles": (
+        ["--bases", "2,3,5,7,11", "--perms", EQUIVALENCE_CYCLES, "--alpha", "3/7",
+         "--level", "3", "--count", "60"], True),
+    "level 0": (["--bases", "2,3", "--level", "0", "--count", "5"], True),
+    "one past": (["--bases", "2,3,5,7", "--level", "2", "--count", "31"], False),
+    "one short, random cycles": (
+        ["--bases", "2,3,5,7,11", "--perms", EQUIVALENCE_CYCLES, "--alpha", "3/7",
+         "--level", "3", "--count", "59"], False),
+    "below one period": (["--bases", "2,3,5,7", "--level", "3", "--count", "7"], False),
+}
+
+
+def _equivalence_by_rows(argv, fmt) -> str:
+    """The ``check equivalence`` output from the report's stats, one row
+    each, through the per-row template."""
+    args = build_parser().parse_args(["check", "equivalence", *argv, "--format", fmt])
+    pv = cantorperm.cli._vector(args)
+    spec = make_orbit(encode(args.alpha, pv.base, pv.depth), pv)
+    report = cantorperm.equidist.membership_equivalence(spec, args.level, args.count)
+    rows = [(s.index, s.residue.residue, s.residue.modulus, s.count, *frac(s.expected))
+            for s in report.intervals]
+    if fmt == "table":
+        lines = [
+            f"# cantorperm {cantorperm.__version__}",
+            f"level {report.level}, N={report.sample_size}, "
+            f"expected {fmt_frac(report.intervals[0].expected)} per interval",
+            *(f"I_{j}: class {r}+({m})  count {c}" for j, r, m, c, _, _ in rows),
+            f"d_star: {fmt_frac(report.d_star)}",
+        ]
+        return "\n".join(lines) + "\n"
+    table = RowTable(("j", "residue", "modulus", "count", "expected_num", "expected_den"), rows)
+    if fmt == "csv":
+        return _rendered_by_rows(table, csv=True)
+    payload = {"level": report.level, "N": report.sample_size, "intervals": None,
+               "d_star_num": report.d_star.numerator, "d_star_den": report.d_star.denominator}
+    rendered = _rendered_by_rows(table, csv=False, pad="  ")
+    text = json.dumps(payload, indent=2).replace('"intervals": null', '"intervals": ' + rendered)
+    assert json.loads(text)["intervals"] == [dict(zip(table.header, row)) for row in rows]
+    return text + "\n"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_RUNS))
+def test_check_equivalence_matches_the_per_row_oracle(capsys, monkeypatch, name, fmt):
+    argv, constant = EQUIVALENCE_RUNS[name]
+    tables = []
+    real = cantorperm.cli.emit
+
+    def emit(args, table_lines, table, payload=None):
+        tables.append(table)
+        real(args, table_lines, table, payload)
+
+    monkeypatch.setattr(cantorperm.cli, "emit", emit)
+    code, out, err = run(capsys, "check", "equivalence", *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == _equivalence_by_rows(argv, fmt)
+    # the count is a fixed cell exactly when every interval holds N / B_k
+    (table,) = tables
+    assert (3 in table.fixed) == constant
+    assert len(table.columns) == 2 + (not constant)
 
 
 GRID = ("check", "preserve", "--bases", "2,3,5", "--source", "grid", "--level", "1", "--count", "60")
@@ -444,6 +518,90 @@ def _emitted(fmt, table, payload=None):
     return out.getvalue()
 
 
+# --- oracle: the renderer before rows came as columns, one `%` per row ---
+
+class RowTable(typing.NamedTuple):
+    """A table as rows: flat tuples of its varying cells, as
+    :class:`Table` held them before it held columns."""
+
+    header: tuple
+    rows: object
+    ints: tuple | None = None
+    fixed: dict | None = None
+
+
+def _as_rows(table: Table) -> RowTable:
+    """``table``'s columns read as rows; a table of fixed cells only has
+    ``count`` empty rows."""
+    columns = table.columns(";") if callable(table.columns) else table.columns
+    rows = list(zip(*columns)) if columns else [()] * table.count
+    return RowTable(table.header, rows, table.ints, table.fixed)
+
+
+@functools.lru_cache(maxsize=64)
+def _json_template(header: tuple, slots: tuple, pad: str) -> str:
+    """The JSON object ``header`` -> ``slots`` at ``pad``: each slot a bare
+    ``%s``, or a tuple of them as a list; a key's own "%" is doubled."""
+    cells = {key.replace("%", "%%"): slot for key, slot in zip(header, slots)}
+    return json.dumps(cells, indent=2).replace("\n", "\n" + pad).replace('"%s"', "%s")
+
+
+def _row_renderer(table: RowTable, first: tuple, csv: bool, pad: str = "", lead: str = ""):
+    """One ``%`` template for the rows shaped like ``first``, as the
+    function that renders a row with it: ``lead`` then a CSV line, or the
+    JSON object at ``pad``.  A fixed cell's text goes into the template
+    with its own "%" doubled."""
+    fixed = table.fixed or {}
+    cells = list(first)
+    for i in sorted(fixed):
+        cells.insert(i, fixed[i])
+    quoted = [type(v) is not int for v in cells]
+    own = ["%d" if type(v) is int else "%s" for v in cells]
+    for i, v in fixed.items():
+        own[i] = (own[i] % (json.dumps(v) if quoted[i] and not csv else v)).replace("%", "%%")
+    slots = ["%s"] * len(cells)
+    if table.ints:
+        i, width = table.ints
+        ints = tuple(slots[i : i + width])
+        slots[i : i + width] = [";".join(ints) if csv else ints]
+        quoted[i : i + width] = [False] * width  # pre-rendered texts go in bare
+    if csv:
+        skeleton = ",".join(slots) + "\n"
+    else:
+        skeleton = _json_template(tuple(table.header), tuple(slots), pad)
+    template = (lead + skeleton).replace("%%", "%%%%") % tuple(own)
+    quoted = [q for i, q in enumerate(quoted) if i not in fixed]
+    if csv or not any(quoted):
+        return template.__mod__
+    return lambda row: template % tuple(json.dumps(v) if q else v for v, q in zip(row, quoted))
+
+
+def _rendered_by_rows(table: RowTable, csv: bool, pad: str = "") -> str:
+    """CSV under the header, or the JSON list of the rows at ``pad``."""
+    inner = pad + "  "
+    rows = iter(table.rows)
+    first = next(rows, None)
+    header = ",".join(table.header) + "\n"
+    if first is None:
+        return header if csv else "[]"
+    if csv:
+        render = _row_renderer(table, first, csv)
+        return "".join(itertools.chain([header, render(first)], map(render, rows)))
+    render = _row_renderer(table, first, csv, inner, lead=f",\n{inner}")
+    return "".join(itertools.chain(["[", render(first)[1:]], map(render, rows), [f"\n{pad}]"]))
+
+
+def _emitted_by_rows(fmt: str, table: RowTable, listed: bool = True) -> str:
+    """What :func:`emit` wrote for ``table`` in CSV, or in JSON as the list
+    of its rows (``listed``) or its one row as an object."""
+    if fmt == "csv":
+        return _rendered_by_rows(table, csv=True)
+    if listed:
+        return _rendered_by_rows(table, csv=False) + "\n"
+    (row,) = table.rows
+    return _row_renderer(table, row, csv=False)(row) + "\n"
+
+
 def _old_cell(value):
     return ";".join(map(str, value)) if isinstance(value, list) else str(value)
 
@@ -459,12 +617,19 @@ CELLS = {
 KEYS = st.text(st.sampled_from('ab"\\%dsé😀 '), min_size=1, max_size=4)
 
 
+def _table(header, flat, ints=None, fixed=None) -> Table:
+    """Whole ``flat`` rows as a :class:`Table` of columns, the positions in
+    ``fixed`` left out of the columns."""
+    fixed = fixed or {}
+    columns = list(zip(*([v for c, v in enumerate(r) if c not in fixed] for r in flat)))
+    return Table(header, columns, len(flat), ints, fixed or None)
+
+
 @st.composite
 def tables(draw):
     """``(header, rows, table)``: ``rows`` nested, one value per header name,
-    and ``table`` the same rows flat, with at most one int sequence column
-    and any other columns fixed: one value in every row, left out of the
-    table's rows."""
+    and ``table`` the same rows as columns, with at most one int sequence
+    and any other columns fixed: one value in every row, not a column."""
     header = tuple(draw(st.lists(KEYS, min_size=1, max_size=5, unique=True)))
     cells = [CELLS[draw(st.sampled_from(sorted(CELLS)))] for _ in header]
     i, width = len(header), 1  # no int sequence: i past the last column
@@ -477,18 +642,20 @@ def tables(draw):
     flat = [(*r[:i], *r[i], *r[i + 1:]) if i < len(header) else r for r in rows]
     # a column after the int sequence is width - 1 cells further in a flat row
     at = {h + (width - 1) * (h > i): value for h, value in fixed.items()}
-    table = Table(header, [tuple(v for c, v in enumerate(r) if c not in at) for r in flat],
-                  (i, width) if i < len(header) else None, at or None)
-    return header, rows, table
+    return header, rows, _table(header, flat, (i, width) if i < len(header) else None, at)
 
 
 @given(tables())
-@example((("%d", '"%s"'), [(1, "%s")], Table(("%d", '"%s"'), [(1, "%s")])))
-@example((("residues", "n"), [([], 4)], Table(("residues", "n"), [(4,)], (0, 0))))
-# fixed texts with a "%" of their own, and "%" in a key
+@example((("%d", '"%s"'), [(1, "%s")], _table(("%d", '"%s"'), [(1, "%s")])))
+@example((("residues", "n"), [([], 4)], _table(("residues", "n"), [(4,)], (0, 0))))
+# fixed texts holding "%", a quote or a backslash, and such keys
 @example((("%d", "b", "%s"), [("%d", 1, "%")] * 2,
-          Table(("%d", "b", "%s"), [(1,)] * 2, None, {0: "%d", 2: "%"})))
-@example((("j", "%"), [(0, 100)], Table(("j", "%"), [(0,)], None, {1: 100})))
+          _table(("%d", "b", "%s"), [("%d", 1, "%")] * 2, None, {0: "%d", 2: "%"})))
+@example((("j", "%"), [(0, 100)], _table(("j", "%"), [(0, 100)], None, {1: 100})))
+@example((("\\%", 'a"'), [('"\\%s', 7)], _table(("\\%", 'a"'), [('"\\%s', 7)], None, {0: '"\\%s'})))
+# every cell fixed; no row
+@example((("a", "b"), [(1, "x")] * 3, _table(("a", "b"), [(1, "x")] * 3, None, {0: 1, 1: "x"})))
+@example((("a", "%"), [], _table(("a", "%"), [], None, {1: "%s"})))
 def test_row_renderer_matches_dicts_through_stdlib_json_and_old_csv_cells(case):
     header, rows, table = case
     dicts = [dict(zip(header, row)) for row in rows]
@@ -498,8 +665,53 @@ def test_row_renderer_matches_dicts_through_stdlib_json_and_old_csv_cells(case):
     nested = {"N": len(rows), "intervals": table, "flag": None}
     expected = json.dumps({**nested, "intervals": dicts}, indent=2)
     assert _emitted("json", table, nested) == expected + "\n"
+    # byte for byte what the per-row template writes for the rows
+    old = _as_rows(table)
+    assert _emitted("csv", table) == _emitted_by_rows("csv", old)
+    assert _emitted("json", table, table) == _emitted_by_rows("json", old)
     if len(rows) == 1:
         assert _emitted("json", table) == json.dumps(dicts[0], indent=2) + "\n"
+        assert _emitted("json", table) == _emitted_by_rows("json", old, listed=False)
+
+
+BLOCK = cantorperm.cli._ROW_BLOCK
+
+
+def _straddling_table(count: int, texts: bool) -> tuple[Table, list[dict]]:
+    """``count`` rows with a cell of every kind, and the rows as dicts: an
+    index, a quoted string, a bool, an int sequence of two cells (ints, or
+    texts of ints as the ``orbit`` digits come), and fixed cells holding
+    "%", a quote and a backslash."""
+    header = ("j", 'na"me%', "digits", "k\\", "flag", "fixed%s")
+    names = [f'r{j}%s"\\' * (j % 3) for j in range(count)]
+    pairs = [(j, -j * 10**20) for j in range(count)]
+    flags = [j % 2 == 0 for j in range(count)]
+    dicts = [
+        {"j": j, 'na"me%': name, "digits": list(pair), "k\\": '%d"', "flag": flag, "fixed%s": 7}
+        for j, name, pair, flag in zip(range(count), names, pairs, flags)
+    ]
+    firsts, seconds = [pair[0] for pair in pairs], [pair[1] for pair in pairs]
+    if texts:
+        def columns(sep):
+            return [range(count), names, map(str, firsts), map(str, seconds), flags]
+    else:
+        columns = [range(count), names, firsts, seconds, flags]
+    return Table(header, columns, count, (2, 2), {4: '%d"', 6: 7}), dicts
+
+
+@pytest.mark.parametrize("texts", [False, True], ids=["ints", "texts"])
+@pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_rows_straddling_the_block_size_match_the_per_row_oracle(count, texts):
+    table, dicts = _straddling_table(count, texts)
+    csv, listed = _emitted("csv", table), _emitted("json", table, table)
+    old = _as_rows(table)
+    assert csv == _emitted_by_rows("csv", old)
+    assert listed == _emitted_by_rows("json", old)
+    assert json.loads(listed) == dicts
+    assert [line.split(",")[0] for line in csv.splitlines()] == ["j", *map(str, range(count))]
+    table, _ = _straddling_table(count, texts)
+    nested = _emitted("json", table, {"N": count, "rows": table})
+    assert nested == json.dumps({"N": count, "rows": dicts}, indent=2) + "\n"
 
 
 @st.composite
@@ -517,13 +729,13 @@ def payloads(draw):
     return {k: v for k, v, _ in items}, {k: e for k, _, e in items}
 
 
-ROWS = Table(("a", "%s"), [(1, "x"), (-2, "\n")])
+ROWS = Table(("a", "%s"), [(1, -2), ("x", "\n")], 2)
 ROWS_AS_DICTS = [{"a": 1, "%s": "x"}, {"a": -2, "%s": "\n"}]
 NESTED = {"a": [], "b": {}, "c": [[], {}, ()], "d": (True, False, None, Fraction(-1, 3))}
 
 
 @given(payloads())
-@example(({"rows": Table(("a",), [])}, {"rows": []}))
+@example(({"rows": Table(("a",), [], 0)}, {"rows": []}))
 @example(({"rows": ROWS}, {"rows": ROWS_AS_DICTS}))
 @example(({"rows": ROWS, **NESTED}, {"rows": ROWS_AS_DICTS, **NESTED}))
 @example(({**NESTED, "rows": ROWS}, {**NESTED, "rows": ROWS_AS_DICTS}))
@@ -535,10 +747,10 @@ def test_json_renderer_matches_stdlib_indent(case):
 
 
 def test_empty_table_renders_its_header_in_csv_and_an_empty_list_in_json():
-    # a generator is truthy even when it yields nothing
-    assert _emitted("csv", Table(("a", "b"), iter(()))) == "a,b\n"
-    assert _emitted("json", Table(("a", "b"), iter(())), Table(("a", "b"), iter(()))) == "[]\n"
-    table = Table(("a", "b"), iter(()))
+    # no row: the columns are not read
+    table = Table(("a", "b"), [iter(()), iter(())], 0)
+    assert _emitted("csv", table) == "a,b\n"
+    assert _emitted("json", table, table) == "[]\n"
     assert _emitted("json", table, {"rows": table}) == '{\n  "rows": []\n}\n'
 
 
@@ -586,7 +798,8 @@ def test_one_parser_serves_every_golden_run_in_one_process(capsys):
 def _orbit_by_rows(args) -> None:
     """The ``orbit`` handler before its rows came from group columns: one
     pair of the per-level reader (or the one ``orbit_point``) per row,
-    reduced in a generator, every digit a cell of its own."""
+    reduced in a generator, every digit a cell of its own, and the rows
+    rendered by the per-row template."""
     pv = cantorperm.cli._vector(args)
     seed = encode(args.alpha, pv.base, pv.depth)
     spec = make_orbit(seed, pv)
@@ -600,9 +813,16 @@ def _orbit_by_rows(args) -> None:
         (n, num // (g := math.gcd(num, total)), total // g, *digits)
         for n, (num, digits) in enumerate(pairs, start)
     ]
-    table = Table(("n", "value_num", "value_den", "digits"), rows, (3, seed.depth))
-    line = "n=%d  value=%d/%d  digits=" + ";".join(["%d"] * seed.depth)
-    emit(args, map(line.__mod__, rows), table, table)
+    if args.format == "table":
+        line = "n=%d  value=%d/%d  digits=" + ";".join(["%d"] * seed.depth) + "\n"
+        text = f"# cantorperm {cantorperm.__version__}\n" + "".join(map(line.__mod__, rows))
+    else:
+        table = RowTable(("n", "value_num", "value_den", "digits"), rows, (3, seed.depth))
+        text = _emitted_by_rows(args.format, table)
+    if args.out:
+        pathlib.Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 # the seeds' cycle lengths in their level groups at cap 256, and the groups'
@@ -659,6 +879,17 @@ def test_orbit_rows_match_the_per_row_oracle(tmp_path, vector, fmt):
         assert expected[0].count("\n") >= 2
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("vector", ["shift", "random cycles"])
+def test_orbit_rows_straddling_the_block_size_match_the_per_row_oracle(tmp_path, vector, fmt):
+    # the numerators are reduced a block of rows at a time
+    argv = ORBIT_VECTORS[vector] + ["--format", fmt]
+    for count in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
+        run_argv = argv + ["--count", str(count)]
+        expected = _orbit_outputs(tmp_path, _orbit_by_rows, run_argv)
+        assert _orbit_outputs(tmp_path, cantorperm.cli.cmd_orbit, run_argv) == expected
+
+
 @pytest.mark.parametrize("cap", [1, 10**9])
 def test_orbit_rows_do_not_depend_on_the_group_cap(monkeypatch, capsys, cap):
     runs = [
@@ -684,7 +915,7 @@ def test_a_spec_keeps_the_group_layout_it_was_built_with(monkeypatch):
     _, columns = cantorperm.dynamics._orbit_columns(spec, 1, 299)
     assert [len(list(column)) for column in columns] == [2, 3, 5, 7]
     first = orbit_point(spec, 0).digits.digits
-    rows = list(cantorperm.cli._orbit_rows(spec, 0, 300, first, ";"))
+    rows = list(zip(*cantorperm.cli._orbit_rows(spec, 0, 300, first, ";")))
     assert rows == [
         (n, *frac(Fraction(num, 210)), *map(str, digits))
         for n, (num, digits) in enumerate(per_level_prefix(spec, 300))

@@ -521,6 +521,50 @@ def test_truncated_numerators_match_the_per_point_oracle_on_any_vector(pv, data)
     )
 
 
+BLOCK = cantorperm.dynamics._POINT_BLOCK
+
+
+def _random_vector(moduli, seed):
+    rng = random.Random(seed)
+    return PermutationVector(
+        tuple(make_unchecked(m, rng.sample(range(m), m)) for m in moduli), make_base(moduli)
+    )
+
+
+@pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_truncated_numerators_in_blocks_match_the_per_point_oracle(count):
+    # a list and a range of points, the range's blocks sliced as ranges
+    pv = _random_vector((4, 9, 25, 7, 11), count)
+    q = 10**15 + 37
+    rng = random.Random(count)
+    for nums in ([rng.randrange(q) for _ in range(count)], range(q - count, q)):
+        assert _truncated_numerators(pv, nums, q, 5) == _per_point_truncated_numerators(
+            pv, nums, q, 5
+        )
+
+
+def _peak_of_truncated_numerators(pv, nums, q, depth):
+    tracemalloc.start()
+    try:
+        _truncated_numerators(pv, nums, q, depth)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_truncated_numerators_hold_one_block_of_columns(monkeypatch):
+    # at four blocks of points the columns of one block and the images stay
+    # well below the three whole columns the unblocked form holds
+    pv = _random_vector((4, 9, 25, 7, 11), 8)
+    q = 10**15 + 37
+    rng = random.Random(8)
+    nums = [rng.randrange(q) for _ in range(4 * BLOCK)]
+    blocked = _peak_of_truncated_numerators(pv, nums, q, 5)
+    monkeypatch.setattr(cantorperm.dynamics, "_POINT_BLOCK", len(nums))
+    whole = _peak_of_truncated_numerators(pv, nums, q, 5)
+    assert blocked < 0.75 * whole, (blocked, whole)
+
+
 def test_apply_truncated_copies_no_table():
     # one point on a level of 999,983 digits: its group is perm.image itself
     pv = shift_vector(make_base((999983,)))
