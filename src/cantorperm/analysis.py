@@ -18,13 +18,12 @@ from .dynamics import _check_fits, apply_map
 from .errors import (
     CheckFalsified,
     DegenerateDigit,
-    DigitOutOfRange,
     IndexOutOfRange,
     LevelExceeded,
     NoWitnessAtLevel,
     ValidationError,
 )
-from .perms import CyclicPermutation, PermutationVector
+from .perms import CyclicPermutation, PermutationVector, _digit
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,13 +147,11 @@ def difference_quotient(
     level ``s``, computed by the closed form and cross-checked against direct
     evaluation of both images."""
     _check_fits(pv, alpha)
-    s, ell = _as_int(s, "digit level"), _as_int(ell, "digit")
+    s = _as_int(s, "digit level")
     if s >= len(alpha.digits) or s < 0:
         raise LevelExceeded(f"digit level {s} not in [0, {len(alpha.digits)})")
     perm = pv.perms[s]
-    a = alpha.digits[s]
-    if not 0 <= ell < perm.modulus:
-        raise DigitOutOfRange(f"digit {ell} not in [0, {perm.modulus})")
+    a, ell = alpha.digits[s], _digit(perm, ell)
     if ell == a:
         raise DegenerateDigit(f"perturbed digit equals original digit {a}")
     closed = Fraction(perm.image[a] - perm.image[ell], a - ell)

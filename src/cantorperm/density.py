@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -20,6 +21,7 @@ from .base import _as_int, _as_ints, as_fraction
 from .errors import (
     BoundsExceedOne,
     CheckFalsified,
+    MalformedNumber,
     NotACovering,
     NotAPartition,
     ValidationError,
@@ -31,8 +33,8 @@ from .perms import ResidueCondition
 class PeriodicSet:
     """A union of residue classes mod ``modulus``, stored as a residue set.
 
-    The modulus is read as an int, never truncated, the residues as given;
-    the stored modulus need not be minimal (:func:`normalize` reduces it).
+    The modulus is read as an int, never truncated, the residues as given (one that does
+    not compare with ints raises MalformedNumber); :func:`normalize` reduces the modulus.
     """
 
     modulus: int
@@ -42,9 +44,16 @@ class PeriodicSet:
         object.__setattr__(self, "modulus", _as_int(self.modulus, "modulus"))
         if self.modulus < 1:
             raise ValidationError(f"modulus {self.modulus} < 1")
-        if self.residues and not (min(self.residues) >= 0 and max(self.residues) < self.modulus):
-            bad = next(r for r in self.residues if not 0 <= r < self.modulus)
-            raise ValidationError(f"residue {bad} not in [0, {self.modulus})")
+        with suppress(TypeError):
+            if not self.residues or min(self.residues) >= 0 and max(self.residues) < self.modulus:
+                return
+        for r in self.residues:  # some residue is out of range or does not compare with ints
+            try:
+                inside = 0 <= r < self.modulus
+            except TypeError:
+                raise MalformedNumber(f"residue {r!r} is not an integer") from None
+            if not inside:
+                raise ValidationError(f"residue {r} not in [0, {self.modulus})")
 
     def contains(self, n: int) -> bool:
         return n % self.modulus in self.residues

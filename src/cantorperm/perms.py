@@ -13,7 +13,6 @@ from .base import BaseSequence, _as_int, _as_ints
 from .errors import (
     DigitOutOfRange,
     LengthMismatch,
-    MalformedNumber,
     ModuliNotCoprime,
     NotBijection,
     NotFullCycle,
@@ -128,11 +127,16 @@ def identity(modulus: int) -> CyclicPermutation:
     return make_unchecked(modulus, range(modulus))
 
 
+def _digit(perm: CyclicPermutation, d) -> int:
+    """``d`` as an int by :func:`_as_int`'s rule; DigitOutOfRange outside ``[0, m)``."""
+    if not 0 <= (d := _as_int(d, "digit")) < perm.modulus:
+        raise DigitOutOfRange(f"digit {d} not in [0, {perm.modulus})")
+    return d
+
+
 def power_apply(perm: CyclicPermutation, n: int, b: int) -> int:
     """``n``-th power of the permutation applied to digit ``b``, in O(1)."""
-    n, b = _as_int(n, "power"), _as_int(b, "digit")
-    if not 0 <= b < perm.modulus:
-        raise DigitOutOfRange(f"digit {b} not in [0, {perm.modulus})")
+    n, b = _as_int(n, "power"), _digit(perm, b)
     if n < 0:
         raise ValidationError("negative powers are not supported")
     return perm.power(n, b)
@@ -145,9 +149,7 @@ def discrete_log(perm: CyclicPermutation, r: int, s: int) -> int:
     """
     if not perm.full_cycle:
         raise NotFullCycle("discrete log needs a single full-length cycle")
-    for d in (r, s):
-        if not 0 <= d < perm.modulus:
-            raise DigitOutOfRange(f"digit {d} not in [0, {perm.modulus})")
+    r, s = _digit(perm, r), _digit(perm, s)
     return (perm.cycle_pos[s] - perm.cycle_pos[r]) % perm.modulus
 
 
@@ -281,10 +283,10 @@ def prefix_residue(
     ``sum W_j[r_j]``: a ``from_digits`` equal to that seed (tuple ``==``)
     costs one sum of lookups, any other seed two, and an exact ``tuple``
     among those replaces the stored seed.  Lists and tuple subclasses are
-    never stored.  A digit reads as the key it equals (``1.0`` and ``True``
-    as ``1``); a digit that is no key, or a level that is not a full cycle,
-    raises what :func:`discrete_log` raises for the first such level, and
-    MalformedNumber where that is a non-integer digit (``1.5``, ``"1"``).
+    never stored.  Digits are read by the integer rule (``1.0``, ``True``
+    and ``"1"`` as ``1``); the check runs only once a lookup has failed:
+    the first level that is no full cycle or holds no digit of it raises
+    what :func:`discrete_log` raises, its source digit first.
     """
     length = len(from_digits)
     if length != len(to_digits):
@@ -298,25 +300,16 @@ def prefix_residue(
                 # one store of a whole entry, as in _weight_tables
                 pv._weights[length] = (tables, modulus, from_digits, offset)
         residue = (residue - offset) % modulus
-    except (TypeError, KeyError) as exc:
-        fault = exc
+    except (TypeError, KeyError):
+        pass
     else:
         cond = _new(ResidueCondition)
         _set_residue(cond, residue)
         _set_modulus(cond, modulus)
         return cond
-    # some level has no table or a digit outside it: the first such level raises
-    for perm, table, r, s in zip(pv.perms, tables, from_digits, to_digits):
-        try:
-            discrete_log(perm, r, s)
-        except TypeError:
-            # no index; a digit equal to a key (1.0, True) read above is no fault
-            for digit in (r, s):
-                try:
-                    table[digit]
-                except (KeyError, TypeError):
-                    raise MalformedNumber(f"digit {digit!r} is not an integer") from None
-    raise fault
+    # a lookup failed: the first faulty level raises, else the digits read as ints ("1")
+    logs = [discrete_log(perm, r, s) for perm, r, s in zip(pv.perms, from_digits, to_digits)]
+    return combine_crt(map(_residue_class, logs, pv.base.moduli))
 
 
 def residue_table(pv: PermutationVector, from_digits: Sequence[int]) -> list[int]:
@@ -329,12 +322,12 @@ def residue_table(pv: PermutationVector, from_digits: Sequence[int]) -> list[int
     in sums for w in W_j.values()]`` runs through the prefixes most
     significant digit first, which is interval order.  Discrete logs and CRT
     only; no orbit is evaluated.  Faults raise what :func:`prefix_residue`
-    raises for them.
+    raises for them; a seed of integral digits reads as its ints.
     """
     # checks the seed, first faulty level first, and caches its weight tables
     prefix_residue(pv, from_digits, from_digits)
     tables, modulus = pv._weights[len(from_digits)][:2]
-    sums = [-sum(map(getitem, tables, from_digits))]
+    sums = [-sum(map(getitem, tables, _as_ints(from_digits, "digit")))]
     for table in tables:
         sums = [x + w for x in sums for w in table.values()]
     return [x % modulus for x in sums]

@@ -29,6 +29,7 @@ from cantorperm.errors import (
     CheckFalsified,
     DegenerateDigit,
     DepthMismatch,
+    DigitOutOfRange,
     IndexOutOfRange,
     LevelExceeded,
     MalformedNumber,
@@ -286,11 +287,25 @@ ALPHA_235 = encode(Fraction(29, 30), SHIFT_235.base, 3)
      "digit 0.5 is not an integer"),
     (difference_quotient, (SHIFT_235, ALPHA_235, None, 0), MalformedNumber,
      "digit level None is not an integer"),
+    # the level before the perturbed digit ell, which is read by the digit rule
+    (difference_quotient, (SHIFT_235, ALPHA_235, 5, 1.5), LevelExceeded,
+     "digit level 5 not in [0, 3)"),
+    *[(difference_quotient, (SHIFT_235, ALPHA_235, 1, ell), MalformedNumber,
+       f"digit {ell!r} is not an integer") for ell in (1.5, None, [1])],
+    *[(difference_quotient, (SHIFT_235, ALPHA_235, 1, ell), DigitOutOfRange,
+       f"digit {ell} not in [0, 3)") for ell in (-1, 3)],
 ])
 def test_invalid_arguments_raise_their_class_and_message(func, args, error, message):
     with pytest.raises(error) as info:
         func(*args)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("ell", [1.0, True, Fraction(1), "1"], ids=repr)
+def test_difference_quotient_reads_an_integral_digit_as_its_int(ell):
+    assert difference_quotient(SHIFT_235, ALPHA_235, 1, ell) == difference_quotient(
+        SHIFT_235, ALPHA_235, 1, 1
+    )
 
 
 def test_difference_quotient_reads_integral_levels_and_digits_as_ints():

@@ -96,6 +96,19 @@ def test_periodic_set_rejects_bad_residue():
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("residues, message", [
+    ({"1"}, "residue '1' is not an integer"),
+    ({"1", 2}, "residue '1' is not an integer"),
+    ({None, 0}, "residue None is not an integer"),
+], ids=repr)
+def test_periodic_set_constructor_names_a_residue_that_does_not_compare(residues, message):
+    with pytest.raises(MalformedNumber) as info:
+        PeriodicSet(5, frozenset(residues))
+    assert str(info.value) == message
+    # a residue that compares with ints stays as given
+    assert PeriodicSet(5, frozenset({1.5, 2})).residues == {1.5, 2}
+
+
 def test_parse_round_trip():
     ps = parse_periodic_set("1,4,7(9)")
     assert ps.modulus == 9

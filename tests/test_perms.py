@@ -13,8 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantorperm import (
+    DigitExpansion,
     PermutationVector,
     ResidueCondition,
+    apply_map,
     combine_crt,
     discrete_log,
     from_cycle,
@@ -216,6 +218,8 @@ def _vector_with_identity_at(level):
         (2, (0, 0, 0), (-1, 5, 0), DigitOutOfRange, "digit -1 not in [0, 3)"),
         (2, (0, 7, 0), (0, 5, 0), DigitOutOfRange, "digit 7 not in [0, 4)"),
         (2, (0, 1, 0), (0, 2, 0), NotFullCycle, "discrete log needs a single full-length cycle"),
+        (2, (0, 1.5), (0, -1), MalformedNumber, "digit 1.5 is not an integer"),
+        (2, (0, 0), ("x", 9), MalformedNumber, "digit 'x' is not an integer"),
     ],
 )
 def test_prefix_residue_error_paths(level, src, dst, error, message):
@@ -250,16 +254,17 @@ def test_residue_table_raises_what_prefix_residue_raises(level, seed):
         assert str(exc.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("digit", [1.0, True, Fraction(1)], ids=repr)
+@pytest.mark.parametrize("digit", [1.0, True, Fraction(1), "1"], ids=repr)
 def test_prefix_residue_reads_a_digit_equal_to_an_int_as_that_int(digit):
     pv, ref = shift_vector(make_base((3, 4, 5))), shift_vector(make_base((3, 4, 5)))
     for _ in range(2):  # with an empty and with a filled cache
         assert prefix_residue(pv, (0, digit), (2, 3)) == prefix_residue(ref, (0, 1), (2, 3))
         assert prefix_residue(pv, (2, 3), (digit, 0)) == prefix_residue(ref, (2, 3), (1, 0))
+        assert residue_table(pv, (0, digit)) == residue_table(ref, (0, 1))
 
 
 # -1 and m raise DigitOutOfRange: test_prefix_residue_error_paths pins those messages
-@pytest.mark.parametrize("digit", [1.5, "1", None, [1]], ids=repr)
+@pytest.mark.parametrize("digit", [1.5, "x", None, [1]], ids=repr)
 def test_prefix_residue_rejects_a_non_integer_digit(digit):
     for src, dst in [((0, digit), (2, 3)), ((2, 3), (0, digit))]:
         pv = shift_vector(make_base((3, 4, 5)))
@@ -268,7 +273,7 @@ def test_prefix_residue_rejects_a_non_integer_digit(digit):
                 prefix_residue(pv, src, dst)
 
 
-@pytest.mark.parametrize("digit", [1.5, "1", None, [1]], ids=repr)
+@pytest.mark.parametrize("digit", [1.5, "x", None, [1]], ids=repr)
 def test_residue_table_rejects_a_non_integer_digit(digit):
     pv = shift_vector(make_base((3, 4, 5)))
     for _ in range(2):  # with an empty and with a filled cache
@@ -517,27 +522,74 @@ def test_residue_table_matches_prefix_residue_per_class(case):
             ]
 
 
+# --- every small vector against repeated apply_map over one period ---
+
+def _period_oracle(pv, seed):
+    """Entry ``i`` is the least ``n < B_L`` whose ``n``-fold :func:`apply_map`
+    takes the seed prefix into level-``L`` interval ``i``, ``L = len(seed)``;
+    ``None`` where no ``n < B_L`` does."""
+    base, length = pv.base, len(seed)
+    table = [None] * base.products[length]
+    x = DigitExpansion(seed, base)
+    for n in range(base.products[length]):
+        i = base.index_of(x.digits)
+        if table[i] is None:
+            table[i] = n
+        x = apply_map(pv, x)
+    return table
+
+
+# every full cycle over (2,3,5): 1·2·24 = 48 vectors with 1+2+6+30 seeds each;
+# every bijection over (3,4): 6·24 = 144 vectors with 1+3+12 seeds each
+@pytest.mark.parametrize("moduli, full_cycles_only, tables", [
+    ((2, 3, 5), True, 1_872), ((3, 4), False, 2_304),
+])
+def test_residue_classes_match_repeated_apply_map_on_every_small_vector(
+    moduli, full_cycles_only, tables
+):
+    base = make_base(moduli)
+    levels = [[make_unchecked(m, image) for image in itertools.permutations(range(m))]
+              for m in moduli]
+    not_full = (NotFullCycle, "discrete log needs a single full-length cycle")
+    checked, mismatches = 0, []
+    for perms in itertools.product(*levels):
+        broken = next((j for j, perm in enumerate(perms) if not perm.full_cycle), len(perms))
+        if full_cycles_only and broken < len(perms):
+            continue
+        pv = PermutationVector(perms, base)
+        for length in range(base.depth + 1):
+            period = base.products[length]
+            for seed in itertools.product(*map(range, moduli[:length])):
+                oracle = _period_oracle(pv, seed)
+                # one period visits every interval exactly when the levels below are full cycles
+                covered = None not in oracle
+                if covered:
+                    table, classes = oracle, [ResidueCondition(n, period) for n in oracle]
+                else:
+                    table, classes = not_full, [not_full] * period
+                if (covered == (length > broken)
+                        or outcome(residue_table, pv, seed) != table
+                        or classes != [outcome(prefix_residue, pv, seed, base.digits_of(length, i))
+                                       for i in range(period)]):
+                    mismatches.append((perms, seed))
+                checked += 1
+    assert (checked, mismatches[:3]) == (tables, [])
+
+
 # --- the seed cache: a call sequence on one vector against the two-sum oracle ---
 
 def _two_sum_prefix_residue(pv, from_digits, to_digits):
-    """The uncached two sums of lookups, over weight tables built afresh."""
+    """The uncached two sums of lookups, over weight tables built afresh, once
+    every level's digits pass discrete_log (first level first), read as ints."""
     length = len(from_digits)
     if length != len(to_digits):
         raise LengthMismatch(f"prefix lengths differ: {length} vs {len(to_digits)}")
     tables, modulus = _weight_tables(dataclasses.replace(pv), length)[:2]
-    try:
-        residue = sum(map(getitem, tables, to_digits)) - sum(map(getitem, tables, from_digits))
-        return ResidueCondition(residue % modulus, modulus)
-    except (TypeError, KeyError) as exc:
-        fault = exc
     for perm, r, s in zip(pv.perms, from_digits, to_digits):
-        try:
-            discrete_log(perm, r, s)
-        except TypeError:
-            for digit in (r, s):
-                if not any(digit == key for key in range(perm.modulus)):
-                    raise MalformedNumber(f"digit {digit!r} is not an integer") from None
-    raise fault
+        discrete_log(perm, r, s)
+    ints_from, ints_to = [int(d) for d in from_digits], [int(d) for d in to_digits]
+    residue = sum(map(getitem, tables, ints_to)) - sum(map(getitem, tables, ints_from))
+    return ResidueCondition(residue % modulus, modulus)
 
 
 @st.composite
@@ -551,9 +603,9 @@ def _vectors_maybe_broken(draw):
     return PermutationVector(tuple(perms), make_base(moduli))
 
 
-# values equal to an int digit but of another type, and values that are no digit
-_EQUAL_FORMS = (float, Fraction, lambda d: True if d == 1 else d)
-_BAD_DIGITS = (-1, 1.5, None, "1")
+# an int digit in another form (equal to it, or the text spelling it), and values that are no digit
+_EQUAL_FORMS = (float, Fraction, str, lambda d: True if d == 1 else d)
+_BAD_DIGITS = (-1, 1.5, None, "x")
 
 
 @given(_vectors_maybe_broken(), st.data())
@@ -649,6 +701,18 @@ def test_only_an_exact_tuple_of_digits_is_stored(seed):
     assert pv._weights[3][2:] == (stored, offset)
 
 
+PV_345 = shift_vector(make_base((3, 4, 5)))
+# every reader of digits, with its digit d in a slot of modulus m
+_DIGIT_READERS = [
+    (discrete_log, lambda d: (shift(5), d, 0), 5),
+    (discrete_log, lambda d: (shift(5), 0, d), 5),
+    (power_apply, lambda d: (shift(5), 1, d), 5),
+    (prefix_residue, lambda d: (PV_345, (0, d), (2, 3)), 4),
+    (prefix_residue, lambda d: (PV_345, (2, 3), (0, d)), 4),
+    (residue_table, lambda d: (PV_345, (0, d)), 4),
+]
+
+
 @pytest.mark.parametrize("func, args, error, message", [
     (from_cycle, (3, (0, 1)), NotFullCycle, "cycle lists 2 digits, need all 3"),
     (from_cycle, (3, [0, 1.5, 2]), MalformedNumber, "cycle entry 1.5 is not an integer"),
@@ -660,7 +724,10 @@ def test_only_an_exact_tuple_of_digits_is_stored(seed):
     (shift, ("x",), MalformedNumber, "modulus 'x' is not an integer"),
     (identity, (None,), MalformedNumber, "modulus None is not an integer"),
     (power_apply, (shift(5), 2.5, 1), MalformedNumber, "power 2.5 is not an integer"),
-    (power_apply, (shift(5), 1, 1.5), MalformedNumber, "digit 1.5 is not an integer"),
+    *[(func, args(bad), MalformedNumber, f"digit {bad!r} is not an integer")
+      for func, args, _ in _DIGIT_READERS for bad in (1.5, None, [1])],
+    *[(func, args(bad), DigitOutOfRange, f"digit {bad} not in [0, {m})")
+      for func, args, m in _DIGIT_READERS for bad in (-1, m)],
     (ResidueCondition, (1.5, 4), MalformedNumber, "residue 1.5 is not an integer"),
     (ResidueCondition, (1, None), MalformedNumber, "modulus None is not an integer"),
     (from_cycle, (3, (0, 5, 1)), DigitOutOfRange, "cycle entry 5 not in [0, 3)"),
@@ -685,6 +752,14 @@ def test_invalid_arguments_raise_their_class_and_message(func, args, error, mess
 def test_integral_moduli_read_as_ints(func, args, expected):
     perm = func(*args)
     assert perm == expected and type(perm.modulus) is int
+
+
+@pytest.mark.parametrize("form", [1.0, True, Fraction(1), "1"], ids=repr)
+@pytest.mark.parametrize("func, args, m", _DIGIT_READERS)
+def test_every_digit_reader_reads_an_integral_digit_as_its_int(func, args, m, form):
+    expected = func(*args(1))
+    got = func(*args(form))
+    assert got == expected and type(got) is type(expected)
 
 
 def test_power_apply_reads_an_integral_power_and_digit_as_ints():
