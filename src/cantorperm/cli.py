@@ -94,13 +94,18 @@ class Table(NamedTuple):
     from position ``i`` on are an int sequence, each cell an int or a text
     of ints pre-rendered with the sequence's separator.  Columns with such
     texts come as a function of that separator, called with ``;`` for CSV
-    and with the JSON list's own for JSON."""
+    and with the JSON list's own for JSON.  ``bare`` holds the positions of
+    other cells whose columns may hold the texts of ints in place of the
+    ints, so that a column of few distinct values renders each once per
+    table; like the int sequence's texts, they go in as they are, in CSV
+    and JSON alike."""
 
     header: tuple[str, ...]
     columns: Iterable[Iterable] | Callable[[str], Iterable[Iterable]]
     count: int
     ints: tuple[int, int] | None = None
     fixed: dict[int, object] | None = None
+    bare: tuple[int, ...] = ()
 
 
 def _between(sep: str, items: Iterable[list]) -> list:
@@ -109,14 +114,15 @@ def _between(sep: str, items: Iterable[list]) -> list:
 
 
 @functools.lru_cache(maxsize=64)
-def _row_parts(header: tuple, ints: tuple | None, fixed: tuple, csv: bool, pad: str) -> tuple:
+def _row_parts(header: tuple, ints: tuple | None, fixed: tuple, bare: tuple, csv: bool,
+               pad: str) -> tuple:
     """A row as its parts, once per shape: constant texts, the position of
     each fixed cell in ``fixed``, and for each varying cell whether it is
-    in the int sequence ``ints``; a CSV line, or the JSON object at ``pad``
-    as ``json.dumps(row, indent=2)`` writes it."""
+    bare, in the int sequence ``ints`` or in ``bare``; a CSV line, or the
+    JSON object at ``pad`` as ``json.dumps(row, indent=2)`` writes it."""
     i, width = ints or (0, 1)
     # one field per header name: its parts
-    fields = [[False] for _ in range(len(header) + width - 1)]
+    fields = [[at in bare] for at in range(len(header) + width - 1)]
     for at in fixed:
         fields[at] = [at]
     if ints:
@@ -132,21 +138,21 @@ def _row_parts(header: tuple, ints: tuple | None, fixed: tuple, csv: bool, pad: 
 
 def _row_texts(table: Table, csv: bool, pad: str = "") -> tuple[list[str], list[bool]]:
     """The constant texts of a row of ``table`` (:func:`_row_parts`), one
-    more than its varying cells, and whether each varying cell is in the
-    int sequence.  A fixed cell's text is its ``str`` in CSV and its
-    ``json.dumps`` in JSON."""
+    more than its varying cells, and whether each varying cell is bare.  A
+    fixed cell's text is its ``str`` in CSV and its ``json.dumps`` in JSON."""
     fixed = table.fixed or {}
-    texts, in_ints = [""], []
-    for part in _row_parts(tuple(table.header), table.ints, tuple(sorted(fixed)), csv, pad):
+    texts, bare = [""], []
+    for part in _row_parts(tuple(table.header), table.ints, tuple(sorted(fixed)), table.bare,
+                           csv, pad):
         if type(part) is bool:
             texts.append("")
-            in_ints.append(part)
+            bare.append(part)
         elif type(part) is int:
             value = fixed[part]
             texts[-1] += str(value) if csv or type(value) is int else json.dumps(value)
         else:
             texts[-1] += part
-    return texts, in_ints
+    return texts, bare
 
 
 def _blocks(table: Table, columns: Iterable[Iterable], csv: bool, pad: str = "",
@@ -156,10 +162,11 @@ def _blocks(table: Table, columns: Iterable[Iterable], csv: bool, pad: str = "",
     by list repetition, column ``i`` by slice assignment into the slots
     ``2·i + 1``.  Every row is led by ``lead``, the first one by
     ``opening`` instead.  A column's cells go in as its first cell's kind
-    asks: an int by ``str``, a str as it is, and in JSON a str outside the
-    int sequence or any other kind by ``json.dumps`` (by ``str`` in CSV)."""
-    texts, in_ints = _row_texts(table, csv, pad)
-    step = 2 * len(in_ints) + 1
+    asks: an int by ``str``, a str as it is in CSV or in a bare cell (the
+    texts of ints), and in JSON any other str or other kind by
+    ``json.dumps`` (by ``str`` in CSV)."""
+    texts, bare = _row_texts(table, csv, pad)
+    step = 2 * len(bare) + 1
     row = [None] * step
     row[::2] = texts
     row[0] = lead + texts[0]
@@ -167,10 +174,10 @@ def _blocks(table: Table, columns: Iterable[Iterable], csv: bool, pad: str = "",
     for start in range(0, table.count, _ROW_BLOCK):
         m = min(_ROW_BLOCK, table.count - start)
         pieces = row * m
-        for i, (column, bare) in enumerate(zip(columns, in_ints)):
+        for i, (column, as_is) in enumerate(zip(columns, bare)):
             cells = list(itertools.islice(column, m))
             kind = type(cells[0])
-            if kind is str and (csv or bare):
+            if kind is str and (csv or as_is):
                 pieces[2 * i + 1 :: step] = cells
             elif kind is int or csv:
                 pieces[2 * i + 1 :: step] = map(str, cells)
@@ -272,13 +279,15 @@ def cmd_map(args) -> None:
 
 def _orbit_rows(spec: OrbitSpec, start: int, count: int, first: tuple, sep: str) -> list:
     """The columns of the ``orbit`` rows of iterates ``start .. start +
-    count - 1``: ``n``, ``value_num``, ``value_den`` and one digit text per
-    group of ``spec._groups``, its digits joined by ``sep``.  Row ``start``
-    has the digits ``first``; the rest read the numerators of
+    count - 1``: ``n``, ``value_num``, ``value_den`` as texts and one digit
+    text per group of ``spec._groups``, its digits joined by ``sep``.  Row
+    ``start`` has the digits ``first``; the rest read the numerators of
     :func:`_orbit_columns` and its cycled digit columns, each digit tuple
     rendered once.  The numerators are reduced as Fraction would, a block
-    of ``_ROW_BLOCK`` of them at a time from a list.  No Python code runs
-    per row."""
+    of ``_ROW_BLOCK`` of them at a time from a list.  A denominator is
+    ``B_K // g``, ``g`` the gcd of its numerator and ``B_K``: its text is
+    rendered once per ``g`` the call meets, a divisor of ``B_K``.  No
+    Python code runs per row."""
     total = spec.alpha_digits.base.products[spec.depth]
     widths = [width for width, _ in spec._groups]
     templates = [sep.join(["%d"] * width) for width in widths]
@@ -292,12 +301,16 @@ def _orbit_rows(spec: OrbitSpec, start: int, count: int, first: tuple, sep: str)
         texts = [itertools.chain(text, itertools.cycle(list(map(template.__mod__, digits))))
                  for text, template, digits in zip(texts, templates, columns)]
 
+    dens = {}  # the text of total // g, by g
+
     def reduced(nums):
         while block := list(itertools.islice(nums, _ROW_BLOCK)):
             gcds = list(map(math.gcd, block, itertools.repeat(total)))
+            for g in set(gcds).difference(dens):
+                dens[g] = str(total // g)
             # read to their ends, both drop the block's lists, which tee's
             # buffer of recent items would otherwise hold
-            yield iter(list(map(operator.floordiv, block, gcds))), map(total.__floordiv__, gcds)
+            yield iter(list(map(operator.floordiv, block, gcds))), map(dens.__getitem__, gcds)
 
     # the two value columns share one reduction per block
     pairs = itertools.tee(reduced(iter(nums)))
@@ -317,8 +330,8 @@ def cmd_orbit(args) -> None:
     first = orbit_point(spec, start).digits.digits
     columns = functools.partial(_orbit_rows, spec, start, count, first)
     header = ("n", "value_num", "value_den", "digits")
-    table = Table(header, columns, count, (3, len(spec._groups)))
-    line = "n=%d  value=%d/%d  digits=" + ";".join(["%s"] * len(spec._groups))
+    table = Table(header, columns, count, (3, len(spec._groups)), bare=(2,))
+    line = "n=%d  value=%d/%s  digits=" + ";".join(["%s"] * len(spec._groups))
     lines = map(line.__mod__, zip(*columns(";"))) if args.format == "table" else ()
     emit(args, lines, table, table)
 
@@ -338,7 +351,10 @@ def _level_report(args) -> Sequence[int]:
     """The ``check equivalence`` handler, also run by ``check ud``: emit the
     membership equivalence report and return its interval counts; raises
     (exit 3) on any index violating the congruence.  The rows' count is a
-    fixed cell when the report's counts are all equal."""
+    fixed cell when the report's counts are all equal.  When the table is
+    rendered (CSV, JSON), its ``j`` column, ``range(B_k)``, and the
+    residues, a permutation of it (the proved complete residue system),
+    read one list of their texts."""
     pv = _vector(args)
     seed = encode(args.alpha, pv.base, pv.depth)
     report = membership_equivalence(make_orbit(seed, pv), args.level, args.count)
@@ -353,14 +369,17 @@ def _level_report(args) -> Sequence[int]:
         [f"d_star: {fmt_frac(report.d_star)}"],
     )
     num, den = frac(expected)
-    columns, fixed = [range(modulus), residues], {2: modulus, 4: num, 5: den}
+    varying, fixed = [counts], {2: modulus, 4: num, 5: den}
     if counts.count(counts[0]) == len(counts):
-        fixed[3] = counts[0]
-    else:
-        columns.append(counts)
+        fixed[3], varying = counts[0], []
+
+    def columns(sep):
+        texts = list(map(str, range(modulus)))
+        return [texts, map(texts.__getitem__, residues), *varying]
+
     table = Table(
         ("j", "residue", "modulus", "count", "expected_num", "expected_den"),
-        columns, modulus, fixed=fixed,
+        columns, modulus, fixed=fixed, bare=(0, 1),
     )
     payload = {
         "level": report.level,

@@ -34,7 +34,8 @@ class PeriodicSet:
     """A union of residue classes mod ``modulus``, stored as a residue set.
 
     The modulus is read as an int, never truncated, the residues as given (one that does
-    not compare with ints raises MalformedNumber); :func:`normalize` reduces the modulus.
+    not compare with ints raises MalformedNumber, and :func:`expand_to` reads them by
+    the integer rule when it lifts them); :func:`normalize` reduces the modulus.
     """
 
     modulus: int
@@ -101,7 +102,10 @@ def expand_to(ps: PeriodicSet, modulus: int) -> PeriodicSet:
         raise ValidationError(f"{modulus} is not a multiple of {ps.modulus}")
     if modulus == ps.modulus:
         return ps
-    lifts = (range(r, modulus, ps.modulus) for r in ps.residues)
+    try:
+        lifts = [range(r, modulus, ps.modulus) for r in ps.residues]
+    except TypeError:  # a residue kept as given and not an int: 1.0 lifts as 1, 1.5 raises
+        lifts = [range(r, modulus, ps.modulus) for r in _as_ints(ps.residues, "residue")]
     return PeriodicSet(modulus, frozenset().union(*lifts))
 
 

@@ -255,21 +255,29 @@ def _equivalence_by_rows(argv, fmt) -> str:
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_RUNS))
 def test_check_equivalence_matches_the_per_row_oracle(capsys, monkeypatch, name, fmt):
     argv, constant = EQUIVALENCE_RUNS[name]
-    tables = []
+    tables, reads = [], []
     real = cantorperm.cli.emit
 
     def emit(args, table_lines, table, payload=None):
+        def columns(sep):
+            reads.append(sep)
+            return table.columns(sep)
+
         tables.append(table)
-        real(args, table_lines, table, payload)
+        read = table._replace(columns=columns)
+        real(args, table_lines, read, {**payload, "intervals": read})
 
     monkeypatch.setattr(cantorperm.cli, "emit", emit)
     code, out, err = run(capsys, "check", "equivalence", *argv, "--format", fmt)
     assert (code, err) == (0, "")
     assert out == _equivalence_by_rows(argv, fmt)
+    # the columns, with their texts of j and the residues, are built only to
+    # be rendered: never for the table format
+    assert len(reads) == (fmt != "table")
     # the count is a fixed cell exactly when every interval holds N / B_k
     (table,) = tables
     assert (3 in table.fixed) == constant
-    assert len(table.columns) == 2 + (not constant)
+    assert len(table.columns(";")) == 2 + (not constant)
 
 
 GRID = ("check", "preserve", "--bases", "2,3,5", "--source", "grid", "--level", "1", "--count", "60")
@@ -714,6 +722,27 @@ def test_rows_straddling_the_block_size_match_the_per_row_oracle(count, texts):
     assert nested == json.dumps({"N": count, "rows": dicts}, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1])
+def test_bare_columns_of_int_texts_render_as_their_ints(count):
+    # a role column of real strings, quoted in JSON as `probe monotone`'s
+    # are, beside bare columns: texts of a few distinct ints (as the `orbit`
+    # denominators), texts looked up in one list (as the `check
+    # equivalence` residues), and ints, which a bare column may hold too
+    header = ("role", "den", "residue", "count")
+    rows = [(("inc_low", 'dec"\\%s', "7")[j % 3], (1, 6, -10**20)[j % 5 % 3],
+             (j * 7) % count, j % 4) for j in range(count)]
+    roles, dens, residues, counts = map(list, zip(*rows))
+    texts = list(map(str, range(count)))
+    bare = Table(header, lambda sep: [roles, map(str, dens), map(texts.__getitem__, residues),
+                                      counts], count, bare=(1, 2, 3))
+    ints = Table(header, [roles, dens, residues, counts], count)
+    old = RowTable(header, rows)
+    assert _emitted("csv", bare) == _emitted("csv", ints) == _emitted_by_rows("csv", old)
+    listed = _emitted("json", bare, bare)
+    assert listed == _emitted("json", ints, ints) == _emitted_by_rows("json", old)
+    assert json.loads(listed) == [dict(zip(header, row)) for row in rows]
+
+
 @st.composite
 def payloads(draw):
     """``(payload, expected)``: a str-keyed dict with one or two
@@ -880,9 +909,12 @@ def test_orbit_rows_match_the_per_row_oracle(tmp_path, vector, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("vector", ["shift", "random cycles"])
+@pytest.mark.parametrize("vector", ["shift", "random cycles", "partial cycles", "past the cap"])
 def test_orbit_rows_straddling_the_block_size_match_the_per_row_oracle(tmp_path, vector, fmt):
-    # the numerators are reduced a block of rows at a time
+    # the numerators are reduced a block of rows at a time, and a
+    # denominator's text is rendered once per gcd: B_K squarefree (shift,
+    # random cycles, past the cap) and with repeated primes (partial
+    # cycles: 4 and 9)
     argv = ORBIT_VECTORS[vector] + ["--format", fmt]
     for count in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
         run_argv = argv + ["--count", str(count)]
@@ -916,8 +948,9 @@ def test_a_spec_keeps_the_group_layout_it_was_built_with(monkeypatch):
     assert [len(list(column)) for column in columns] == [2, 3, 5, 7]
     first = orbit_point(spec, 0).digits.digits
     rows = list(zip(*cantorperm.cli._orbit_rows(spec, 0, 300, first, ";")))
+    # the denominators come as texts, one per gcd of a numerator and 210
     assert rows == [
-        (n, *frac(Fraction(num, 210)), *map(str, digits))
+        (n, (value := Fraction(num, 210)).numerator, str(value.denominator), *map(str, digits))
         for n, (num, digits) in enumerate(per_level_prefix(spec, 300))
     ]
 

@@ -109,6 +109,21 @@ def test_periodic_set_constructor_names_a_residue_that_does_not_compare(residues
     assert PeriodicSet(5, frozenset({1.5, 2})).residues == {1.5, 2}
 
 
+@pytest.mark.parametrize("operation", [
+    lambda ps: expand_to(ps, 15),
+    lambda ps: union(ps, periodic_set([1, 2], 3)),
+    lambda ps: intersect(ps, periodic_set([1, 2], 3)),
+], ids=["expand_to", "union", "intersect"])
+def test_set_algebra_reads_residues_kept_as_given_by_the_integer_rule(operation):
+    # lifting to 15 reads them as ints: 1.0 and Fraction(2) lift as 1 and 2
+    as_ints = operation(periodic_set([1, 2], 5))
+    assert operation(PeriodicSet(5, frozenset({1.0, Fraction(2)}))) == as_ints
+    assert all(type(r) is int for r in as_ints.residues)
+    with pytest.raises(MalformedNumber) as info:
+        operation(PeriodicSet(5, frozenset({1.5})))
+    assert str(info.value) == "residue 1.5 is not an integer"
+
+
 def test_parse_round_trip():
     ps = parse_periodic_set("1,4,7(9)")
     assert ps.modulus == 9
