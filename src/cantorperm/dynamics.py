@@ -27,6 +27,9 @@ _GROUP_CAP = 256
 # the points _truncated_numerators maps in one pass of its columns
 _POINT_BLOCK = 2048
 
+# two streams added entry by entry, folded over a list of streams
+_add_streams = functools.partial(map, operator.add)
+
 
 def _check_fits(pv: PermutationVector, x: DigitExpansion) -> None:
     """Raise DepthMismatch unless ``pv`` has at least ``len(x.digits)`` levels and
@@ -137,27 +140,32 @@ def orbit_point(spec: OrbitSpec, n: int) -> OrbitPoint:
     return point
 
 
-def _orbit_columns(spec: OrbitSpec, start: int, count: int) -> tuple[Iterator[int], Iterable]:
+def _orbit_columns(
+    spec: OrbitSpec, start: int, count: int, level: int | None = None
+) -> tuple[Iterator[int], Iterable]:
     """Iterates ``start .. start + count - 1`` from one cyclic column per
-    group of ``spec._groups``, as ``(numerators, digits)``.
-    ``numerators`` streams their numerators over ``B_K``: level ``j`` adds
-    ``b_j * B_K / B_{j+1}`` (the mixed-radix weights of Garner's
-    reconstruction), summed per group and then over the groups.  ``digits``
-    yields each group's column of digit tuples, entry ``t`` those of
-    iterate ``start + t`` when read cyclically, built only when read.  A
-    column holds ``min(period, count)`` entries; at depth 0 the numerators
-    are 0 and the one column holds ``()``.  A non-int ``count`` is read by
-    the integer rule."""
+    group of ``spec._groups``, as ``(numerators, digits)``, of their first
+    ``level`` digits (``K = spec.depth`` when ``level`` is None).
+    ``numerators`` streams their numerators over ``B_level``, the level-
+    ``level`` interval indices: level ``j`` adds ``b_j * B_level / B_{j+1}``
+    (the mixed-radix weights of Garner's reconstruction), summed per group
+    and then over the groups, the group holding level ``level - 1`` cut
+    there.  ``digits`` yields each group's column of digit tuples, entry
+    ``t`` those of iterate ``start + t`` when read cyclically, built only
+    when read.  A column holds ``min(period, count)`` entries; at level 0
+    the numerators are 0 and the one column holds ``()``.  A non-int
+    ``count`` is read by the integer rule."""
     if type(count) is not int:
         count = _as_int(count, "count")
     if count < 1:
         raise ValidationError("count must be >= 1")
-    if not spec._tables:
+    level = spec.depth if level is None else level
+    if not level:
         return itertools.repeat(0, count), [[()]]
     products = spec.alpha_digits.base.products
-    total = products[spec.depth]
+    total = products[level]
     cycles, terms = [], []
-    for j, table in enumerate(spec._tables):
+    for j, table in enumerate(spec._tables[:level]):
         # the cycle rotated to iterate `start`, cut where no column reads past it
         shift = start % len(table)
         end = shift + min(len(table), count)
@@ -165,14 +173,16 @@ def _orbit_columns(spec: OrbitSpec, start: int, count: int) -> tuple[Iterator[in
         terms.append(list(map((total // products[j + 1]).__mul__, cycle)))
 
     def columns(levels):
-        # each group's levels zipped cyclically, cut at the group's entries
+        # each group's levels zipped cyclically, cut at the group's entries;
+        # a cut group's period is a multiple of its levels' lcm
         levels = iter(levels)
         for width, period in spec._groups:
-            cycled = map(itertools.cycle, itertools.islice(levels, width))
-            yield itertools.islice(zip(*cycled), min(period, count))
+            if not (group := list(itertools.islice(levels, width))):
+                return
+            yield itertools.islice(zip(*map(itertools.cycle, group)), min(period, count))
 
     sums = [itertools.cycle(list(map(sum, column))) for column in columns(terms)]
-    return itertools.islice(map(sum, zip(*sums)), count), columns(cycles)
+    return itertools.islice(functools.reduce(_add_streams, sums), count), columns(cycles)
 
 
 def orbit_numerators(spec: OrbitSpec, count: int) -> Iterator[int]:
@@ -187,7 +197,7 @@ def orbit_prefix(spec: OrbitSpec, count: int) -> Iterator[tuple[int, tuple[int, 
     digits: ``(numerator, digits)`` pairs, ``digits`` those of
     ``orbit_point(spec, n)``: its groups' digit tuples joined by ``+``."""
     numerators, columns = _orbit_columns(spec, 0, count)
-    digits = functools.reduce(functools.partial(map, operator.add), map(itertools.cycle, columns))
+    digits = functools.reduce(_add_streams, map(itertools.cycle, columns))
     return zip(numerators, digits)
 
 

@@ -18,7 +18,8 @@ from .base import BaseSequence, RationalLike, _as_int, _check_range, as_fraction
 # others once per preservation probe and once per equivalence report
 from .base import prefix_of_interval  # noqa: F401
 from .dynamics import (
-    OrbitSpec, _truncated_numerators, apply_truncated, orbit_numerators, orbit_point
+    OrbitSpec, _orbit_columns, _truncated_numerators, apply_truncated, orbit_numerators,
+    orbit_point,
 )
 from .errors import (
     ComputationError,
@@ -237,6 +238,38 @@ def _dstar_of_classes(tails: list[int], copies: int, count: int, width: int) -> 
     return Fraction(max(max(below), max(above)), copies * count * width)
 
 
+def _dstar_of_grid(spec: OrbitSpec, sample: int) -> Fraction:
+    """Exact D* of the first ``sample >= Q`` iterates when one period of the
+    orbit is the whole grid over ``Q = B_K``: ``c`` copies of the grid and
+    the first ``r`` iterates once more, ``c, r = divmod(sample, Q)``.
+
+    Point ``p`` comes after ``c·p`` grid points and the read numerators
+    below it (Kuipers and Niederreiter, ch. 2).  With ``v_0 < ... <
+    v_{r-1}`` the first ``r`` numerators sorted, D* over ``N·Q`` is
+    ``max((i+1+c)·Q - r·v_i, r·v_i - i·Q)``; the term ``c·Q`` of ``p = 0``
+    is below the first at ``i = r - 1``, as ``r·v_{r-1} <= r·(Q-1)``.  For
+    ``r > Q/2`` the sample is ``c + 1`` copies less the ``s = Q - r``
+    iterates ``r .. Q-1``, sorted as ``w_0 < ... < w_{s-1}``, and D* over
+    ``N·Q`` is ``max((c+1-i)·Q + s·(w_i - 1), (i+1)·Q - s·(w_i + 1))``.
+    Both read one column ``d_i = t·u_i - i·Q`` of the ``t = min(r, s)``
+    sorted iterates ``u``, never a period.
+    """
+    q = spec.period
+    copies, extra = divmod(sample, q)
+    if not extra:
+        return Fraction(1, q)
+    if 2 * extra <= q:
+        t, nums = extra, orbit_numerators(spec, extra)
+    else:
+        t, nums = q - extra, _orbit_columns(spec, extra, q - extra)[0]
+    diffs = list(map(operator.sub, sorted(map(t.__mul__, nums)), range(0, t * q, q)))
+    if t == extra:
+        best = max((copies + 1) * q - min(diffs), max(diffs))
+    else:
+        best = max((copies + 1) * q + max(diffs), q - min(diffs)) - t
+    return Fraction(best, sample * q)
+
+
 def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelReport:
     """Compute each interval's residue class and prove, for every ``n <
     sample``, that iterate ``n`` lies in the interval carrying the class of
@@ -251,27 +284,35 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
     that covers a whole period (``sample >= B_k``), false when only the
     ``sample`` iterates were checked.  A whole period checked also proves
     that the classes form a complete residue system mod ``B_k``; below one,
-    the table is checked for it.  The iterates are read as numerators over
-    ``B_K``, numerator ``p`` in interval ``p // (B_K / B_k)``; the last one
-    also goes through :func:`orbit_point`, a disagreement raising
-    ``ComputationError``.  A violation is an implementation bug.
+    the table is checked for it.  The proof reads the level-``k`` interval
+    indices of those iterates alone, from the first ``k`` levels' cycles
+    (:func:`_orbit_columns` at ``level``).  :func:`orbit_point` checks the
+    streams: the last proved iterate's numerator over ``B_K``, read once
+    more, and its level-``k`` index, the last the proof read; on a failed
+    proof, also the failing iterate's index.  A disagreement raises
+    ``ComputationError``; a violation is an implementation bug.
 
     Interval ``j`` with class ``r_j`` then holds ``ceil((sample - r_j) /
     B_k)`` of the iterates, 0 when ``r_j >= sample``: ``copies + (r_j <
     extra)`` with ``copies, extra = divmod(sample, B_k)``, one repeated
-    ``copies`` when ``extra`` is 0.  The report's
-    intervals read the classes and these counts as two columns, building no
-    stat until one is read.  The depth-``K`` orbit repeats with period
-    ``P``, the ``lcm`` of the seed digits' cycle lengths, and is injective
-    within a period.  The tail of iterate ``n``, its numerator mod ``B_K /
-    B_k``, depends only on ``n mod T``, ``T`` the lcm of the cycle lengths
-    at levels ``k`` on.  When ``B_k`` divides ``sample``, ``sample < P`` and
-    ``T < B_k``, D* comes from the proved classes and the first ``T``
-    tails (:func:`_dstar_of_classes`), all read from the proof's ``B_k``
-    numerators.  Otherwise one stream of the first ``min(sample, P)``
-    numerators serves the proof and D*, each numerator with its
-    multiplicity: with ``T >= B_k`` the classes would take as many values
-    as the sort.
+    ``copies`` when ``extra`` is 0.  The report's intervals read the
+    classes and these counts as two columns, building no stat until one is
+    read.
+
+    D* reads numerators over ``B_K``.  The depth-``K`` orbit repeats with
+    period ``P``, the ``lcm`` of the seed digits' cycle lengths, and is
+    injective within a period.  The tail of iterate ``n``, its numerator
+    mod ``B_K / B_k``, depends only on ``n mod T``, ``T`` the lcm of the
+    cycle lengths at levels ``k`` on.  Three cases:
+
+    - ``B_k`` divides ``sample``, ``sample < P`` and ``T < B_k``: from the
+      proved classes and the first ``T`` tails (:func:`_dstar_of_classes`).
+    - ``sample >= P = B_K``, every seed level a full cycle, so one period is
+      the whole grid: from ``sample = c·P + r`` and ``min(r, P - r)``
+      iterates (:func:`_dstar_of_grid`).
+    - Otherwise from the first ``min(sample, P)`` numerators, each with its
+      multiplicity (:func:`_dstar_cycled`): with ``T >= B_k`` the classes
+      would take as many values as the sort.
     """
     level, sample = _check_level_and_sample(spec, level, sample)
     for perm in spec.pv.perms[:level]:
@@ -285,25 +326,35 @@ def membership_equivalence(spec: OrbitSpec, level: int, sample: int) -> LevelRep
             f"residues at level {level} do not form a complete system mod {count}"
         )
 
-    copies, extra = divmod(sample, count)
-    tail = math.lcm(*map(len, spec._tables[level:]))
-    by_classes = not extra and sample < spec.period and tail < count
-    nums = list(orbit_numerators(spec, min(sample, count if by_classes else spec.period)))
     proved = min(sample, count)
-    if orbit_point(spec, proved - 1).digits.prefix_index(spec.depth) != nums[proved - 1]:
+    point = orbit_point(spec, proved - 1).digits
+    if point.prefix_index(spec.depth) != next(_orbit_columns(spec, proved - 1, 1)[0]):
         raise ComputationError(f"orbit_point disagrees with the stream on iterate {proved - 1}")
-    width = base.products[spec.depth] // count
-    classes = map(table.__getitem__, map(width.__rfloordiv__, nums))
-    if not all(map(operator.eq, classes, range(proved))):
-        n, idx = next((n, p // width) for n, p in enumerate(nums) if n != table[p // width])
+    indices = _orbit_columns(spec, 0, proved, level)[0]
+    if not all(map(operator.eq, map(table.__getitem__, indices), range(proved))):
+        indices = _orbit_columns(spec, 0, proved, level)[0]
+        n, idx = next((n, idx) for n, idx in enumerate(indices) if n != table[idx])
+        if orbit_point(spec, n).digits.prefix_index(level) != idx:
+            raise ComputationError(f"orbit_point disagrees with the proof's stream on iterate {n}")
         raise EquivalenceViolated(
             f"iterate {n} lies in interval {idx} but {n} mod {count} != {table[idx]}"
         )
+    # the proof makes the table one-to-one: only the proof's last index has class proved - 1
+    if table[point.prefix_index(level)] != (n := proved - 1):
+        raise ComputationError(f"orbit_point disagrees with the proof's stream on iterate {n}")
 
-    if by_classes:
-        d_star = _dstar_of_classes(list(map(width.__rmod__, nums[:tail])), copies, count, width)
+    copies, extra = divmod(sample, count)
+    total = base.products[spec.depth]
+    tail = math.lcm(*map(len, spec._tables[level:]))
+    if not extra and sample < spec.period and tail < count:
+        width = total // count
+        tails = list(map(width.__rmod__, orbit_numerators(spec, tail)))
+        d_star = _dstar_of_classes(tails, copies, count, width)
+    elif sample >= spec.period == total:
+        d_star = _dstar_of_grid(spec, sample)
     else:
-        d_star = _dstar_cycled(nums, sample, base.products[spec.depth])
+        nums = list(orbit_numerators(spec, min(sample, spec.period)))
+        d_star = _dstar_cycled(nums, sample, total)
     counts = list(map(copies.__add__, map(extra.__gt__, table))) if extra else [copies] * count
     return LevelReport(
         level=level,

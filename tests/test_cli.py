@@ -34,6 +34,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_same_text(*texts: str) -> None:
+    """Assert the outputs equal, naming the first line where one differs
+    from the first: pytest's diff of two large outputs takes minutes."""
+    first, *others = texts
+    for other in others:
+        if other != first:
+            pairs = itertools.zip_longest(first.splitlines(True), other.splitlines(True))
+            n, (line, other_line) = next((n, p) for n, p in enumerate(pairs, 1) if p[0] != p[1])
+            pytest.fail(f"outputs differ first on line {n}: {line!r} != {other_line!r}")
+
+
 def test_expand_table(capsys):
     code, out, err = run(
         capsys, "expand", "--bases", "2,3,5", "--value", "29/30", "--depth", "3"
@@ -270,7 +281,7 @@ def test_check_equivalence_matches_the_per_row_oracle(capsys, monkeypatch, name,
     monkeypatch.setattr(cantorperm.cli, "emit", emit)
     code, out, err = run(capsys, "check", "equivalence", *argv, "--format", fmt)
     assert (code, err) == (0, "")
-    assert out == _equivalence_by_rows(argv, fmt)
+    assert_same_text(out, _equivalence_by_rows(argv, fmt))
     # the columns, with their texts of j and the residues, are built only to
     # be rendered: never for the table format
     assert len(reads) == (fmt != "table")
@@ -675,8 +686,8 @@ def test_row_renderer_matches_dicts_through_stdlib_json_and_old_csv_cells(case):
     assert _emitted("json", table, nested) == expected + "\n"
     # byte for byte what the per-row template writes for the rows
     old = _as_rows(table)
-    assert _emitted("csv", table) == _emitted_by_rows("csv", old)
-    assert _emitted("json", table, table) == _emitted_by_rows("json", old)
+    assert_same_text(_emitted("csv", table), _emitted_by_rows("csv", old))
+    assert_same_text(_emitted("json", table, table), _emitted_by_rows("json", old))
     if len(rows) == 1:
         assert _emitted("json", table) == json.dumps(dicts[0], indent=2) + "\n"
         assert _emitted("json", table) == _emitted_by_rows("json", old, listed=False)
@@ -713,13 +724,13 @@ def test_rows_straddling_the_block_size_match_the_per_row_oracle(count, texts):
     table, dicts = _straddling_table(count, texts)
     csv, listed = _emitted("csv", table), _emitted("json", table, table)
     old = _as_rows(table)
-    assert csv == _emitted_by_rows("csv", old)
-    assert listed == _emitted_by_rows("json", old)
+    assert_same_text(csv, _emitted_by_rows("csv", old))
+    assert_same_text(listed, _emitted_by_rows("json", old))
     assert json.loads(listed) == dicts
     assert [line.split(",")[0] for line in csv.splitlines()] == ["j", *map(str, range(count))]
     table, _ = _straddling_table(count, texts)
     nested = _emitted("json", table, {"N": count, "rows": table})
-    assert nested == json.dumps({"N": count, "rows": dicts}, indent=2) + "\n"
+    assert_same_text(nested, json.dumps({"N": count, "rows": dicts}, indent=2) + "\n")
 
 
 @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1])
@@ -737,9 +748,9 @@ def test_bare_columns_of_int_texts_render_as_their_ints(count):
                                       counts], count, bare=(1, 2, 3))
     ints = Table(header, [roles, dens, residues, counts], count)
     old = RowTable(header, rows)
-    assert _emitted("csv", bare) == _emitted("csv", ints) == _emitted_by_rows("csv", old)
+    assert_same_text(_emitted("csv", bare), _emitted("csv", ints), _emitted_by_rows("csv", old))
     listed = _emitted("json", bare, bare)
-    assert listed == _emitted("json", ints, ints) == _emitted_by_rows("json", old)
+    assert_same_text(listed, _emitted("json", ints, ints), _emitted_by_rows("json", old))
     assert json.loads(listed) == [dict(zip(header, row)) for row in rows]
 
 
@@ -904,7 +915,9 @@ def test_orbit_rows_match_the_per_row_oracle(tmp_path, vector, fmt):
     runs = [["--count", str(c)] for c in ORBIT_COUNTS] + [["--at", str(n)] for n in ORBIT_INDICES]
     for run_argv in runs:
         expected = _orbit_outputs(tmp_path, _orbit_by_rows, argv + run_argv)
-        assert _orbit_outputs(tmp_path, cantorperm.cli.cmd_orbit, argv + run_argv) == expected
+        got = _orbit_outputs(tmp_path, cantorperm.cli.cmd_orbit, argv + run_argv)
+        for text, want in zip(got, expected):
+            assert_same_text(text, want)
         assert expected[0].count("\n") >= 2
 
 
@@ -919,7 +932,9 @@ def test_orbit_rows_straddling_the_block_size_match_the_per_row_oracle(tmp_path,
     for count in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
         run_argv = argv + ["--count", str(count)]
         expected = _orbit_outputs(tmp_path, _orbit_by_rows, run_argv)
-        assert _orbit_outputs(tmp_path, cantorperm.cli.cmd_orbit, run_argv) == expected
+        got = _orbit_outputs(tmp_path, cantorperm.cli.cmd_orbit, run_argv)
+        for text, want in zip(got, expected):
+            assert_same_text(text, want)
 
 
 @pytest.mark.parametrize("cap", [1, 10**9])
@@ -930,7 +945,10 @@ def test_orbit_rows_do_not_depend_on_the_group_cap(monkeypatch, capsys, cap):
     ]
     expected = [run(capsys, "orbit", *argv) for argv in runs]
     monkeypatch.setattr(cantorperm.dynamics, "_GROUP_CAP", cap)
-    assert [run(capsys, "orbit", *argv) for argv in runs] == expected
+    for argv, (code, out, err) in zip(runs, expected):
+        got_code, got_out, got_err = run(capsys, "orbit", *argv)
+        assert (got_code, got_err) == (code, err)
+        assert_same_text(got_out, out)
 
 
 def test_a_spec_keeps_the_group_layout_it_was_built_with(monkeypatch):

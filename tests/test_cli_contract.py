@@ -284,3 +284,24 @@ def test_equivalence_cross_check_fault_exits_1_with_one_error_line(monkeypatch, 
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_a_level_report_past_the_orbit_period_runs_in_bounded_memory():
+    # N = 10^12 past P = B_8 = 9,699,690 with full cycles: D* reads
+    # min(r, P - r) iterates, not a period, so a 512 MB address-space
+    # limit on the child is enough; reading the period took about 1.7 GB
+    pytest.importorskip("resource")
+    # the child sets its own limit before it imports the package
+    limited = ("import resource, sys; cap = 512 * 2**20; "
+               "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+               "from cantorperm.cli import main; sys.exit(main(sys.argv[1:]))")
+    argv = ["check", "equivalence", "--bases", "2,3,5,7,11,13,17,19", "--level", "2",
+            "--count", "1000000000000", "--format", "csv"]
+    proc = subprocess.run(
+        [sys.executable, "-c", limited, *argv],
+        capture_output=True, text=True, env=_cli_env(), timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "j,residue,modulus,count,expected_num,expected_den"
+    assert len(lines) == 7

@@ -741,3 +741,7 @@ def test_grouped_orbit_reader_matches_the_per_level_oracle(window):
     for t, (num, point_digits) in enumerate(expected):
         point = orbit_point(spec, start + t).digits
         assert (base.index_of(point.digits), point.digits) == (num, point_digits)
+    # cut at every level: the level-k interval indices of the same iterates
+    for level in range(spec.depth + 1):
+        indices = list(_orbit_columns(spec, start, count, level)[0])
+        assert indices == [base.index_of(digits[:level]) for _, digits in expected]

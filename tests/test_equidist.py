@@ -37,7 +37,7 @@ from cantorperm import (
     van_der_corput,
 )
 import cantorperm.equidist as equidist_module
-from cantorperm.dynamics import _truncated_numerators, orbit_numerators
+from cantorperm.dynamics import _orbit_columns, _truncated_numerators, orbit_numerators
 from cantorperm.errors import (
     ComputationError,
     DepthExceeded,
@@ -544,34 +544,55 @@ def _orbit_point_proof(spec, level, sample, table):
             )
 
 
-@pytest.mark.parametrize("level, sample", [
-    (0, 1), (0, 9), (1, 6), (2, 5), (2, 12), (2, 13), (2, 24), (2, 48), (3, 59), (3, 60), (3, 250)
+@pytest.mark.parametrize("full, level, sample, dstar_reads", [
+    # below the orbit's period P = 60: min(N, P) numerators, or the T = 5
+    # tails when B_k divides N and T < B_k
+    *((True, level, n, [("numerators", n)])
+      for level, n in [(0, 1), (0, 9), (1, 6), (2, 5), (2, 13), (3, 59)]),
+    *((True, 2, n, [("numerators", 5)]) for n in (12, 24, 48)),
+    # from P on, P = B_K: min(r, P - r) iterates past c·P, none when r = 0
+    (True, 0, 60, []), (True, 3, 60, []), (True, 3, 120, []),
+    (True, 2, 61, [("numerators", 1)]), (True, 3, 250, [("numerators", 10)]),
+    (True, 3, 90, [("numerators", 30)]), (True, 1, 100, [("columns", 40, 20, None)]),
+    (True, 2, 119, [("columns", 59, 1, None)]),
+    # a level from k on not a full cycle (P = 12 < B_K): min(N, P) numerators
+    (False, 1, 7, [("numerators", 7)]), (False, 2, 12, [("numerators", 12)]),
+    (False, 2, 30, [("numerators", 12)]), (False, 0, 100, [("numerators", 12)]),
 ])
-def test_membership_equivalence_reads_one_numerator_stream(monkeypatch, level, sample):
-    # a whole number of level periods B_k below the orbit's period P, with a
-    # tail period T below B_k: one level period serves the proof and, its
-    # first T numerators, D*.  Otherwise the proof reads the numerators D*
-    # reads.  Random access only once, on the last iterate the proof checks
-    streams, points = [], []
+def test_membership_equivalence_reads_one_numerator_stream(
+    monkeypatch, full, level, sample, dstar_reads
+):
+    # the last proved iterate's numerator alone, for the orbit_point
+    # cross-check; then the proof's min(N, B_k) level-k interval indices;
+    # then what D* needs, in one stream.  Random access only once, on the
+    # last iterate the proof checks
+    reads, points = [], []
+
+    def counted_columns(spec, start, count, at=None):
+        reads.append(("columns", start, count, at))
+        return _orbit_columns(spec, start, count, at)
 
     def counted_stream(spec, count):
-        streams.append(count)
+        reads.append(("numerators", count))
         return orbit_numerators(spec, count)
 
     def counted_point(spec, n):
         points.append(n)
         return orbit_point(spec, n)
 
+    monkeypatch.setattr(equidist_module, "_orbit_columns", counted_columns)
     monkeypatch.setattr(equidist_module, "orbit_numerators", counted_stream)
     monkeypatch.setattr(equidist_module, "orbit_point", counted_point)
     b, pv, spec = _zero_orbit((3, 4, 5))
+    if not full:
+        # a 3-cycle through the seed digit 0 at the top level
+        perms = (*pv.perms[:2], make_unchecked(5, [1, 2, 0, 3, 4]))
+        spec = make_orbit(spec.alpha_digits, PermutationVector(perms, b))
+    assert spec.period == (60 if full else 12)
+    proved = min(sample, b.products[level])
     membership_equivalence(spec, level, sample)
-    count, tail = b.products[level], math.prod(b.moduli[level:])
-    if sample % count == 0 and sample < spec.period and tail < count:
-        assert streams == [count]
-    else:
-        assert streams == [min(sample, spec.period)]
-    assert points == [min(sample, count) - 1]
+    assert reads == [("columns", proved - 1, 1, None), ("columns", 0, proved, level), *dstar_reads]
+    assert points == [proved - 1]
 
 
 @pytest.mark.parametrize("level, sample", [(2, 3), (2, 12), (3, 17), (3, 60), (3, 500)])
@@ -600,6 +621,32 @@ def test_membership_equivalence_raises_when_stream_and_orbit_point_disagree(monk
     b, pv, spec = _zero_orbit((3, 4, 5))
     for level, sample in [(0, 1), (2, 12), (3, 60), (3, 250)]:
         with pytest.raises(ComputationError, match="orbit_point"):
+            membership_equivalence(spec, level, sample)
+
+
+def _proof_stream_one_ahead(spec, start, count, level=None):
+    # the proof's level-cut stream reads from iterate start + 1
+    return _orbit_columns(spec, start + (level is not None), count, level)
+
+
+def _classes_one_behind(pv, seed_digits):
+    table = residue_table(pv, seed_digits)
+    return [(r - 1) % len(table) for r in table]
+
+
+@pytest.mark.parametrize("shifted_table", [False, True])
+def test_membership_equivalence_checks_the_proofs_stream_against_orbit_point(
+    monkeypatch, shifted_table
+):
+    # a fault in the proof's own stream is a computation fault, whether the
+    # table disagrees with it (the proof fails) or was shifted with it (the
+    # proof passes)
+    monkeypatch.setattr(equidist_module, "_orbit_columns", _proof_stream_one_ahead)
+    if shifted_table:
+        monkeypatch.setattr(equidist_module, "residue_table", _classes_one_behind)
+    b, pv, spec = _zero_orbit((3, 4, 5))
+    for level, sample in [(1, 2), (1, 3), (2, 7), (2, 12), (3, 60), (3, 250)]:
+        with pytest.raises(ComputationError, match="proof's stream"):
             membership_equivalence(spec, level, sample)
 
 
@@ -1011,6 +1058,57 @@ def test_dstar_from_the_classes_matches_the_sorted_orbit_on_deeper_tails(data):
     d_star = membership_equivalence(spec, level, sample).d_star
     assert d_star == _dstar_cycled(nums, sample, base.products[-1])
     assert d_star == star_discrepancy([Fraction(p, base.products[-1]) for p in nums]).d_star
+
+
+# --- D* from the remainder N = c·P + r against the sorted period it replaced ---
+
+@pytest.mark.parametrize("moduli", [(2, 3, 5), (3, 4, 5)])
+def test_dstar_from_the_remainder_matches_the_sorted_period_on_every_full_cycle_orbit(moduli):
+    # every seed level a full cycle, so P = B_K; N from P - 1 through 3P + 1
+    # over (2, 3, 5): r = 0, r < P/2, r = P/2 and r > P/2.  Over (3, 4, 5),
+    # with 24 times the orbits, N near each of those at level 0
+    total = math.prod(moduli)
+    for spec, level in _every_orbit(moduli):
+        if spec.period != total or (moduli == (3, 4, 5) and level):
+            continue
+        nums = list(orbit_numerators(spec, total))
+        half = total // 2
+        every = range(total - 1, 3 * total + 2)
+        near = [total + r + d for r in (0, 1, half, total - 1) for d in (-1, 0, 1)]
+        near.append(3 * total + 1)
+        for sample in every if moduli == (2, 3, 5) else near:
+            d_star = membership_equivalence(spec, level, sample).d_star
+            oracle = _dstar_cycled(nums[:min(sample, total)], sample, total)
+            assert d_star == oracle, (spec, level, sample)
+            # r = 0 and r = P/2 at multiples of 15, either side of P/2 at those of 7
+            if moduli == (2, 3, 5) and (sample % 15 == 0 or sample % 7 == 0):
+                points = [Fraction(nums[n % total], total) for n in range(sample)]
+                assert d_star == star_discrepancy(points).d_star
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_dstar_with_a_deeper_level_not_a_full_cycle_is_the_sorted_period(data):
+    # P < B_K: no remainder form; D* is _dstar_cycled over min(N, P) numerators
+    moduli = data.draw(st.sampled_from([(2, 3, 5, 7), (4, 3, 5, 7), (3, 8, 5, 7)]))
+    level = data.draw(st.integers(min_value=0, max_value=3))
+    base = make_base(moduli)
+    perms = [
+        (from_cycle if j < level else make_unchecked)(m, data.draw(st.permutations(range(m))))
+        for j, m in enumerate(moduli)
+    ]
+    seed = make_expansion([data.draw(st.integers(0, m - 1)) for m in moduli], base)
+    spec = make_orbit(seed, PermutationVector(tuple(perms), base))
+    assume(spec.period < base.products[-1])
+    period = spec.period
+    sample = data.draw(st.one_of(
+        st.sampled_from([period - 1, period, period + 1, 2 * period + period // 2, 3 * period + 1]),
+        st.integers(min_value=1, max_value=10**12),
+    ))
+    assume(sample >= 1)
+    nums = list(orbit_numerators(spec, min(sample, period)))
+    d_star = membership_equivalence(spec, level, sample).d_star
+    assert d_star == _dstar_cycled(nums, sample, base.products[-1])
 
 
 def test_star_discrepancy_rejects_an_empty_sample():
