@@ -20,12 +20,8 @@ from .errors import (
 from .base import (
     BaseSequence,
     DigitExpansion,
-    GridInterval,
     as_fraction,
-    decode,
     encode,
-    grid_interval,
-    interval_of,
     make_base,
     make_expansion,
     prefix_of_interval,
@@ -37,12 +33,9 @@ from .perms import (
     combine_crt,
     discrete_log,
     from_cycle,
-    identity,
-    identity_vector,
     make_cyclic,
     make_unchecked,
     parse_permutations,
-    power_apply,
     prefix_residue,
     residue_table,
     shift,

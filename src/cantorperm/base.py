@@ -211,35 +211,6 @@ def make_expansion(digits: Union[Sequence[int], str], base: BaseSequence) -> Dig
     return DigitExpansion(digs, base)
 
 
-@dataclass(frozen=True, slots=True)
-class GridInterval:
-    """The half-open interval ``[index/B_level, (index+1)/B_level)``."""
-
-    level: int
-    index: int
-    lower: Fraction
-    upper: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lower <= x < self.upper
-
-
-def grid_interval(level: int, index: int, base: BaseSequence) -> GridInterval:
-    """Grid interval at ``level`` with the given index."""
-    level, index = _check_index(level, index, base)
-    count = base.products[level]
-    return GridInterval(
-        level=level,
-        index=index,
-        lower=Fraction(index, count),
-        upper=Fraction(index + 1, count),
-    )
-
-
 def encode(alpha: RationalLike, base: BaseSequence, depth: int) -> DigitExpansion:
     """Digits of ``alpha`` to the given depth, through the codec: the
     mixed-radix digits of ``floor(alpha * products[depth])``.
@@ -256,25 +227,8 @@ def encode(alpha: RationalLike, base: BaseSequence, depth: int) -> DigitExpansio
     return DigitExpansion(base.digits_of(depth, index), base)
 
 
-def decode(expansion: DigitExpansion) -> Fraction:
-    """Exact value of a digit expansion (inverse of :func:`encode` on grid
-    rationals)."""
-    return expansion.value
-
-
-def interval_of(alpha: RationalLike, level: int, base: BaseSequence) -> GridInterval:
-    """The level-``level`` grid interval containing ``alpha``.
-
-    Consistent with the codec: ``alpha`` lies in interval ``j`` iff its first
-    ``level`` digits equal ``prefix_of_interval(level, j, base)``.
-    """
-    alpha = _point(alpha)
-    level = _check_range(level, base.depth)
-    index = (alpha.numerator * base.products[level]) // alpha.denominator
-    return grid_interval(level, index, base)
-
-
 def prefix_of_interval(level: int, index: int, base: BaseSequence) -> tuple[int, ...]:
     """The unique digit prefix ``(b_0, ..., b_{level-1})`` whose value is
-    ``index / products[level]``; inverse of :func:`interval_of` on grid points."""
+    ``index / products[level]``: on grid points, the inverse of
+    ``encode(alpha, base, level).prefix_index(level)``."""
     return base.digits_of(*_check_index(level, index, base))

@@ -1,4 +1,4 @@
-"""Digit permutations, their powers and discrete logarithms, and the
+"""Digit permutations, their cycles and discrete logarithms, and the
 residue-class bookkeeping that combines per-level conditions by the
 Chinese remainder theorem.
 """
@@ -23,7 +23,7 @@ from .errors import (
 @dataclass(frozen=True, slots=True)
 class CyclicPermutation:
     """A permutation of ``{0, ..., m-1}`` in image form, with its cycle
-    decomposition precomputed so that arbitrary powers apply in O(1).
+    decomposition precomputed: discrete logs read cycle positions, orbits the cycles.
 
     ``cycles[cycle_id[b]][cycle_pos[b]] == b`` for every digit ``b``.
     Use :func:`make_cyclic` (enforces a single full-length cycle) or
@@ -36,16 +36,6 @@ class CyclicPermutation:
     cycle_id: tuple[int, ...]
     cycle_pos: tuple[int, ...]
     full_cycle: bool
-
-    def apply(self, b: int) -> int:
-        return self.image[b]
-
-    def power(self, n: int, b: int) -> int:
-        cycle = self.cycles[self.cycle_id[b]]
-        return cycle[(self.cycle_pos[b] + n) % len(cycle)]
-
-    def is_identity(self) -> bool:
-        return all(i == b for b, i in enumerate(self.image))
 
     def __str__(self) -> str:
         return f"{self.modulus}: " + ",".join(str(i) for i in self.image)
@@ -80,7 +70,7 @@ def _decompose(modulus: int, image: Sequence[int]):
 
 def make_cyclic(modulus: int, image: Sequence[int]) -> CyclicPermutation:
     """Validated constructor: ``image`` must be a single cycle of full length
-    ``modulus``, as the power/discrete-log machinery requires."""
+    ``modulus``, as the discrete-log machinery requires."""
     perm = make_unchecked(modulus, image)
     if not perm.full_cycle:
         raise NotFullCycle(
@@ -92,8 +82,8 @@ def make_cyclic(modulus: int, image: Sequence[int]) -> CyclicPermutation:
 def make_unchecked(modulus: int, image: Sequence[int]) -> CyclicPermutation:
     """Accept any bijection (identity, products of shorter cycles, ...).
 
-    Powers still work per cycle; operations that need a unique discrete log
-    (discrete_log, prefix_residue) reject non-full-cycle permutations.
+    Orbits step through each cycle; operations that need a unique discrete
+    log (discrete_log, prefix_residue) reject non-full-cycle permutations.
     """
     modulus = _as_int(modulus, "modulus")
     img, cycles, cycle_id, cycle_pos = _decompose(modulus, image)
@@ -122,24 +112,11 @@ def shift(modulus: int) -> CyclicPermutation:
     return make_cyclic(modulus, [(b + 1) % modulus for b in range(modulus)])
 
 
-def identity(modulus: int) -> CyclicPermutation:
-    modulus = _as_int(modulus, "modulus")
-    return make_unchecked(modulus, range(modulus))
-
-
 def _digit(perm: CyclicPermutation, d) -> int:
     """``d`` as an int by :func:`_as_int`'s rule; DigitOutOfRange outside ``[0, m)``."""
     if not 0 <= (d := _as_int(d, "digit")) < perm.modulus:
         raise DigitOutOfRange(f"digit {d} not in [0, {perm.modulus})")
     return d
-
-
-def power_apply(perm: CyclicPermutation, n: int, b: int) -> int:
-    """``n``-th power of the permutation applied to digit ``b``, in O(1)."""
-    n, b = _as_int(n, "power"), _digit(perm, b)
-    if n < 0:
-        raise ValidationError("negative powers are not supported")
-    return perm.power(n, b)
 
 
 def discrete_log(perm: CyclicPermutation, r: int, s: int) -> int:
@@ -236,10 +213,6 @@ class PermutationVector:
 def shift_vector(base: BaseSequence) -> PermutationVector:
     """The all-shift vector: digit ``b`` at level ``j`` maps to ``b+1 mod m_j``."""
     return PermutationVector(tuple(shift(m) for m in base.moduli), base)
-
-
-def identity_vector(base: BaseSequence) -> PermutationVector:
-    return PermutationVector(tuple(identity(m) for m in base.moduli), base)
 
 
 def _weight_tables(pv: PermutationVector, length: int) -> tuple:

@@ -36,7 +36,8 @@ from cantorperm.errors import (
     NoWitnessAtLevel,
     ValidationError,
 )
-from cantorperm.perms import PermutationVector, identity_vector
+from cantorperm.perms import PermutationVector
+from test_dynamics import identity_perms
 
 
 def test_witness_shift_mod3():
@@ -75,7 +76,7 @@ def test_witness_swap_needs_descent():
 
 def test_witness_identity_never_found():
     b = make_base((2, 3, 5))
-    pv = identity_vector(b)
+    pv = identity_perms(b)
     with pytest.raises(NoWitnessAtLevel):
         find_witness_descending(pv, 0, 0)
 
@@ -218,7 +219,7 @@ def test_derivative_probe_modulus_two_level():
 
 def test_derivative_probe_identity():
     b = make_base((2, 3, 5))
-    pv = identity_vector(b)
+    pv = identity_perms(b)
     alpha = encode(Fraction(0), b, 3)
     report = derivative_probe(pv, alpha, 3)
     # identity has every quotient equal to 1

@@ -1,4 +1,4 @@
-"""Mixed-radix expansion layer: encode/decode, grid intervals, prefixes."""
+"""Mixed-radix expansion layer: encode, values, the prefix↔index codec."""
 from fractions import Fraction
 
 import pytest
@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 
 from cantorperm import (
     as_fraction,
-    decode,
     encode,
-    grid_interval,
-    interval_of,
     make_base,
     make_expansion,
     prefix_of_interval,
@@ -94,13 +91,12 @@ def test_encode_rejects_excess_depth():
 
 
 def test_exhaustive_grid_round_trip():
-    # every j/30 must encode to its own interval prefix and decode back
+    # every j/30 must encode to its own interval prefix and read back
     b = make_base((2, 3, 5))
     seen = set()
     for j in range(30):
         d = encode(Fraction(j, 30), b, 3)
         assert d.value == Fraction(j, 30)
-        assert decode(d) == Fraction(j, 30)
         seen.add(d.digits)
     assert len(seen) == 30
 
@@ -123,16 +119,15 @@ def test_greedy_truncation_error_bound():
     assert d.value <= x < d.value + Fraction(1, 30)
 
 
-def test_interval_of_partition():
+def test_interval_index_partition():
+    # interval j of level 2 is [j/6, (j+1)/6): both ends of each read as j
     b = make_base((2, 3, 5))
-    iv = grid_interval(2, 5, b)
-    assert iv.lower == Fraction(5, 6)
-    assert iv.upper == Fraction(1)
-    assert iv.width == Fraction(1, 6)
-    assert iv.contains(Fraction(5, 6))
-    assert not iv.contains(Fraction(1))
+    assert b.products[2] == 6
+    assert make_expansion(prefix_of_interval(2, 5, b), b).value == Fraction(5, 6)
     for j in range(6):
-        assert interval_of(Fraction(j, 6), 2, b).index == j
+        assert encode(Fraction(j, 6), b, 2).prefix_index(2) == j
+        assert encode(Fraction(6 * j + 5, 36), b, 2).prefix_index(2) == j
+        assert encode(Fraction(j, 6), b, 3).prefix_index(2) == j
 
 
 def test_prefix_of_interval_known():
@@ -159,19 +154,21 @@ def test_replace_digit():
 
 
 def test_refinement():
-    # each level-k interval splits into exactly m_k children one level down
+    # each level-k interval splits into exactly m_k children one level down:
+    # child t has the parent's prefix and digit t, and starts t/B_{k+1} into
+    # the parent, so the m_k children of width 1/B_{k+1} tile it
     b = make_base((2, 3, 5))
+
+    def lower(level, index):
+        return make_expansion(prefix_of_interval(level, index, b), b).value
+
     for k in range(3):
         for j in range(b.period(k)):
-            parent = grid_interval(k, j, b)
-            children = [
-                grid_interval(k + 1, j * b.moduli[k] + t, b)
-                for t in range(b.moduli[k])
-            ]
-            assert children[0].lower == parent.lower
-            assert children[-1].upper == parent.upper
-            for left, right in zip(children, children[1:]):
-                assert left.upper == right.lower
+            parent = prefix_of_interval(k, j, b)
+            for t in range(b.moduli[k]):
+                child = j * b.moduli[k] + t
+                assert prefix_of_interval(k + 1, child, b) == parent + (t,)
+                assert lower(k + 1, child) == lower(k, j) + Fraction(t, b.period(k + 1))
 
 
 @given(
@@ -184,14 +181,17 @@ def test_encode_value_bracket_property(num, den):
     x = Fraction(num % den, den)
     d = encode(x, b, 4)
     assert d.value <= x < d.value + Fraction(1, 210)
-    assert interval_of(x, 4, b).index == d.prefix_index(4)
+    # the level-L interval holding x, read at every level: nested, as floor(x * B_L)
+    for level in range(5):
+        index = x.numerator * b.products[level] // x.denominator
+        assert encode(x, b, level).prefix_index(level) == d.prefix_index(level) == index
 
 
 @given(st.integers(min_value=0, max_value=209))
-def test_decode_encode_identity_on_grid(j):
+def test_value_encode_identity_on_grid(j):
     b = make_base((2, 3, 5, 7))
     d = encode(Fraction(j, 210), b, 4)
-    assert decode(d) == Fraction(j, 210)
+    assert d.value == Fraction(j, 210)
 
 
 BASE = make_base((2, 3, 5))
@@ -200,16 +200,10 @@ BASE = make_base((2, 3, 5))
 @pytest.mark.parametrize("func, args, error, message", [
     (make_base, ([],), ModulusTooSmall, "base sequence must be non-empty"),
     (make_expansion, ((1, 2, 4, 0), BASE), DepthExceeded, "4 digits but base has depth 3"),
-    (grid_interval, (4, 0, BASE), LevelExceeded, "level 4 not in [0, 3]"),
-    (grid_interval, (-1, 0, BASE), LevelExceeded, "level -1 not in [0, 3]"),
-    (grid_interval, (2, 6, BASE), IndexOutOfRange, "index 6 not in [0, 6)"),
     (prefix_of_interval, (4, 0, BASE), LevelExceeded, "level 4 not in [0, 3]"),
     (prefix_of_interval, (-1, 0, BASE), LevelExceeded, "level -1 not in [0, 3]"),
     (prefix_of_interval, (1, -1, BASE), IndexOutOfRange, "index -1 not in [0, 2)"),
-    (interval_of, (1, 1, BASE), OutOfRange, "1 not in [0, 1)"),
-    (interval_of, ("-1/2", 1, BASE), OutOfRange, "-1/2 not in [0, 1)"),
-    (interval_of, ("1/2", 4, BASE), LevelExceeded, "level 4 not in [0, 3]"),
-    (interval_of, ("1/2", -1, BASE), LevelExceeded, "level -1 not in [0, 3]"),
+    (prefix_of_interval, (2, 6, BASE), IndexOutOfRange, "index 6 not in [0, 6)"),
     (encode, (1, BASE, 3), OutOfRange, "1 not in [0, 1)"),
     (encode, ("-1/2", BASE, 3), OutOfRange, "-1/2 not in [0, 1)"),
     (encode, ("1/2", BASE, 4), DepthExceeded, "depth 4 not in [0, 3]"),
@@ -224,14 +218,24 @@ BASE = make_base((2, 3, 5))
      "digit Fraction(1, 2) is not an integer"),
     # levels, depths and interval indices follow the same rule
     (prefix_of_interval, (2, 2.5, BASE), MalformedNumber, "index 2.5 is not an integer"),
-    (grid_interval, (1, 1.5, BASE), MalformedNumber, "index 1.5 is not an integer"),
-    (interval_of, ("1/2", 1.5, BASE), MalformedNumber, "level 1.5 is not an integer"),
+    (prefix_of_interval, (1.5, 0, BASE), MalformedNumber, "level 1.5 is not an integer"),
     (encode, ("1/2", BASE, 1.5), MalformedNumber, "depth 1.5 is not an integer"),
     # points are read as rationals
     (as_fraction, (None,), MalformedNumber, "not a rational number: None"),
     (as_fraction, (float("inf"),), MalformedNumber, "not a rational number: inf"),
     (encode, (None, BASE, 3), MalformedNumber, "not a rational number: None"),
-    (interval_of, ([1, 2], 1, BASE), MalformedNumber, "not a rational number: [1, 2]"),
+    (encode, ([1, 2], BASE, 1), MalformedNumber, "not a rational number: [1, 2]"),
+    (as_fraction, ("1/0",), MalformedNumber, "not a rational number: '1/0'"),
+    (encode, ("1/2", BASE, "x"), MalformedNumber, "depth 'x' is not an integer"),
+    (prefix_of_interval, (2, None, BASE), MalformedNumber, "index None is not an integer"),
+    # moduli of at least 2, pairwise coprime, named with their levels
+    (make_base, ((2, 1),), ModulusTooSmall, "modulus 1 < 2"),
+    (make_base, ((2, 3, 4),), NotCoprime, "moduli 2 (level 0) and 4 (level 2) share a factor"),
+    (make_base, ("6,5,9",), NotCoprime, "moduli 6 (level 0) and 9 (level 2) share a factor"),
+    # each digit in its own level's range, named with its position
+    (make_expansion, ((2, 0), BASE), OutOfRange, "digit 2 at position 0 not in [0, 2)"),
+    (make_expansion, ((1, 3), BASE), OutOfRange, "digit 3 at position 1 not in [0, 3)"),
+    (make_expansion, ("1,-1", BASE), OutOfRange, "digit -1 at position 1 not in [0, 3)"),
 ])
 def test_invalid_arguments_raise_their_class_and_message(func, args, error, message):
     with pytest.raises(error) as info:
@@ -239,8 +243,7 @@ def test_invalid_arguments_raise_their_class_and_message(func, args, error, mess
     assert str(info.value) == message
 
 
-def test_integral_levels_and_indices_are_stored_as_ints():
-    interval = grid_interval(True, True, BASE)
-    assert (type(interval.level), type(interval.index)) == (int, int)
-    assert interval == grid_interval(1, 1, BASE)
+def test_integral_levels_and_indices_are_read_as_ints():
+    assert prefix_of_interval(True, True, BASE) == prefix_of_interval(1, 1, BASE) == (1,)
+    assert encode("1/2", BASE, True) == encode("1/2", BASE, 1)
     assert prefix_of_interval(2.0, Fraction(5), BASE) == prefix_of_interval(2, 5, BASE) == (1, 2)

@@ -26,7 +26,6 @@ from cantorperm import (
     make_unchecked,
     modulus_of_continuity_check,
     from_cycle,
-    identity,
     orbit_point,
     orbit_prefix,
     parse_permutations,
@@ -317,6 +316,16 @@ def _fraction_apply_truncated(pv, x, depth):
     return Fraction(image * q + rem, q * count)
 
 
+def identity(m):
+    """The identity on ``Z_m``."""
+    return make_unchecked(m, range(m))
+
+
+def identity_perms(base):
+    """The vector of identities over ``base``."""
+    return PermutationVector(tuple(identity(m) for m in base.moduli), base)
+
+
 def outcome(fn, *args):
     """``fn(*args)``, or the type and message of what it raised."""
     try:
@@ -586,7 +595,8 @@ def test_orbit_points_equal_the_publicly_constructed_ones():
     spec = make_orbit(make_expansion((3, 8, 0, 2), b), pv)
     for n in (0, 1, 35, 10**30 + 7):
         got = orbit_point(spec, n)
-        digits = tuple(pv.perms[j].power(n, d) for j, d in enumerate((3, 8, 0, 2)))
+        # the shift's n-th power adds n to each digit
+        digits = tuple((d + n) % m for d, m in zip((3, 8, 0, 2), b.moduli))
         expected = OrbitPoint(n, DigitExpansion(digits, b))
         assert type(got) is OrbitPoint and type(got.digits) is DigitExpansion
         assert got == expected and hash(got) == hash(expected)

@@ -52,8 +52,10 @@ from cantorperm.errors import (
 from cantorperm.equidist import (
     SOURCES, IntervalStat, LevelReport, PreservationReport, _dstar_cycled
 )
-from cantorperm.perms import _residue_class, identity_vector
-from test_dynamics import outcome, per_level_numerators, prime_power_vectors
+from cantorperm.perms import _residue_class
+from test_dynamics import (
+    identity_perms, outcome, per_level_numerators, prime_power_vectors,
+)
 
 
 def _zero_orbit(moduli=(2, 3, 5)):
@@ -142,7 +144,7 @@ def test_membership_equivalence_nonzero_seed():
 
 def test_membership_equivalence_needs_full_cycles():
     b = make_base((2, 3, 5))
-    pv = identity_vector(b)
+    pv = identity_perms(b)
     spec = make_orbit(encode(Fraction(0), b, 3), pv)
     with pytest.raises(NotFullCycle):
         membership_equivalence(spec, 1, 10)

@@ -20,12 +20,10 @@ from cantorperm import (
     combine_crt,
     discrete_log,
     from_cycle,
-    identity,
     make_base,
     make_cyclic,
     make_unchecked,
     parse_permutations,
-    power_apply,
     prefix_residue,
     residue_table,
     shift,
@@ -43,20 +41,26 @@ from cantorperm.errors import (
 )
 import cantorperm.perms
 from cantorperm.perms import CyclicPermutation, _residue_class, _weight_tables
-from test_dynamics import outcome
+from test_dynamics import identity, outcome
+
+
+def _power(perm, n, b):
+    """``b`` under ``perm`` applied ``n`` times, read from ``image`` alone."""
+    for _ in range(n):
+        b = perm.image[b]
+    return b
 
 
 def test_shift_basic():
     p = shift(5)
     assert p.image == (1, 2, 3, 4, 0)
-    assert p.apply(4) == 0
     assert p.full_cycle
     assert str(p) == "5: 1,2,3,4,0"
 
 
 def test_identity_not_full_cycle():
     p = identity(3)
-    assert p.is_identity()
+    assert p.image == (0, 1, 2) and p.cycles == ((0,), (1,), (2,))
     assert not p.full_cycle
     with pytest.raises(NotFullCycle):
         make_cyclic(3, (0, 1, 2))
@@ -76,35 +80,22 @@ def test_from_cycle():
     assert p.full_cycle
 
 
-def test_power_matches_repeated_application():
-    p = from_cycle(7, (0, 3, 1, 5, 2, 6, 4))
+@given(st.permutations(range(7)), st.integers(min_value=0, max_value=30))
+@example(from_cycle(7, (0, 3, 1, 5, 2, 6, 4)).image, 15)  # one full cycle, past two turns
+def test_cycles_step_along_the_image(image, n):
+    # orbits read cycle[(pos + n) % len(cycle)] for the n-th power of any bijection
+    p = make_unchecked(7, image)
     for b in range(7):
-        cur = b
-        for n in range(15):
-            assert power_apply(p, n, b) == cur
-            cur = p.apply(cur)
-
-
-def test_power_period():
-    p = shift(6)
-    for b in range(6):
-        assert power_apply(p, 6, b) == b
-        assert power_apply(p, 6 * 10**12, b) == b
-
-
-def test_power_rejects_negative_and_bad_digit():
-    p = shift(4)
-    with pytest.raises(ValidationError):
-        power_apply(p, -1, 0)
-    with pytest.raises(DigitOutOfRange):
-        power_apply(p, 1, 4)
+        cycle = p.cycles[p.cycle_id[b]]
+        assert cycle[p.cycle_pos[b]] == b
+        assert cycle[(p.cycle_pos[b] + n) % len(cycle)] == _power(p, n, b)
 
 
 def test_discrete_log_inverts_power():
     p = from_cycle(5, (0, 2, 4, 1, 3))
     for r in range(5):
         for k in range(5):
-            b = power_apply(p, k, r)
+            b = _power(p, k, r)
             assert discrete_log(p, r, b) == k
 
 
@@ -169,7 +160,7 @@ def test_prefix_residue_brute_force():
         assert got.modulus == 30
         for n in range(60):
             digits = tuple(
-                power_apply(pv.perms[j], n, start[j]) for j in range(3)
+                _power(pv.perms[j], n, start[j]) for j in range(3)
             )
             assert got.contains(n) == (digits == target)
 
@@ -384,14 +375,6 @@ def test_parse_permutations_wrong_modulus():
         parse_permutations("3: 1,2,0\n2: 1,0\n5: 1,2,3,4,0", b)
 
 
-@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=6))
-@settings(max_examples=200)
-def test_power_additivity(n, b):
-    p = from_cycle(7, (0, 4, 2, 5, 1, 6, 3))
-    # pi^(n+1)(b) == pi(pi^n(b))
-    assert power_apply(p, n + 1, b) == p.apply(power_apply(p, n, b))
-
-
 @given(st.permutations(list(range(6))))
 def test_full_cycle_detection_matches_order(image):
     p = make_unchecked(6, tuple(image))
@@ -467,10 +450,12 @@ def test_prefix_residue_matches_pairwise_fold_and_period_scan(case):
         # built once per prefix length, never rebuilt
         assert tables.setdefault(length, pv._weights[length][0]) is pv._weights[length][0]
         if got.modulus <= 2000:
-            hits = [
-                n for n in range(got.modulus)
-                if all(p.power(n, r) == s for p, r, s in zip(pv.perms, src, dst))
-            ]
+            # every n of one period, the digits stepped by the images n times
+            hits, digits = [], src
+            for n in range(got.modulus):
+                if digits == dst:
+                    hits.append(n)
+                digits = tuple(p.image[d] for p, d in zip(pv.perms, digits))
             assert hits == [got.residue]
 
 
@@ -706,7 +691,6 @@ PV_345 = shift_vector(make_base((3, 4, 5)))
 _DIGIT_READERS = [
     (discrete_log, lambda d: (shift(5), d, 0), 5),
     (discrete_log, lambda d: (shift(5), 0, d), 5),
-    (power_apply, lambda d: (shift(5), 1, d), 5),
     (prefix_residue, lambda d: (PV_345, (0, d), (2, 3)), 4),
     (prefix_residue, lambda d: (PV_345, (2, 3), (0, d)), 4),
     (residue_table, lambda d: (PV_345, (0, d)), 4),
@@ -722,8 +706,7 @@ _DIGIT_READERS = [
     (make_cyclic, (None, [1, 0]), MalformedNumber, "modulus None is not an integer"),
     (from_cycle, (2.5, [0, 1]), MalformedNumber, "modulus 2.5 is not an integer"),
     (shift, ("x",), MalformedNumber, "modulus 'x' is not an integer"),
-    (identity, (None,), MalformedNumber, "modulus None is not an integer"),
-    (power_apply, (shift(5), 2.5, 1), MalformedNumber, "power 2.5 is not an integer"),
+    (make_unchecked, (None, [1, 0]), MalformedNumber, "modulus None is not an integer"),
     *[(func, args(bad), MalformedNumber, f"digit {bad!r} is not an integer")
       for func, args, _ in _DIGIT_READERS for bad in (1.5, None, [1])],
     *[(func, args(bad), DigitOutOfRange, f"digit {bad} not in [0, {m})")
@@ -735,6 +718,20 @@ _DIGIT_READERS = [
      "permutation line 2: cannot parse '3: 1,x,0'"),
     (parse_permutations, ("2 1,0", make_base((2,))), ValidationError,
      "permutation line 1: cannot parse '2 1,0'"),
+    # images are bijections of Z_m; make_cyclic also asks for one m-cycle
+    (make_unchecked, (2, [1, 0, 2]), NotBijection, "image has length 3, expected 2"),
+    (make_unchecked, (2, [1]), NotBijection, "image has length 1, expected 2"),
+    (make_unchecked, (3, [0, 0, 1]), NotBijection, "image (0, 0, 1) is not a bijection of Z_3"),
+    (make_cyclic, (3, [0, 1, 2]), NotFullCycle,
+     "permutation splits into 3 cycles, need a single 3-cycle"),
+    (make_cyclic, (4, [1, 0, 3, 2]), NotFullCycle,
+     "permutation splits into 2 cycles, need a single 4-cycle"),
+    (from_cycle, (3, (0, 1, 2, 0)), NotFullCycle, "cycle lists 4 digits, need all 3"),
+    # one permutation per level, of that level's modulus
+    (PermutationVector, ((shift(2), shift(3)), make_base((2, 3, 5))), LengthMismatch,
+     "2 permutations for base depth 3"),
+    (PermutationVector, ((shift(2), shift(5)), make_base((2, 3))), ValidationError,
+     "permutation at level 1 has modulus 5, base has 3"),
 ])
 def test_invalid_arguments_raise_their_class_and_message(func, args, error, message):
     with pytest.raises(error) as info:
@@ -747,7 +744,7 @@ def test_invalid_arguments_raise_their_class_and_message(func, args, error, mess
     (make_cyclic, (Fraction(2), [1, 0]), make_cyclic(2, [1, 0])),
     (from_cycle, ("3", [0, 2, 1]), from_cycle(3, [0, 2, 1])),
     (shift, (3.0,), shift(3)),
-    (identity, (True,), identity(1)),
+    (make_unchecked, (True, [0]), make_unchecked(1, [0])),
 ])
 def test_integral_moduli_read_as_ints(func, args, expected):
     perm = func(*args)
@@ -760,12 +757,6 @@ def test_every_digit_reader_reads_an_integral_digit_as_its_int(func, args, m, fo
     expected = func(*args(1))
     got = func(*args(form))
     assert got == expected and type(got) is type(expected)
-
-
-def test_power_apply_reads_an_integral_power_and_digit_as_ints():
-    for n, b in ((2.0, 1), (Fraction(2), 1.0), ("2", True)):
-        got = power_apply(shift(5), n, b)
-        assert got == 3 and type(got) is int
 
 
 def test_residue_condition_reads_integral_values_as_ints():
@@ -829,6 +820,7 @@ def _images(draw):
 @given(_images())
 @example((2, [-1, 0]))  # -1 read as index 1 would close the walk 0 -> -1 -> 0
 @example((3, [1, 2, -3]))
+@example((4, range(4)))  # the identity
 @settings(max_examples=500)
 def test_make_unchecked_matches_the_sorting_oracle(case):
     m, image = case
@@ -838,9 +830,9 @@ def test_make_unchecked_matches_the_sorting_oracle(case):
 @given(_images())
 @settings(max_examples=300)
 def test_constructors_match_the_sorting_oracle(case):
-    # from_cycle, shift and identity reach the walk through make_unchecked
+    # from_cycle and shift reach the walk through make_unchecked
     m, cycle = case
-    calls = [(from_cycle, m, cycle), (shift, m), (identity, m)]
+    calls = [(from_cycle, m, cycle), (shift, m)]
     walked = [outcome(*call) for call in calls]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cantorperm.perms, "make_unchecked", _sorting_make_unchecked)
