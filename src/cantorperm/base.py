@@ -182,8 +182,9 @@ class DigitExpansion:
         return Fraction(self.base.index_of(self.digits), self.base.products[len(self.digits)])
 
     def prefix_index(self, level: int) -> int:
-        """Index of the level-``level`` grid interval this expansion lies in."""
-        return self.base.index_of(self.digits[:level])
+        """Index of the level-``level`` grid interval this expansion lies in;
+        ``level`` is read by :func:`_check_range`, in ``[0, depth]``."""
+        return self.base.index_of(self.digits[: _check_range(level, self.depth)])
 
     def replace_digit(self, position: int, digit: int) -> "DigitExpansion":
         digits = list(self.digits)

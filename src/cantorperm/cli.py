@@ -19,6 +19,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict
 from fractions import Fraction
+from gettext import gettext
 from pathlib import Path
 from typing import NamedTuple
 
@@ -537,91 +538,116 @@ def _common_parser() -> argparse.ArgumentParser:
     return common
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: built on the first call, then shared.
-    Parsing leaves it unchanged, so every call of :func:`main` can reuse it."""
+    """The one root parser of the process: built on the first call, then
+    shared.  Parsing leaves it unchanged, so every call can reuse it; its
+    ``parse_args`` is argparse's nested pass over the command words."""
+    return _parsers()[()]
+
+
+@functools.cache
+def _parsers() -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    """Every parser of the command line by its command words: ``()`` the
+    root, ``("orbit",)``, ``("check",)``, ``("check", "equivalence")``, ..."""
     common = _common_parser()
     parser = argparse.ArgumentParser(
         prog="cantorperm",
         description="Digit-permutation dynamics on Cantor series expansions",
     )
+    parsers = {(): parser}
+
+    def command(sub, path: tuple[str, ...], **kwargs) -> argparse.ArgumentParser:
+        parsers[path] = sub.add_parser(path[-1], **kwargs)
+        return parsers[path]
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", parents=[common], help="digits of a rational")
+    p = command(sub, ("expand",), parents=[common], help="digits of a rational")
     p.add_argument("--value", required=True)
     p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("decode", parents=[common], help="rational value of digits")
+    p = command(sub, ("decode",), parents=[common], help="rational value of digits")
     p.add_argument("--digits", required=True)
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("map", parents=[common], help="apply the map once")
+    p = command(sub, ("map",), parents=[common], help="apply the map once")
     p.add_argument("--value", required=True)
     p.set_defaults(func=cmd_map)
 
-    p = sub.add_parser("orbit", parents=[common], help="orbit points as CSV")
+    p = command(sub, ("orbit",), parents=[common], help="orbit points as CSV")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--count", type=int, default=None)
     which.add_argument("--at", type=int, default=None, help="single random-access index")
     p.set_defaults(func=cmd_orbit)
 
-    check = sub.add_parser("check", help="exact and statistical checks")
+    check = command(sub, ("check",), help="exact and statistical checks")
     check_sub = check.add_subparsers(dest="subcheck", required=True)
-    p = check_sub.add_parser("ud", parents=[common], help="interval count balance")
+    p = command(check_sub, ("check", "ud"), parents=[common], help="interval count balance")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.set_defaults(func=cmd_check_ud)
-    p = check_sub.add_parser(
-        "equivalence", parents=[common], help="interval/residue-class equivalence"
-    )
+    p = command(check_sub, ("check", "equivalence"), parents=[common],
+                help="interval/residue-class equivalence")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.set_defaults(func=_level_report)
-    p = check_sub.add_parser(
-        "preserve", parents=[common], help="distribution preservation probe"
-    )
+    p = command(check_sub, ("check", "preserve"), parents=[common],
+                help="distribution preservation probe")
     p.add_argument("--source", choices=SOURCES, required=True)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--threshold", default=None, help='fail if image d_star > "p/q"')
     p.set_defaults(func=cmd_check_preserve)
 
-    p = sub.add_parser("density", parents=[common], help="density of a periodic set")
+    p = command(sub, ("density",), parents=[common], help="density of a periodic set")
     p.add_argument("--set", required=True, help='literal "r1,r2,...(M)"')
     p.add_argument("--intersect", default=None, help="intersect with this set first")
     p.set_defaults(func=cmd_density)
 
-    probe = sub.add_parser("probe", help="monotonicity and derivative probes")
+    probe = command(sub, ("probe",), help="monotonicity and derivative probes")
     probe_sub = probe.add_subparsers(dest="subprobe", required=True)
-    p = probe_sub.add_parser(
-        "monotone", parents=[common], help="non-monotonicity witness"
-    )
+    p = command(probe_sub, ("probe", "monotone"), parents=[common],
+                help="non-monotonicity witness")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--interval", type=int, required=True)
     p.add_argument("--max-descend", type=int, default=None)
     p.set_defaults(func=cmd_probe_monotone)
-    p = probe_sub.add_parser(
-        "quotient", parents=[common], help="single difference quotient"
-    )
+    p = command(probe_sub, ("probe", "quotient"), parents=[common],
+                help="single difference quotient")
     p.add_argument("--digit", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.set_defaults(func=cmd_probe_quotient)
-    p = probe_sub.add_parser(
-        "derivative", parents=[common], help="achievable quotients per level"
-    )
+    p = command(probe_sub, ("probe", "derivative"), parents=[common],
+                help="achievable quotients per level")
     p.add_argument("--max-level", type=int, required=True)
     p.set_defaults(func=cmd_probe_derivative)
 
-    return parser
+    return parsers
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # one parse, by the parser the leading command words name: argparse's
+    # nested pass ends there too, after each parser above it has read every
+    # string; what the command leaves is the root's error, as in that pass
+    parsers = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    path = ()
+    for word in argv:
+        if path + (word,) not in parsers:
+            break
+        path += (word,)
     try:
-        args = parser.parse_args(argv)
+        args, extra = parsers[path].parse_known_args(argv[len(path):])
+        if extra:
+            parsers[()].error(gettext("unrecognized arguments: %s") % " ".join(extra))
     except SystemExit as exc:  # usage errors exit 2, --help exits 0
         return exc.code
+    return _run(args)
+
+
+def _run(args) -> int:
+    """Run the parsed command line ``args``: its handler's exception as
+    the exit code, as the module docstring maps them."""
     try:
         # argparse turns an option value of "--" into an empty list
         if [] in vars(args).values():

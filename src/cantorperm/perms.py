@@ -102,6 +102,8 @@ def from_cycle(modulus: int, cycle: Sequence[int]) -> CyclicPermutation:
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         if not 0 <= a < modulus:
             raise DigitOutOfRange(f"cycle entry {a} not in [0, {modulus})")
+        if image[a] != -1:
+            raise NotBijection(f"cycle entry {a} appears more than once")
         image[a] = b
     return make_cyclic(modulus, image)
 
@@ -292,18 +294,21 @@ def residue_table(pv: PermutationVector, from_digits: Sequence[int]) -> list[int
 
     The weight tables of the cache entry :func:`prefix_residue` reads,
     summed over every prefix at once: level by level, ``sums = [x + w for x
-    in sums for w in W_j.values()]`` runs through the prefixes most
-    significant digit first, which is interval order.  Discrete logs and CRT
-    only; no orbit is evaluated.  Faults raise what :func:`prefix_residue`
-    raises for them; a seed of integral digits reads as its ints.
+    in sums for w in W_j]``, ``W_j``'s weights read once as a list, runs
+    through the prefixes most significant digit first, which is interval
+    order; the last level's pass also reduces mod ``B_L`` (level 0, with
+    no table, sums one weight 0).  Discrete logs and CRT only; no orbit is
+    evaluated.  Faults raise what :func:`prefix_residue` raises for them; a
+    seed of integral digits reads as its ints.
     """
     # checks the seed, first faulty level first, and caches its weight tables
     prefix_residue(pv, from_digits, from_digits)
     tables, modulus = pv._weights[len(from_digits)][:2]
     sums = [-sum(map(getitem, tables, _as_ints(from_digits, "digit")))]
-    for table in tables:
-        sums = [x + w for x in sums for w in table.values()]
-    return [x % modulus for x in sums]
+    *inner, last = [list(table.values()) for table in tables] or [[0]]
+    for weights in inner:
+        sums = [x + w for x in sums for w in weights]
+    return [(x + w) % modulus for x in sums for w in last]
 
 
 def _perm_lines(text: str) -> list[str]:

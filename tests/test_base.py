@@ -243,6 +243,29 @@ def test_invalid_arguments_raise_their_class_and_message(func, args, error, mess
     assert str(info.value) == message
 
 
+# the level-3 expansion of 29/30 on 2,3,5: digits 1,2,4, index 29
+EXPANSION = encode("29/30", BASE, 3)
+
+
+@pytest.mark.parametrize("level, error, message", [
+    (-1, LevelExceeded, "level -1 not in [0, 3]"),
+    (5, LevelExceeded, "level 5 not in [0, 3]"),
+    (4, LevelExceeded, "level 4 not in [0, 3]"),
+    (1.5, MalformedNumber, "level 1.5 is not an integer"),
+    (None, MalformedNumber, "level None is not an integer"),
+])
+def test_prefix_index_checks_its_level(level, error, message):
+    with pytest.raises(error) as info:
+        EXPANSION.prefix_index(level)
+    assert str(info.value) == message
+
+
+def test_prefix_index_reads_an_integral_level_as_its_int():
+    assert [EXPANSION.prefix_index(level) for level in range(4)] == [0, 1, 5, 29]
+    assert EXPANSION.prefix_index(2.0) == EXPANSION.prefix_index(Fraction(2)) == 5
+    assert EXPANSION.prefix_index("3") == 29
+
+
 def test_integral_levels_and_indices_are_read_as_ints():
     assert prefix_of_interval(True, True, BASE) == prefix_of_interval(1, 1, BASE) == (1,)
     assert encode("1/2", BASE, True) == encode("1/2", BASE, 1)

@@ -15,7 +15,7 @@ import typing
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import cantorperm.cli
@@ -23,6 +23,7 @@ import cantorperm.dynamics
 import cantorperm.equidist
 from cantorperm import encode, from_cycle, make_base, make_orbit, orbit_point, shift_vector
 from cantorperm.cli import Table, _json_pieces, build_parser, emit, fmt_frac, frac, main
+from test_cli_contract import command_lines
 from test_cli_golden import CASES, FORMATS, GOLDEN
 from test_dynamics import per_level_prefix
 from test_equidist import collapsed
@@ -831,6 +832,83 @@ def test_one_parser_serves_every_golden_run_in_one_process(capsys):
             expected = golden[f"{name}/{fmt}"]
             assert (code, capsys.readouterr().out) == (expected["code"], expected["stdout"])
     assert build_parser() is build_parser()
+
+
+# --- differential oracle: argparse's nested pass over the root parser ---
+
+def _nested_main(argv) -> int:
+    """``main`` as it parsed before: ``build_parser().parse_args``, where
+    the root parser and each command parser under it read every string."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    return cantorperm.cli._run(args)
+
+
+EQUIVALENCE = ["check", "equivalence", "--level", "1", "--count", "6"]
+USAGE_LINES = [
+    [], ["--help"], ["-h", "orbit"], ["bogus"], ["bogus", "orbit"], ["orbit"], ["orbit", "-h"],
+    ["check"], ["check", "-h"], ["check", "bogus"], ["check", "--help", "ud"],
+    ["check", "ud", "-h"],
+    ["probe"], ["probe", "bogus", "--level", "1"], ["che", "ud"], ["check", "check", "ud"],
+    # abbreviated options: unique, ambiguous (--alpha, --at) and a command's own
+    ["check", "ud", "--lev", "1", "--co", "6"], ["orbit", "--a", "1", "--count", "3"],
+    ["orbit", "--al=1/3", "--cou", "3"],
+    ["check", "preserve", "--so", "vdc", "--lev", "1", "--count", "4", "--thr", "1/2"],
+    ["--he"], ["check", "--he"],
+    # "--" before, after and inside a command line
+    ["--", "orbit", "--count", "3"], ["check", "--", "ud", "--level", "1", "--count", "6"],
+    ["orbit", "--", "--count", "3"], ["orbit", "--count", "3", "--"], ["orbit", "--count", "--"],
+    ["orbit", "--count=--"], ["orbit", "--count", "3", "--", "extra"],
+    # strings a command leaves: the root reports them
+    ["orbit", "--count", "3", "extra"], ["check", "ud", "--level", "1", "--count", "6", "--zzz"],
+    ["probe", "quotient", "--digit", "0", "--ell", "1", "x", "y"], [*EQUIVALENCE, "-x", "1"],
+    ["density", "--set", "1(2)", "orbit"], ["expand", "--value", "1/2", "expand"],
+    [*EQUIVALENCE, "--level", "-1"], [*EQUIVALENCE, "--format=json", "--format", "csv"],
+]
+
+
+def _same_as_nested(argv, capsys) -> None:
+    ran = []
+    for parse in (main, _nested_main):
+        code = parse(list(argv))
+        ran.append((code, *capsys.readouterr()))
+    assert ran[0] == ran[1], argv
+
+
+@pytest.mark.parametrize("argv", [
+    *(CASES[name] + ["--format", fmt] for name in sorted(CASES) for fmt in FORMATS),
+    *USAGE_LINES,
+], ids=repr)
+def test_main_parses_as_the_nested_pass(argv, capsys):
+    _same_as_nested(argv, capsys)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=command_lines())
+def test_whole_command_lines_parse_as_the_nested_pass(argv, capsys):
+    _same_as_nested(argv, capsys)
+
+
+@pytest.mark.parametrize("name, prog", [
+    ("check_equivalence", "cantorperm check equivalence"),
+    ("orbit_count", "cantorperm orbit"),
+    ("probe_quotient", "cantorperm probe quotient"),
+])
+def test_a_command_line_is_parsed_once(name, prog, monkeypatch, capsys):
+    # the nested pass parsed a `check ...` line three times, an `orbit ...` line twice
+    parse = argparse.ArgumentParser.parse_known_args
+    progs = []
+
+    def counted(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert main(CASES[name]) == 0
+    assert progs == [prog]
 
 
 # --- differential oracle: `orbit` rows one generator step each, every digit its own cell ---

@@ -714,6 +714,9 @@ _DIGIT_READERS = [
     (ResidueCondition, (1.5, 4), MalformedNumber, "residue 1.5 is not an integer"),
     (ResidueCondition, (1, None), MalformedNumber, "modulus None is not an integer"),
     (from_cycle, (3, (0, 5, 1)), DigitOutOfRange, "cycle entry 5 not in [0, 3)"),
+    # a cycle lists each digit once
+    (from_cycle, (3, (0, 1, 1)), NotBijection, "cycle entry 1 appears more than once"),
+    (from_cycle, (4, (2, 0, 2, 2)), NotBijection, "cycle entry 2 appears more than once"),
     (parse_permutations, ("2: 1,0\n3: 1,x,0", make_base((2, 3))), ValidationError,
      "permutation line 2: cannot parse '3: 1,x,0'"),
     (parse_permutations, ("2 1,0", make_base((2,))), ValidationError,
