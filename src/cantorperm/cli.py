@@ -88,25 +88,39 @@ _ROW_BLOCK = 1024
 
 class Table(NamedTuple):
     """A header and ``count`` rows, held as columns: ``columns`` has one
-    iterable per varying cell of a row, each read for ``count`` cells of
-    one kind (int, str or bool).  ``fixed`` maps the position of a cell in
-    the whole row to the value it holds in every row; ``columns`` leaves
-    those positions out.  With ``ints = (i, width)``, the ``width`` cells
-    from position ``i`` on are an int sequence, each cell an int or a text
-    of ints pre-rendered with the sequence's separator.  Columns with such
-    texts come as a function of that separator, called with ``;`` for CSV
-    and with the JSON list's own for JSON.  ``bare`` holds the positions of
-    other cells whose columns may hold the texts of ints in place of the
-    ints, so that a column of few distinct values renders each once per
-    table; like the int sequence's texts, they go in as they are, in CSV
-    and JSON alike."""
+    iterable per varying cell of a row, each yielding that cell's blocks,
+    lists (or ranges) of ``_ROW_BLOCK`` cells in row order, the last one
+    the rest; :func:`_in_blocks` cuts plain iterables so.  The columns
+    are read in order, one block of each per row block, so two columns may
+    be one iterator that yields their blocks in turn.  A column's cells
+    are all of its first cell's kind (int, str or bool).  ``fixed`` maps the
+    position of a cell in the whole row to the value it holds in every
+    row; ``columns`` leaves those positions out.  With ``ints = (i,
+    width)``, the ``width`` cells from position ``i`` on are an int
+    sequence, each cell an int or a text of ints pre-rendered with the
+    sequence's separator.  Columns with such texts come as a function of
+    that separator, called with ``;`` for CSV and with the JSON list's own
+    for JSON.  ``bare`` holds the positions of other cells whose columns
+    may hold the texts of ints in place of the ints, so that a column of
+    few distinct values renders each once per table; like the int
+    sequence's texts, they go in as they are, in CSV and JSON alike."""
 
     header: tuple[str, ...]
-    columns: Iterable[Iterable] | Callable[[str], Iterable[Iterable]]
+    columns: Iterable[Iterable[Sequence]] | Callable[[str], Iterable[Iterable[Sequence]]]
     count: int
     ints: tuple[int, int] | None = None
     fixed: dict[int, object] | None = None
     bare: tuple[int, ...] = ()
+
+
+def _in_blocks(columns: Iterable[Iterable]) -> list[Iterator[list]]:
+    """Plain iterables of cells as :class:`Table` columns: each cut into
+    lists of ``_ROW_BLOCK`` cells, the last one the rest."""
+    def cut(column):
+        column = iter(column)
+        return iter(lambda: list(itertools.islice(column, _ROW_BLOCK)), [])
+
+    return list(map(cut, columns))
 
 
 def _between(sep: str, items: Iterable[list]) -> list:
@@ -156,16 +170,16 @@ def _row_texts(table: Table, csv: bool, pad: str = "") -> tuple[list[str], list[
     return texts, bare
 
 
-def _blocks(table: Table, columns: Iterable[Iterable], csv: bool, pad: str = "",
+def _blocks(table: Table, columns: Iterable[Iterable[Sequence]], csv: bool, pad: str = "",
             lead: str = "", opening: str = "") -> Iterator[str]:
     """The rows of ``table`` (:func:`_row_texts`) from ``columns``, each
     block of ``_ROW_BLOCK`` rows one ``str.join``: the constant texts go in
-    by list repetition, column ``i`` by slice assignment into the slots
-    ``2·i + 1``.  Every row is led by ``lead``, the first one by
-    ``opening`` instead.  A column's cells go in as its first cell's kind
-    asks: an int by ``str``, a str as it is in CSV or in a bare cell (the
-    texts of ints), and in JSON any other str or other kind by
-    ``json.dumps`` (by ``str`` in CSV)."""
+    by list repetition, the next block of column ``i`` by slice assignment
+    into the slots ``2·i + 1``.  Every row is led by ``lead``, the first one by
+    ``opening`` instead.  A column's cells are all of its first cell's
+    kind and go in as that kind asks: an int by ``repr``, a str as it is
+    in CSV or in a bare cell (the texts of ints), and in JSON any other str
+    or other kind by ``json.dumps`` (by ``str`` in CSV)."""
     texts, bare = _row_texts(table, csv, pad)
     step = 2 * len(bare) + 1
     row = [None] * step
@@ -173,17 +187,16 @@ def _blocks(table: Table, columns: Iterable[Iterable], csv: bool, pad: str = "",
     row[0] = lead + texts[0]
     columns = list(map(iter, columns))
     for start in range(0, table.count, _ROW_BLOCK):
-        m = min(_ROW_BLOCK, table.count - start)
-        pieces = row * m
+        pieces = row * min(_ROW_BLOCK, table.count - start)
         for i, (column, as_is) in enumerate(zip(columns, bare)):
-            cells = list(itertools.islice(column, m))
+            cells = next(column)
             kind = type(cells[0])
             if kind is str and (csv or as_is):
                 pieces[2 * i + 1 :: step] = cells
-            elif kind is int or csv:
-                pieces[2 * i + 1 :: step] = map(str, cells)
+            elif kind is int:
+                pieces[2 * i + 1 :: step] = map(repr, cells)
             else:
-                pieces[2 * i + 1 :: step] = map(json.dumps, cells)
+                pieces[2 * i + 1 :: step] = map(str if csv else json.dumps, cells)
         if not start:
             pieces[0] = opening + texts[0]
         yield "".join(pieces)
@@ -260,13 +273,14 @@ def cmd_expand(args) -> None:
     value = as_fraction(args.value)
     digits = encode(value, base, base.depth)
     row = (*digits.digits, *frac(value))
-    table = Table(("digits", "value_num", "value_den"), zip(row), 1, (0, base.depth))
+    table = Table(("digits", "value_num", "value_den"), _in_blocks(zip(row)), 1, (0, base.depth))
     emit(args, [str(digits)], table)
 
 
 def cmd_decode(args) -> None:
     value = make_expansion(args.digits, _base(args)).value
-    emit(args, [fmt_frac(value)], Table(("value_num", "value_den"), zip(frac(value)), 1))
+    table = Table(("value_num", "value_den"), _in_blocks(zip(frac(value))), 1)
+    emit(args, [fmt_frac(value)], table)
 
 
 def cmd_map(args) -> None:
@@ -274,50 +288,66 @@ def cmd_map(args) -> None:
     image = apply_map(pv, encode(args.value, pv.base, pv.depth))
     value = image.value
     row = (*image.digits, *frac(value))
-    table = Table(("digits", "value_num", "value_den"), zip(row), 1, (0, pv.depth))
+    table = Table(("digits", "value_num", "value_den"), _in_blocks(zip(row)), 1, (0, pv.depth))
     emit(args, [f"digits: {image}", f"value: {fmt_frac(value)}"], table)
 
 
+def _cycled(first, period: list, count: int) -> Iterator[list]:
+    """The :class:`Table` column of ``count`` cells: ``first``, then the
+    cells of ``period`` over and over; each block one slice of a list of
+    one period and a block more."""
+    ring = list(itertools.islice(itertools.cycle(period), len(period) + _ROW_BLOCK))
+    for start in range(0, count, _ROW_BLOCK):
+        at = (start - 1) % len(period)
+        block = ring[at : at + min(_ROW_BLOCK, count - start)]
+        if not start:
+            block[0] = first
+        yield block
+
+
 def _orbit_rows(spec: OrbitSpec, start: int, count: int, first: tuple, sep: str) -> list:
-    """The columns of the ``orbit`` rows of iterates ``start .. start +
-    count - 1``: ``n``, ``value_num``, ``value_den`` as texts and one digit
-    text per group of ``spec._groups``, its digits joined by ``sep``.  Row
-    ``start`` has the digits ``first``; the rest read the numerators of
-    :func:`_orbit_columns` and its cycled digit columns, each digit tuple
-    rendered once.  The numerators are reduced as Fraction would, a block
-    of ``_ROW_BLOCK`` of them at a time from a list.  A denominator is
-    ``B_K // g``, ``g`` the gcd of its numerator and ``B_K``: its text is
-    rendered once per ``g`` the call meets, a divisor of ``B_K``.  No
-    Python code runs per row."""
+    """The :class:`Table` columns of the ``orbit`` rows of iterates
+    ``start .. start + count - 1``: ``n`` as ranges, ``value_num`` as
+    ints, ``value_den`` and one digit text per group of ``spec._groups``,
+    its digits joined by ``sep``, as texts; each column's cells all of its
+    first cell's kind.  Row ``start`` has the digits ``first``; the rest
+    read the numerators of :func:`_orbit_columns` and its digit columns,
+    each digit tuple rendered once and cycled by :func:`_cycled`.  The
+    numerators are reduced as Fraction would, a block of ``_ROW_BLOCK`` of
+    them at a time from a list, and each block of both value columns is
+    the list handed to the renderer.  A denominator is ``B_K // g``, ``g``
+    the gcd of its numerator and ``B_K``: its text is rendered once per
+    ``g`` the call meets, a divisor of ``B_K``.  No Python code runs per
+    row."""
     total = spec.alpha_digits.base.products[spec.depth]
     widths = [width for width, _ in spec._groups]
     templates = [sep.join(["%d"] * width) for width in widths]
     digits = iter(first)
-    texts = [[template % tuple(itertools.islice(digits, width))]
+    heads = [template % tuple(itertools.islice(digits, width))
              for template, width in zip(templates, widths)]
-    nums = [spec.alpha_digits.base.index_of(first)]
+    nums, periods = [spec.alpha_digits.base.index_of(first)], [[head] for head in heads]
     if count > 1:
         rest, columns = _orbit_columns(spec, start + 1, count - 1)
         nums = itertools.chain(nums, rest)
-        texts = [itertools.chain(text, itertools.cycle(list(map(template.__mod__, digits))))
-                 for text, template, digits in zip(texts, templates, columns)]
+        periods = [list(map(template.__mod__, digits))
+                   for template, digits in zip(templates, columns)]
 
     dens = {}  # the text of total // g, by g
 
-    def reduced(nums):
-        while block := list(itertools.islice(nums, _ROW_BLOCK)):
+    def values(blocks):
+        # both value columns, one iterator: a block's numerators, then the
+        # texts of its denominators
+        for block in blocks:
             gcds = list(map(math.gcd, block, itertools.repeat(total)))
             for g in set(gcds).difference(dens):
-                dens[g] = str(total // g)
-            # read to their ends, both drop the block's lists, which tee's
-            # buffer of recent items would otherwise hold
-            yield iter(list(map(operator.floordiv, block, gcds))), map(dens.__getitem__, gcds)
+                dens[g] = repr(total // g)
+            yield list(map(operator.floordiv, block, gcds))
+            yield list(map(dens.__getitem__, gcds))
 
-    # the two value columns share one reduction per block
-    pairs = itertools.tee(reduced(iter(nums)))
-    values = [itertools.chain.from_iterable(map(operator.itemgetter(k), blocks))
-              for k, blocks in enumerate(pairs)]
-    return [range(start, start + count), *values, *texts]
+    rows = range(start, start + count)
+    value = values(*_in_blocks([nums]))
+    return [(rows[i : i + _ROW_BLOCK] for i in range(0, count, _ROW_BLOCK)), value, value,
+            *map(_cycled, heads, periods, itertools.repeat(count))]
 
 
 def cmd_orbit(args) -> None:
@@ -333,8 +363,8 @@ def cmd_orbit(args) -> None:
     header = ("n", "value_num", "value_den", "digits")
     table = Table(header, columns, count, (3, len(spec._groups)), bare=(2,))
     line = "n=%d  value=%d/%s  digits=" + ";".join(["%s"] * len(spec._groups))
-    lines = map(line.__mod__, zip(*columns(";"))) if args.format == "table" else ()
-    emit(args, lines, table, table)
+    cells = map(itertools.chain.from_iterable, columns(";")) if args.format == "table" else ()
+    emit(args, map(line.__mod__, zip(*cells)), table, table)
 
 
 def _interval_columns(report) -> tuple[Sequence[int], Sequence[int]]:
@@ -375,8 +405,8 @@ def _level_report(args) -> Sequence[int]:
         fixed[3], varying = counts[0], []
 
     def columns(sep):
-        texts = list(map(str, range(modulus)))
-        return [texts, map(texts.__getitem__, residues), *varying]
+        texts = list(map(repr, range(modulus)))
+        return _in_blocks([texts, map(texts.__getitem__, residues), *varying])
 
     table = Table(
         ("j", "residue", "modulus", "count", "expected_num", "expected_den"),
@@ -413,7 +443,7 @@ def cmd_check_preserve(args) -> None:
     size = len(probe.counts)
     table = Table(
         ("j", "count", "expected_num", "expected_den"),
-        (range(size), probe.counts), size, fixed={2: num, 3: den},
+        _in_blocks((range(size), probe.counts)), size, fixed={2: num, 3: den},
     )
     payload = {
         "source": probe.source,
@@ -442,7 +472,7 @@ def cmd_density(args) -> None:
     d = density(ps)
     residues = sorted(ps.residues)
     row = (*residues, ps.modulus, *frac(d))
-    table = Table(("residues", "modulus", "density_num", "density_den"), zip(row), 1,
+    table = Table(("residues", "modulus", "density_num", "density_den"), _in_blocks(zip(row)), 1,
                   (0, len(residues)))
     payload = {"modulus": ps.modulus, "residues": residues, **frac_fields("density", d)}
     emit(args, [f"set: {ps}", f"density: {fmt_frac(d)}"], table, payload)
@@ -477,7 +507,7 @@ def cmd_probe_monotone(args) -> None:
         "points": witness.points,
         "images": witness.images,
     }
-    emit(args, table_lines, Table(header, list(zip(*rows)), len(rows)), payload)
+    emit(args, table_lines, Table(header, _in_blocks(zip(*rows)), len(rows)), payload)
 
 
 QUOTIENT_HEADER = ("s", "a_s", "ell", "quot_num", "quot_den")
@@ -492,7 +522,8 @@ def cmd_probe_quotient(args) -> None:
     pv = _vector(args)
     seed = encode(args.alpha, pv.base, pv.depth)
     sample = difference_quotient(pv, seed, args.digit, args.ell)
-    emit(args, [fmt_frac(sample.quotient)], Table(QUOTIENT_HEADER, zip(_quotient_row(sample)), 1))
+    table = Table(QUOTIENT_HEADER, _in_blocks(zip(_quotient_row(sample))), 1)
+    emit(args, [fmt_frac(sample.quotient)], table)
 
 
 def cmd_probe_derivative(args) -> None:
@@ -516,7 +547,8 @@ def cmd_probe_derivative(args) -> None:
         "candidates: " + ",".join(str(c) for c in report.candidates),
         f"candidates_stable: {report.candidates_stable}",
     ]
-    emit(args, table_lines, Table(QUOTIENT_HEADER, list(zip(*rows)), len(rows)), asdict(report))
+    table = Table(QUOTIENT_HEADER, _in_blocks(zip(*rows)), len(rows))
+    emit(args, table_lines, table, asdict(report))
 
 
 # --- parser ---

@@ -231,6 +231,11 @@ EQUIVALENCE_RUNS = {
         ["--bases", "2,3,5,7,11", "--perms", EQUIVALENCE_CYCLES, "--alpha", "3/7",
          "--level", "3", "--count", "59"], False),
     "below one period": (["--bases", "2,3,5,7", "--level", "3", "--count", "7"], False),
+    # B_5 = 2310 classes: two blocks of rows and a part
+    "past two blocks, whole periods": (
+        ["--bases", "2,3,5,7,11,13", "--level", "5", "--count", "4620"], True),
+    "past two blocks, one past": (
+        ["--bases", "2,3,5,7,11,13", "--level", "5", "--count", "4621"], False),
 }
 
 
@@ -290,6 +295,38 @@ def test_check_equivalence_matches_the_per_row_oracle(capsys, monkeypatch, name,
     (table,) = tables
     assert (3 in table.fixed) == constant
     assert len(table.columns(";")) == 2 + (not constant)
+
+
+def _preserve_by_rows(argv, fmt) -> str:
+    """The ``check preserve`` CSV or JSON output from the probe's counts,
+    one row each, through the per-row template."""
+    args = build_parser().parse_args(["check", "preserve", *argv, "--format", fmt])
+    probe = cantorperm.equidist.ud_preservation_probe(
+        cantorperm.cli._vector(args), args.source, args.count, args.level)
+    rows = [(j, count, *frac(probe.expected)) for j, count in enumerate(probe.counts)]
+    table = RowTable(("j", "count", "expected_num", "expected_den"), rows)
+    if fmt == "csv":
+        return _rendered_by_rows(table, csv=True)
+    payload = {"source": probe.source, "N": probe.sample_size, "level": probe.level,
+               **cantorperm.cli.frac_fields("input_d_star", probe.input_d_star),
+               **cantorperm.cli.frac_fields("image_d_star", probe.image_d_star),
+               "intervals": None, "grid_exact": probe.grid_exact}
+    rendered = _rendered_by_rows(table, csv=False, pad="  ")
+    text = json.dumps(payload, indent=2).replace('"intervals": null', '"intervals": ' + rendered)
+    return text + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    # B_5 = 2310 intervals: two blocks of rows and a part
+    ["--bases", "2,3,5,7,11,13", "--source", "grid", "--level", "5", "--count", "2310"],
+    ["--bases", "2,3,5,7,11,13", "--source", "kronecker", "--level", "5", "--count", "2311"],
+    ["--bases", "2,3,5,7", "--source", "vdc", "--level", "1", "--count", "10"],
+], ids=lambda argv: argv[3])
+def test_check_preserve_matches_the_per_row_oracle(capsys, argv, fmt):
+    code, out, err = run(capsys, "check", "preserve", *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert_same_text(out, _preserve_by_rows(argv, fmt))
 
 
 GRID = ("check", "preserve", "--bases", "2,3,5", "--source", "grid", "--level", "1", "--count", "60")
@@ -538,6 +575,14 @@ def _emitted(fmt, table, payload=None):
     return out.getvalue()
 
 
+def _blocked(cells) -> list[list]:
+    """``cells`` as a :class:`Table` column that can be read again: a list
+    of its blocks of ``_ROW_BLOCK`` cells, the last one the rest."""
+    cells = list(cells)
+    step = cantorperm.cli._ROW_BLOCK
+    return [cells[i : i + step] for i in range(0, len(cells), step)]
+
+
 # --- oracle: the renderer before rows came as columns, one `%` per row ---
 
 class RowTable(typing.NamedTuple):
@@ -554,6 +599,8 @@ def _as_rows(table: Table) -> RowTable:
     """``table``'s columns read as rows; a table of fixed cells only has
     ``count`` empty rows."""
     columns = table.columns(";") if callable(table.columns) else table.columns
+    # cells read in step, as two columns may be one iterator
+    columns = list(map(itertools.chain.from_iterable, columns))
     rows = list(zip(*columns)) if columns else [()] * table.count
     return RowTable(table.header, rows, table.ints, table.fixed)
 
@@ -642,7 +689,7 @@ def _table(header, flat, ints=None, fixed=None) -> Table:
     ``fixed`` left out of the columns."""
     fixed = fixed or {}
     columns = list(zip(*([v for c, v in enumerate(r) if c not in fixed] for r in flat)))
-    return Table(header, columns, len(flat), ints, fixed or None)
+    return Table(header, list(map(_blocked, columns)), len(flat), ints, fixed or None)
 
 
 @st.composite
@@ -713,9 +760,10 @@ def _straddling_table(count: int, texts: bool) -> tuple[Table, list[dict]]:
     firsts, seconds = [pair[0] for pair in pairs], [pair[1] for pair in pairs]
     if texts:
         def columns(sep):
-            return [range(count), names, map(str, firsts), map(str, seconds), flags]
+            return list(map(_blocked, [range(count), names, map(str, firsts), map(str, seconds),
+                                       flags]))
     else:
-        columns = [range(count), names, firsts, seconds, flags]
+        columns = list(map(_blocked, [range(count), names, firsts, seconds, flags]))
     return Table(header, columns, count, (2, 2), {4: '%d"', 6: 7}), dicts
 
 
@@ -745,14 +793,31 @@ def test_bare_columns_of_int_texts_render_as_their_ints(count):
              (j * 7) % count, j % 4) for j in range(count)]
     roles, dens, residues, counts = map(list, zip(*rows))
     texts = list(map(str, range(count)))
-    bare = Table(header, lambda sep: [roles, map(str, dens), map(texts.__getitem__, residues),
-                                      counts], count, bare=(1, 2, 3))
-    ints = Table(header, [roles, dens, residues, counts], count)
+    bare = Table(header, lambda sep: list(map(_blocked, [
+        roles, map(str, dens), map(texts.__getitem__, residues), counts])), count, bare=(1, 2, 3))
+    ints = Table(header, list(map(_blocked, [roles, dens, residues, counts])), count)
     old = RowTable(header, rows)
     assert_same_text(_emitted("csv", bare), _emitted("csv", ints), _emitted_by_rows("csv", old))
     listed = _emitted("json", bare, bare)
     assert_same_text(listed, _emitted("json", ints, ints), _emitted_by_rows("json", old))
     assert json.loads(listed) == [dict(zip(header, row)) for row in rows]
+
+
+# ints either side of 0 and of the machine word, and bools
+WIDE = st.integers(-(2**70), 2**70) | st.sampled_from([0, -1, 2**64 - 1, 2**64, -(2**64) - 1])
+
+
+@given(ints=st.lists(WIDE, min_size=1, max_size=40), flags=st.data())
+def test_int_and_bool_columns_render_as_str_and_json_dumps(ints, flags):
+    # an int cell by repr: its str in CSV and its json.dumps in JSON; a bool
+    # cell True/False in CSV and true/false in JSON, as before
+    bools = flags.draw(st.lists(st.booleans(), min_size=len(ints), max_size=len(ints)))
+    table = Table(("i", "b"), [_blocked(ints), _blocked(bools)], len(ints))
+    csv = ["i,b"] + [f"{str(i)},{str(b)}" for i, b in zip(ints, bools)]
+    assert _emitted("csv", table) == "\n".join(csv) + "\n"
+    dicts = [{"i": i, "b": b} for i, b in zip(ints, bools)]
+    assert _emitted("json", table, table) == json.dumps(dicts, indent=2) + "\n"
+    assert json.loads(_emitted("json", table, table)) == dicts
 
 
 @st.composite
@@ -770,7 +835,7 @@ def payloads(draw):
     return {k: v for k, v, _ in items}, {k: e for k, _, e in items}
 
 
-ROWS = Table(("a", "%s"), [(1, -2), ("x", "\n")], 2)
+ROWS = Table(("a", "%s"), [[(1, -2)], [("x", "\n")]], 2)
 ROWS_AS_DICTS = [{"a": 1, "%s": "x"}, {"a": -2, "%s": "\n"}]
 NESTED = {"a": [], "b": {}, "c": [[], {}, ()], "d": (True, False, None, Fraction(-1, 3))}
 
@@ -802,19 +867,22 @@ class _Discard(io.TextIOBase):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_orbit_export_memory_does_not_grow_with_count(fmt):
+    # the columns hold one block each: 200,000 rows peak within the text of
+    # one block of rows of 20,000
     argv = ["orbit", "--bases", "2,3,5,7,11,13,17,19,23", "--format", fmt, "--count"]
+    with contextlib.redirect_stdout(io.StringIO()) as block:
+        assert main(argv + [str(BLOCK)]) == 0  # also the first-call caches
     peaks = []
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(_Discard()):
-            assert main(argv + ["10"]) == 0  # first-call caches, outside the peaks
-            for count in (4_000, 40_000):
+            for count in (20_000, 200_000):
                 tracemalloc.reset_peak()
                 assert main(argv + [str(count)]) == 0
                 peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert peaks[1] < 2 * peaks[0], peaks
+    assert abs(peaks[1] - peaks[0]) < len(block.getvalue()), peaks
 
 
 def test_one_parser_serves_every_golden_run_in_one_process(capsys):
@@ -999,16 +1067,18 @@ def test_orbit_rows_match_the_per_row_oracle(tmp_path, vector, fmt):
         assert expected[0].count("\n") >= 2
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("vector", ["shift", "random cycles", "partial cycles", "past the cap"])
 def test_orbit_rows_straddling_the_block_size_match_the_per_row_oracle(tmp_path, vector, fmt):
-    # the numerators are reduced a block of rows at a time, and a
-    # denominator's text is rendered once per gcd: B_K squarefree (shift,
-    # random cycles, past the cap) and with repeated primes (partial
-    # cycles: 4 and 9)
+    # the columns come a block of rows at a time: the numerators reduced,
+    # a denominator's text rendered once per gcd (B_K squarefree: shift,
+    # random cycles, past the cap; with repeated primes: partial cycles, 4
+    # and 9), the index in ranges and the digit texts sliced off their
+    # periods; the table format reads the same columns cell by cell
     argv = ORBIT_VECTORS[vector] + ["--format", fmt]
-    for count in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
-        run_argv = argv + ["--count", str(count)]
+    counts = [["--count", str(c)] for c in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)]
+    for run_argv in counts + [["--at", str(n)] for n in (BLOCK - 1, BLOCK, 2 * BLOCK + 1)]:
+        run_argv = argv + run_argv
         expected = _orbit_outputs(tmp_path, _orbit_by_rows, run_argv)
         got = _orbit_outputs(tmp_path, cantorperm.cli.cmd_orbit, run_argv)
         for text, want in zip(got, expected):
@@ -1043,7 +1113,9 @@ def test_a_spec_keeps_the_group_layout_it_was_built_with(monkeypatch):
     _, columns = cantorperm.dynamics._orbit_columns(spec, 1, 299)
     assert [len(list(column)) for column in columns] == [2, 3, 5, 7]
     first = orbit_point(spec, 0).digits.digits
-    rows = list(zip(*cantorperm.cli._orbit_rows(spec, 0, 300, first, ";")))
+    # cells read in step: the two value columns are one iterator
+    columns = cantorperm.cli._orbit_rows(spec, 0, 300, first, ";")
+    rows = list(zip(*map(itertools.chain.from_iterable, columns)))
     # the denominators come as texts, one per gcd of a numerator and 210
     assert rows == [
         (n, (value := Fraction(num, 210)).numerator, str(value.denominator), *map(str, digits))
