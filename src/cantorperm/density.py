@@ -111,11 +111,17 @@ def expand_to(ps: PeriodicSet, modulus: int) -> PeriodicSet:
 
 def normalize(ps: PeriodicSet) -> PeriodicSet:
     """Equivalent set with the least modulus: the least divisor ``d`` of the
-    modulus (at worst itself) whose shift ``+d`` maps the residues onto themselves."""
+    modulus ``m`` whose shift ``+d`` maps the residues onto themselves.  They are
+    then classes mod ``d`` of ``m / d`` residues each, so only ``d = m / k`` for
+    ``k | gcd(m, |residues|)`` are tried, largest ``k`` first; the empty set has modulus 1."""
     m, residues = ps.modulus, ps.residues
-    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
-    for d in small + [m // d for d in reversed(small) if d * d != m]:
-        if len(residues) % (m // d) == 0 and all((r + d) % m in residues for r in residues):
+    if not residues:
+        return PeriodicSet(1, frozenset())
+    g = math.gcd(m, len(residues))
+    small = [k for k in range(1, math.isqrt(g) + 1) if g % k == 0]
+    for k in [g // k for k in small] + [k for k in reversed(small) if k * k != g]:
+        d = m // k
+        if all((r + d) % m in residues for r in residues):
             return PeriodicSet(d, frozenset(r for r in residues if r < d))
 
 
@@ -196,10 +202,14 @@ def measurable_partition_check(parts: Iterable[PartLike]) -> PartitionVerdict:
     elements are disjoint and cover ``[0, P)``; only otherwise is every
     ``n < P`` counted, to name the smallest covered by no part or by several.
     """
-    pairs = [
-        (ps, as_fraction(bound))
-        for ps, bound in ((p, density(p)) if isinstance(p, PeriodicSet) else p for p in parts)
-    ]
+    pairs, explicit = [], []
+    for part in parts:
+        if isinstance(part, PeriodicSet):
+            pairs.append((part, density(part)))
+        else:
+            ps, bound = part
+            pairs.append(pair := (ps, as_fraction(bound)))
+            explicit.append(pair)
     if not pairs:
         raise NotAPartition("no parts given")
     period = math.lcm(*(ps.modulus for ps, _ in pairs))
@@ -208,11 +218,13 @@ def measurable_partition_check(parts: Iterable[PartLike]) -> PartitionVerdict:
         hits = Counter(r for residues in lifted for r in residues)
         n = next(n for n in range(period) if hits[n] != 1)
         raise NotAPartition(f"{n} is covered by " + (f"{hits[n]} parts" if hits[n] else "no part"))
-    for ps, bound in pairs:
-        if bound < density(ps):
-            raise CheckFalsified(f"bound {bound} for part {ps} is below its density {density(ps)}")
+    # the cover makes the densities sum to 1; a plain part's measure is its density
+    total = Fraction(1)
+    for ps, bound in explicit:
+        if bound < (exact := density(ps)):
+            raise CheckFalsified(f"bound {bound} for part {ps} is below its density {exact}")
+        total += bound - exact
     sets, measures = zip(*pairs)
-    total = sum(measures, Fraction(0))
     if total > 1:
         raise BoundsExceedOne(f"bounds sum to {total} > 1, criterion inapplicable")
     return PartitionVerdict(sets, measures)

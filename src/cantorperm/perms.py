@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import getitem
 from typing import Iterable, Sequence
 
 from .base import BaseSequence, _as_int, _as_ints
@@ -217,6 +216,29 @@ def shift_vector(base: BaseSequence) -> PermutationVector:
     return PermutationVector(tuple(shift(m) for m in base.moduli), base)
 
 
+def _sum_source(lo: int, hi: int) -> str:
+    """``w[j][d[j]]`` for ``lo <= j < hi`` added pairwise, so the nesting grows
+    with ``log(hi - lo)``: a flat chain of a few thousand terms overflows the compiler."""
+    if hi - lo < 2:
+        return f"w[{lo}][d[{lo}]]" if hi > lo else "0"
+    mid = (lo + hi) // 2
+    return f"({_sum_source(lo, mid)} + {_sum_source(mid, hi)})"
+
+
+class _WeightSums(dict):
+    """Prefix length ``L`` -> ``lambda w, d: w[0][d[0]] + ... + w[L-1][d[L-1]]``,
+    compiled on first use and shared by every vector: straight-line subscripts
+    take about half the time of ``sum(map(getitem, w, d))``."""
+
+    def __missing__(self, length: int):
+        # the source holds only the integers 0..length-1; threads racing here store equal kernels
+        self[length] = kernel = eval(f"lambda w, d: {_sum_source(0, length)}")
+        return kernel
+
+
+_weight_sums = _WeightSums()
+
+
 def _weight_tables(pv: PermutationVector, length: int) -> tuple:
     """Build and cache ``(tables, B_length, None, 0)``: per level below
     ``length`` a dict digit -> weight, ``None`` where the level is not a full
@@ -252,30 +274,34 @@ def prefix_residue(
     idempotent ``e_j = c_j * (c_j^-1 mod m_j)`` with ``c_j = M / m_j`` depends
     only on the base and the prefix length, so level ``j`` gets a weight table
     ``W_j[b] = pos_j[b] * e_j mod M``, a dict keyed by the digits, and the
-    class is ``(sum W_j[s_j] - sum W_j[r_j]) mod M``.  The tables of one
+    class is ``(sum W_j[s_j] - sum W_j[r_j]) mod M``.  Each sum is one call
+    of ``W[0][d[0]] + ... + W[L-1][d[L-1]]``, an expression compiled once
+    per prefix length ``L`` and shared by all vectors.  The tables of one
     prefix length are cached on the vector with ``M`` and the last seed read
     with them, an exact ``tuple`` whose digits are all keys, with its sum
     ``sum W_j[r_j]``: a ``from_digits`` equal to that seed (tuple ``==``)
-    costs one sum of lookups, any other seed two, and an exact ``tuple``
-    among those replaces the stored seed.  Lists and tuple subclasses are
-    never stored.  Digits are read by the integer rule (``1.0``, ``True``
-    and ``"1"`` as ``1``); the check runs only once a lookup has failed:
-    the first level that is no full cycle or holds no digit of it raises
-    what :func:`discrete_log` raises, its source digit first.
+    costs one such sum, any other seed two, and an exact ``tuple`` among
+    those replaces the stored seed.  Lists and tuple subclasses are never
+    stored.  Digits are read by the integer rule (``1.0``, ``True`` and
+    ``"1"`` as ``1``); the check runs only once a lookup has failed (or
+    indexing the digits has): the first level that is no full cycle or
+    holds no digit of it raises what :func:`discrete_log` raises, its
+    source digit first.
     """
     length = len(from_digits)
     if length != len(to_digits):
         raise LengthMismatch(f"prefix lengths differ: {length} vs {len(to_digits)}")
     tables, modulus, seed, offset = pv._weights.get(length) or _weight_tables(pv, length)
+    add = _weight_sums[length]
     try:
-        residue = sum(map(getitem, tables, to_digits))
+        residue = add(tables, to_digits)
         if from_digits is not seed and (type(from_digits) is not tuple or from_digits != seed):
-            offset = sum(map(getitem, tables, from_digits))
+            offset = add(tables, from_digits)
             if type(from_digits) is tuple:
                 # one store of a whole entry, as in _weight_tables
                 pv._weights[length] = (tables, modulus, from_digits, offset)
         residue = (residue - offset) % modulus
-    except (TypeError, KeyError):
+    except (TypeError, LookupError):
         pass
     else:
         cond = _new(ResidueCondition)
@@ -304,7 +330,7 @@ def residue_table(pv: PermutationVector, from_digits: Sequence[int]) -> list[int
     # checks the seed, first faulty level first, and caches its weight tables
     prefix_residue(pv, from_digits, from_digits)
     tables, modulus = pv._weights[len(from_digits)][:2]
-    sums = [-sum(map(getitem, tables, _as_ints(from_digits, "digit")))]
+    sums = [-_weight_sums[len(tables)](tables, _as_ints(from_digits, "digit"))]
     *inner, last = [list(table.values()) for table in tables] or [[0]]
     for weights in inner:
         sums = [x + w for x in sums for w in weights]

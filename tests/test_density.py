@@ -509,6 +509,19 @@ def test_normalize_matches_scan_of_every_candidate(modulus, data):
 def test_normalize_empty_set():
     assert normalize(periodic_set([], 2520)) == _scan_normalize(periodic_set([], 2520))
     assert normalize(periodic_set([], 2520)) == periodic_set([], 1)
+    assert normalize(periodic_set([], 10**30)) == periodic_set([], 1)
+
+
+# moduli far past any divisor scan up to sqrt(M): the candidates come from the set's size
+@pytest.mark.parametrize("ps, least", [
+    (periodic_set([0, 5 * 10**29], 10**30), periodic_set([0], 5 * 10**29)),
+    (periodic_set([7], 10**30), periodic_set([7], 10**30)),
+    (periodic_set([1, 4, 10**18 + 1, 10**18 + 4], 2 * 10**18), periodic_set([1, 4], 10**18)),
+    (periodic_set(range(0, 2**100, 2**98), 2**100), periodic_set([0], 2**98)),
+    (periodic_set([3, 2**61 - 1 + 3], 2 * (2**61 - 1)), periodic_set([3], 2**61 - 1)),
+], ids=["5e29", "one-residue", "1e18", "2^98", "mersenne"])
+def test_normalize_of_a_small_set_under_a_huge_modulus(ps, least):
+    assert normalize(ps) == least
 
 
 def _generator_expand_to(ps, modulus):

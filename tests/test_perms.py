@@ -1,10 +1,14 @@
 """Cyclic permutations, discrete logs, residue combination."""
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
+import random
 import re
 import sys
 import threading
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import getitem
 
@@ -40,7 +44,7 @@ from cantorperm.errors import (
     ValidationError,
 )
 import cantorperm.perms
-from cantorperm.perms import CyclicPermutation, _residue_class, _weight_tables
+from cantorperm.perms import CyclicPermutation, _residue_class, _weight_sums, _weight_tables
 from test_dynamics import identity, outcome
 
 
@@ -222,6 +226,96 @@ def test_prefix_residue_error_paths(level, src, dst, error, message):
         assert exc.value.__context__ is None
 
 
+@pytest.mark.parametrize("length", [0, 1, 2, 7, 10_000])
+def test_the_weight_sum_kernel_adds_the_lookups_of_every_level(length):
+    rng = random.Random(length)
+    moduli = [rng.randrange(1, 8) for _ in range(length)]
+    tables = tuple({b: rng.randrange(-10**30, 10**30) for b in range(m)} for m in moduli)
+    digits = [rng.randrange(m) for m in moduli]
+    kernel = _weight_sums[length]
+    expected = sum(map(getitem, tables, digits))
+    assert kernel(tables, digits) == kernel(tables, tuple(digits)) == expected
+    assert _weight_sums[length] is kernel
+
+
+def _crt_prefix_residue(pv, from_digits, to_digits):
+    """One discrete log per level, combined by the Chinese remainder theorem."""
+    return combine_crt(
+        ResidueCondition(discrete_log(perm, r, s), perm.modulus)
+        for perm, r, s in zip(pv.perms, from_digits, to_digits)
+    )
+
+
+class _Prefix(tuple):
+    pass
+
+
+class _IterOnly(Sequence):
+    """Digits read by iteration; every index raises IndexError."""
+
+    def __init__(self, digits):
+        self._digits = tuple(digits)
+
+    def __len__(self):
+        return len(self._digits)
+
+    def __iter__(self):
+        return iter(self._digits)
+
+    def __getitem__(self, i):
+        raise IndexError(i)
+
+
+def _as_range(digits):
+    """The digits as an equal ``range``, or None where no range holds them."""
+    first = digits[0] if digits else 0
+    step = digits[1] - first if len(digits) > 1 else 1
+    if step and tuple(r := range(first, first + step * len(digits), step)) == digits:
+        return r
+    return None
+
+
+# each container of digits, and whether a call with a nonempty prefix falls back to discrete logs
+DIGIT_CONTAINERS = [
+    (tuple, False),
+    (list, False),
+    (_as_range, False),
+    (lambda digits: "".join(map(str, digits)), True),  # "1" is no key: read by the integer rule
+    (_Prefix, False),
+    (_IterOnly, True),
+]
+
+
+@pytest.mark.parametrize("moduli", [(2, 3, 5), (3, 4, 5)])
+@pytest.mark.parametrize("container, falls_back", DIGIT_CONTAINERS,
+                         ids=["tuple", "list", "range", "str", "tuple-subclass", "iter-only"])
+def test_prefix_residue_matches_the_crt_oracle_on_every_prefix(
+    moduli, container, falls_back, monkeypatch
+):
+    base = make_base(moduli)
+    pv = PermutationVector(tuple(from_cycle(m, range(m - 1, -1, -1)) for m in moduli), base)
+    fallbacks = []
+
+    def counted_combine_crt(conditions):
+        fallbacks.append(1)
+        return combine_crt(conditions)
+
+    monkeypatch.setattr(cantorperm.perms, "combine_crt", counted_combine_crt)
+    calls = mismatches = 0
+    for length in range(base.depth + 1):
+        prefixes = list(itertools.product(*map(range, moduli[:length])))
+        for src, dst in itertools.product(prefixes, prefixes):
+            src_in, dst_in = container(src), container(dst)
+            if src_in is None or dst_in is None:
+                continue
+            expected = _crt_prefix_residue(pv, src, dst)
+            mismatches += prefix_residue(pv, src_in, dst_in) != expected
+            calls += length > 0
+    assert mismatches == 0
+    assert len(fallbacks) == (calls if falls_back else 0)
+    assert calls > 0
+
+
 @pytest.mark.parametrize(
     "level, seed",
     [
@@ -315,7 +409,24 @@ def test_vectors_equal_with_and_without_a_filled_cache():
     assert prefix_residue(copy, (0, 0), (3, 8)) == prefix_residue(filled, (0, 0), (3, 8))
 
 
-def test_threads_sharing_a_vector_get_the_classes_of_a_lone_caller():
+def test_a_vector_with_a_filled_cache_survives_pickle_and_copy():
+    moduli = (4, 9, 5)
+    base = make_base(moduli)
+    pv = PermutationVector(tuple(from_cycle(m, range(m - 1, -1, -1)) for m in moduli), base)
+    prefix_residue(pv, (1,), (3,))
+    prefix_residue(pv, (1, 2, 3), (0, 0, 0))
+    assert sorted(pv._weights) == [1, 3]
+    copies = [pickle.loads(pickle.dumps(pv)), copy.copy(pv), copy.deepcopy(pv)]
+    assert all(other == pv and other._weights == pv._weights for other in copies)
+    fresh = dataclasses.replace(pv)
+    for length in range(base.depth + 1):
+        seed = (2, 7, 4)[:length]
+        for prefix in itertools.product(*map(range, moduli[:length])):
+            expected = prefix_residue(fresh, seed, prefix)
+            assert [prefix_residue(other, seed, prefix) for other in copies] == [expected] * 3
+
+
+def test_threads_sharing_a_vector_get_the_classes_of_a_lone_caller(monkeypatch):
     moduli = (4, 9, 5, 7)
     cycles = [from_cycle(m, range(m - 1, -1, -1)) for m in moduli]
     base = make_base(moduli)
@@ -333,10 +444,16 @@ def test_threads_sharing_a_vector_get_the_classes_of_a_lone_caller():
     expected = [_two_sum_prefix_residue(lone, seed, prefix) for seed, prefix in cases]
     shared = PermutationVector(tuple(cycles), base)
     results = {}
+    # no sum kernel compiled yet: the workers' first calls compile them under contention
+    kernels = type(_weight_sums)()
+    monkeypatch.setattr(cantorperm.perms, "_weight_sums", kernels)
+    start = threading.Barrier(6, timeout=60)
 
     def work(worker):
-        # each worker starts at another case, so different seeds meet on one entry
+        # each worker starts at another case, so different seeds meet on one entry, and
+        # all start at once, two of them at each of lengths 3 and 4
         turn = cases[worker * 211 % len(cases):] + cases[:worker * 211 % len(cases)]
+        start.wait()
         results[worker] = dict(
             zip(turn, (prefix_residue(shared, seed, prefix) for seed, prefix in turn))
         )
@@ -358,6 +475,7 @@ def test_threads_sharing_a_vector_get_the_classes_of_a_lone_caller():
         assert (tables, modulus) == _weight_tables(lone, length)[:2]
         assert seed in {s[:length] for s in seeds}
         assert offset == sum(map(getitem, tables, seed))
+    assert sorted(kernels) == list(range(base.depth + 1))
 
 
 def test_parse_permutations_round_trip():
@@ -666,10 +784,6 @@ def test_a_seed_equal_to_the_stored_one_is_not_looked_up_again():
         assert prefix_residue(pv, tuple(list(seed)), target) == got
     assert _CountedDigit.hashes == 0
     assert first == _two_sum_prefix_residue(pv, (3, 8, 1), (0, 0, 0))
-
-
-class _Prefix(tuple):
-    pass
 
 
 @pytest.mark.parametrize("seed", [
