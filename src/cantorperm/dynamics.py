@@ -238,23 +238,26 @@ def _truncated_numerators(
 
     Point ``p`` lies in interval ``index = x // q``, ``x = p·B_depth``, and
     maps to ``x + (image_index - index)·q``, its tail kept.  In columns, a
-    block of ``_POINT_BLOCK`` points at a time: ``moved = image_index -
-    index`` starts at ``-index`` and takes one table-lookup pass per group
-    of :func:`_image_tables` (``cap = len(nums)``: tables cost no more than
-    the points, built once for all blocks), the group's digit ``index //
-    weight mod size`` at its weight; ``x`` is not kept.  Besides the
-    images, the columns hold one block of points.
+    block of ``_POINT_BLOCK`` points at a time, ``x`` formed once, over the
+    groups of :func:`_image_tables` (``cap = len(nums)``: tables cost no
+    more than the points, built once): one pass reads the first and the last
+    group into ``moved = image_index - index`` (digits ``index mod size``
+    and ``index // weight``; a missing group reads ``(0,)`` at weight
+    ``B_depth``), one pass each group between them.  Besides the images,
+    the columns hold one block of points.
     """
     total = pv.base.products[depth]
     groups = _image_tables(pv, depth, len(nums))
+    groups += [(1, (0,), total)] * (2 - len(groups))
+    (first_size, first, _), *middle, (_, last, top) = groups
     images: list[int] = []
     for start in range(0, len(nums), _POINT_BLOCK):
-        block = nums[start : start + _POINT_BLOCK]
-        index = [p * total // q for p in block]
-        moved = list(map(operator.neg, index))
-        for size, table, weight in groups:
+        x = [p * total for p in nums[start : start + _POINT_BLOCK]]
+        index = [y // q for y in x]
+        moved = [first[i % first_size] + last[i // top] * top - i for i in index]
+        for size, table, weight in middle:
             moved = [s + table[i // weight % size] * weight for s, i in zip(moved, index)]
-        images += [p * total + s * q for p, s in zip(block, moved)]
+        images += [y + s * q for y, s in zip(x, moved)]
     return images
 
 

@@ -453,14 +453,15 @@ def ud_preservation_probe(
     ``B_K`` for ``grid``.  The grid repeats with period ``B_K``, so only its
     first ``min(sample, B_K)`` points are built, each weighted by how often
     it occurs among the ``sample``.  The built points go through the
-    truncated map in columns, one table-lookup pass per group of image
-    tables (:func:`_truncated_numerators`, none larger than about the
-    number of points), giving each image as a numerator over ``Q·B_K``; the
-    first point also goes through :func:`apply_truncated`, and a
-    disagreement raises ``ComputationError``.  Counts are floor divisions
-    by ``Q·B_K / B_level``, and both D* values come from the kernel
-    :func:`membership_equivalence` uses: no ``Fraction`` is compared or
-    sorted.
+    truncated map in columns, one table-lookup pass for the least and the
+    most significant groups of image tables and one per group between them
+    (:func:`_truncated_numerators`, none larger than about the number of
+    points), giving each image as a numerator over ``Q·B_K``; the last point
+    built (the first is 0 for every source) also goes through
+    :func:`apply_truncated`, and a disagreement raises ``ComputationError``.
+    Counts are floor divisions by ``Q·B_K / B_level``, and both D* values
+    come from the kernel :func:`membership_equivalence` uses: no
+    ``Fraction`` is compared or sorted.
     """
     base = pv.base
     if source not in SOURCES:
@@ -481,11 +482,11 @@ def ud_preservation_probe(
         nums, q = list(range(min(sample, total))), total
     scale = q * total
     images = _truncated_numerators(pv, nums, q, depth)
-    first = apply_truncated(pv, Fraction(nums[0], q), depth)
-    if first != Fraction(images[0], scale):
+    last = apply_truncated(pv, Fraction(nums[-1], q), depth)
+    if last != Fraction(images[-1], scale):
         raise ComputationError(
-            f"image tables send {nums[0]}/{q} to {images[0]}/{scale}, "
-            f"apply_truncated to {first}"
+            f"image tables send {nums[-1]}/{q} to {images[-1]}/{scale}, "
+            f"apply_truncated to {last}"
         )
 
     grid_exact = None

@@ -552,6 +552,69 @@ def test_truncated_numerators_in_blocks_match_the_per_point_oracle(count):
         )
 
 
+def _spread_points(count, q):
+    """``count`` points over ``q``: the midpoints of ``count - 1`` equal
+    parts of ``[0, 1)`` and the last point ``q - 1``, in the top interval."""
+    return [(2 * j + 1) * q // (2 * count) for j in range(count - 1)] + [q - 1]
+
+
+def _assert_both_oracles(pv, nums, q, depth):
+    images = _truncated_numerators(pv, nums, q, depth)
+    assert images == _per_point_truncated_numerators(pv, nums, q, depth)
+    scale = q * pv.base.products[depth]
+    assert images == [_fraction_apply_truncated(pv, Fraction(p, q), depth) * scale for p in nums]
+
+
+@pytest.mark.parametrize("moduli, depth, count, groups", [
+    # no group: each image is p itself
+    ((2, 3, 5), 0, 3, 0),
+    ((3, 4), 0, 2, 0),
+    # one group: a lone level, fewer points than its modulus, or every level
+    ((2, 3, 5), 1, 1, 1),
+    ((3, 4), 1, 2, 1),
+    ((2, 3, 5), 2, 6, 1),
+    ((2, 3, 5), 3, 30, 1),
+    ((3, 4), 2, 12, 1),
+    # two groups: the first and the last, none between them
+    ((2, 3, 5), 2, 5, 2),
+    ((2, 3, 5), 3, 6, 2),
+    ((2, 3, 5), 3, 15, 2),
+    ((3, 4), 2, 1, 2),
+    ((3, 4), 2, 11, 2),
+    # three groups: one between the first and the last
+    ((2, 3, 5), 3, 1, 3),
+    ((2, 3, 5), 3, 5, 3),
+])
+def test_truncated_numerators_on_every_bijection_vector(moduli, depth, count, groups):
+    # every vector of bijections, off-grid points spread over [0, 1) and the
+    # top point q - 1; the group count is asserted so the cases cannot drift
+    base = make_base(moduli)
+    q = 10**15 + 37
+    nums = _spread_points(count, q)
+    for images in itertools.product(*(permutations(range(m)) for m in moduli)):
+        pv = PermutationVector(
+            tuple(make_unchecked(m, image) for m, image in zip(moduli, images)), base
+        )
+        assert len(_image_tables(pv, depth, count)) == groups
+        _assert_both_oracles(pv, nums, q, depth)
+
+
+@pytest.mark.parametrize("moduli, groups", [
+    # B_5 = 2310: two groups below it, one above
+    ((2, 3, 5, 7, 11), {BLOCK - 1: 2, BLOCK: 2, BLOCK + 1: 2, 2 * BLOCK + 1: 1}),
+    # no two levels fit under 2 BLOCK + 1 points together
+    ((101, 103, 107), {BLOCK - 1: 3, BLOCK: 3, BLOCK + 1: 3, 2 * BLOCK + 1: 3}),
+])
+def test_truncated_numerators_at_block_seams_with_one_to_three_groups(moduli, groups):
+    # the block counts above, against both oracles, off the grid and on it
+    pv = _random_vector(moduli, len(moduli))
+    depth = len(moduli)
+    for count, expected in groups.items():
+        assert len(_image_tables(pv, depth, count)) == expected
+        for q in (10**15 + 37, pv.base.products[depth] * 3):
+            _assert_both_oracles(pv, _spread_points(count, q), q, depth)
+
+
 def _peak_of_truncated_numerators(pv, nums, q, depth):
     tracemalloc.start()
     try:

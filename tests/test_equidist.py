@@ -844,7 +844,8 @@ def test_preservation_probe_matches_fraction_probe(pv, data):
 
 def collapsed(pv, nums, q, depth):
     """The image tables with grid point 1/30 sent where 0 goes: a map that
-    does not permute the grid, and agrees with ``apply_truncated`` at 0."""
+    does not permute the grid, and agrees with ``apply_truncated`` at every
+    other point, the last one built among them."""
     return _truncated_numerators(pv, [p - 1 if 30 * p == q else p for p in nums], q, depth)
 
 
@@ -877,14 +878,28 @@ def test_preservation_probe_maps_one_grid_period(monkeypatch, sample):
 
 
 def test_preservation_probe_raises_when_tables_and_apply_truncated_disagree(monkeypatch):
-    # the first point also goes through apply_truncated; an image table that
-    # moves it is a computation fault, not a falsified check
+    # the last point built also goes through apply_truncated; an image table
+    # that moves it is a computation fault, not a falsified check
     def off_by_one(pv, nums, q, depth):
         images = _truncated_numerators(pv, nums, q, depth)
-        return [images[0] + 1] + images[1:]
+        return images[:-1] + [images[-1] + 1]
 
     pv = shift_vector(make_base((2, 3, 5)))
     monkeypatch.setattr(equidist_module, "_truncated_numerators", off_by_one)
+    for source in SOURCES:
+        with pytest.raises(ComputationError, match="apply_truncated"):
+            ud_preservation_probe(pv, source, 60, 1)
+
+
+def test_preservation_probe_sees_tables_that_move_every_point_but_the_first(monkeypatch):
+    # the first point is 0 for every source, in interval 0 with tail 0: a
+    # fault that leaves it alone must still meet the apply_truncated check
+    def shifted(pv, nums, q, depth):
+        images = _truncated_numerators(pv, nums, q, depth)
+        return images[:1] + [y + 1 for y in images[1:]]
+
+    pv = shift_vector(make_base((2, 3, 5)))
+    monkeypatch.setattr(equidist_module, "_truncated_numerators", shifted)
     for source in SOURCES:
         with pytest.raises(ComputationError, match="apply_truncated"):
             ud_preservation_probe(pv, source, 60, 1)
