@@ -93,24 +93,20 @@ class Table(NamedTuple):
     the rest; :func:`_in_blocks` cuts plain iterables so.  The columns
     are read in order, one block of each per row block, so two columns may
     be one iterator that yields their blocks in turn.  A column's cells
-    are all of its first cell's kind (int, str or bool).  ``fixed`` maps the
-    position of a cell in the whole row to the value it holds in every
-    row; ``columns`` leaves those positions out.  With ``ints = (i,
-    width)``, the ``width`` cells from position ``i`` on are an int
-    sequence, each cell an int or a text of ints pre-rendered with the
-    sequence's separator.  Columns with such texts come as a function of
-    that separator, called with ``;`` for CSV and with the JSON list's own
-    for JSON.  ``bare`` holds the positions of other cells whose columns
-    may hold the texts of ints in place of the ints, so that a column of
-    few distinct values renders each once per table; like the int
-    sequence's texts, they go in as they are, in CSV and JSON alike."""
+    are all ints, written by ``repr``, or all texts, written as they are in
+    CSV and JSON alike: the handler finishes each text.  ``fixed`` maps the
+    position of a cell in the whole row to the int it holds in every row;
+    ``columns`` leaves those positions out.  With ``ints = (i, width)``,
+    the ``width`` cells from position ``i`` on are an int sequence.  Columns
+    with texts of such a sequence, its ints joined by its separator, come
+    as a function of that separator, called with ``;`` for CSV and with
+    the JSON list's own for JSON."""
 
     header: tuple[str, ...]
     columns: Iterable[Iterable[Sequence]] | Callable[[str], Iterable[Iterable[Sequence]]]
     count: int
     ints: tuple[int, int] | None = None
-    fixed: dict[int, object] | None = None
-    bare: tuple[int, ...] = ()
+    fixed: dict[int, int] | None = None
 
 
 def _in_blocks(columns: Iterable[Iterable]) -> list[Iterator[list]]:
@@ -123,51 +119,29 @@ def _in_blocks(columns: Iterable[Iterable]) -> list[Iterator[list]]:
     return list(map(cut, columns))
 
 
-def _between(sep: str, items: Iterable[list]) -> list:
-    """The parts of ``items``, ``sep`` between each two of them."""
-    return [part for item in items for part in (sep, *item)][1:]
-
-
 @functools.lru_cache(maxsize=64)
-def _row_parts(header: tuple, ints: tuple | None, fixed: tuple, bare: tuple, csv: bool,
-               pad: str) -> tuple:
-    """A row as its parts, once per shape: constant texts, the position of
-    each fixed cell in ``fixed``, and for each varying cell whether it is
-    bare, in the int sequence ``ints`` or in ``bare``; a CSV line, or the
-    JSON object at ``pad`` as ``json.dumps(row, indent=2)`` writes it."""
+def _row_texts(header: tuple, ints: tuple | None, fixed: tuple, csv: bool, pad: str) -> tuple:
+    """The constant texts of a row, once per shape: one more than its
+    varying cells, with the int of each ``(position, int)`` pair of
+    ``fixed`` rendered in; a CSV line, or the JSON object at ``pad`` as
+    ``json.dumps(row, indent=2)`` writes it."""
     i, width = ints or (0, 1)
-    # one field per header name: its parts
-    fields = [[at in bare] for at in range(len(header) + width - 1)]
-    for at in fixed:
-        fields[at] = [at]
+    # one field per cell, a varying cell "\0", which no constant text holds
+    # (json.dumps escapes it in a key)
+    fields = ["\0"] * (len(header) + width - 1)
+    for at, value in fixed:
+        fields[at] = repr(value)
     if ints:
-        items = _between(";" if csv else f",\n{pad}    ", [[True]] * width)
+        items = (";" if csv else f",\n{pad}    ").join(["\0"] * width)
         if not csv:
-            items = [f"[\n{pad}    ", *items, f"\n{pad}  ]"] if width else ["[]"]
+            items = f"[\n{pad}    {items}\n{pad}  ]" if width else "[]"
         fields[i : i + width] = [items]
     if csv:
-        return (*_between(",", fields), "\n")
-    keys = [[f"\n{pad}  {json.dumps(key)}: ", *field] for key, field in zip(header, fields)]
-    return ("{", *_between(",", keys), f"\n{pad}}}") if keys else ("{}",)
-
-
-def _row_texts(table: Table, csv: bool, pad: str = "") -> tuple[list[str], list[bool]]:
-    """The constant texts of a row of ``table`` (:func:`_row_parts`), one
-    more than its varying cells, and whether each varying cell is bare.  A
-    fixed cell's text is its ``str`` in CSV and its ``json.dumps`` in JSON."""
-    fixed = table.fixed or {}
-    texts, bare = [""], []
-    for part in _row_parts(tuple(table.header), table.ints, tuple(sorted(fixed)), table.bare,
-                           csv, pad):
-        if type(part) is bool:
-            texts.append("")
-            bare.append(part)
-        elif type(part) is int:
-            value = fixed[part]
-            texts[-1] += str(value) if csv or type(value) is int else json.dumps(value)
-        else:
-            texts[-1] += part
-    return texts, bare
+        line = ",".join(fields) + "\n"
+    else:
+        keys = [f"\n{pad}  {json.dumps(key)}: {field}" for key, field in zip(header, fields)]
+        line = "{" + ",".join(keys) + f"\n{pad}}}" if keys else "{}"
+    return tuple(line.split("\0"))
 
 
 def _blocks(table: Table, columns: Iterable[Iterable[Sequence]], csv: bool, pad: str = "",
@@ -175,28 +149,20 @@ def _blocks(table: Table, columns: Iterable[Iterable[Sequence]], csv: bool, pad:
     """The rows of ``table`` (:func:`_row_texts`) from ``columns``, each
     block of ``_ROW_BLOCK`` rows one ``str.join``: the constant texts go in
     by list repetition, the next block of column ``i`` by slice assignment
-    into the slots ``2·i + 1``.  Every row is led by ``lead``, the first one by
-    ``opening`` instead.  A column's cells are all of its first cell's
-    kind and go in as that kind asks: an int by ``repr``, a str as it is
-    in CSV or in a bare cell (the texts of ints), and in JSON any other str
-    or other kind by ``json.dumps`` (by ``str`` in CSV)."""
-    texts, bare = _row_texts(table, csv, pad)
-    step = 2 * len(bare) + 1
+    into the slots ``2·i + 1``, an int cell by ``repr`` and a text as it is.
+    Every row is led by ``lead``, the first one by ``opening`` instead."""
+    fixed = tuple(sorted((table.fixed or {}).items()))
+    texts = _row_texts(tuple(table.header), table.ints, fixed, csv, pad)
+    step = 2 * len(texts) - 1
     row = [None] * step
     row[::2] = texts
     row[0] = lead + texts[0]
     columns = list(map(iter, columns))
     for start in range(0, table.count, _ROW_BLOCK):
         pieces = row * min(_ROW_BLOCK, table.count - start)
-        for i, (column, as_is) in enumerate(zip(columns, bare)):
+        for i, column in enumerate(columns):
             cells = next(column)
-            kind = type(cells[0])
-            if kind is str and (csv or as_is):
-                pieces[2 * i + 1 :: step] = cells
-            elif kind is int:
-                pieces[2 * i + 1 :: step] = map(repr, cells)
-            else:
-                pieces[2 * i + 1 :: step] = map(str if csv else json.dumps, cells)
+            pieces[2 * i + 1 :: step] = map(repr, cells) if type(cells[0]) is int else cells
         if not start:
             pieces[0] = opening + texts[0]
         yield "".join(pieces)
@@ -361,7 +327,7 @@ def cmd_orbit(args) -> None:
     first = orbit_point(spec, start).digits.digits
     columns = functools.partial(_orbit_rows, spec, start, count, first)
     header = ("n", "value_num", "value_den", "digits")
-    table = Table(header, columns, count, (3, len(spec._groups)), bare=(2,))
+    table = Table(header, columns, count, (3, len(spec._groups)))
     line = "n=%d  value=%d/%s  digits=" + ";".join(["%s"] * len(spec._groups))
     cells = map(itertools.chain.from_iterable, columns(";")) if args.format == "table" else ()
     emit(args, map(line.__mod__, zip(*cells)), table, table)
@@ -382,10 +348,7 @@ def _level_report(args) -> Sequence[int]:
     """The ``check equivalence`` handler, also run by ``check ud``: emit the
     membership equivalence report and return its interval counts; raises
     (exit 3) on any index violating the congruence.  The rows' count is a
-    fixed cell when the report's counts are all equal.  When the table is
-    rendered (CSV, JSON), its ``j`` column, ``range(B_k)``, and the
-    residues, a permutation of it (the proved complete residue system),
-    read one list of their texts."""
+    fixed cell when the report's counts are all equal."""
     pv = _vector(args)
     seed = encode(args.alpha, pv.base, pv.depth)
     report = membership_equivalence(make_orbit(seed, pv), args.level, args.count)
@@ -403,14 +366,9 @@ def _level_report(args) -> Sequence[int]:
     varying, fixed = [counts], {2: modulus, 4: num, 5: den}
     if counts.count(counts[0]) == len(counts):
         fixed[3], varying = counts[0], []
-
-    def columns(sep):
-        texts = list(map(repr, range(modulus)))
-        return _in_blocks([texts, map(texts.__getitem__, residues), *varying])
-
     table = Table(
         ("j", "residue", "modulus", "count", "expected_num", "expected_den"),
-        columns, modulus, fixed=fixed, bare=(0, 1),
+        _in_blocks([range(modulus), residues, *varying]), modulus, fixed=fixed,
     )
     payload = {
         "level": report.level,

@@ -275,26 +275,27 @@ def test_check_equivalence_matches_the_per_row_oracle(capsys, monkeypatch, name,
     tables, reads = [], []
     real = cantorperm.cli.emit
 
-    def emit(args, table_lines, table, payload=None):
-        def columns(sep):
-            reads.append(sep)
-            return table.columns(sep)
+    def counted(column):
+        for block in column:
+            reads.append(len(block))
+            yield block
 
+    def emit(args, table_lines, table, payload=None):
         tables.append(table)
-        read = table._replace(columns=columns)
+        read = table._replace(columns=list(map(counted, table.columns)))
         real(args, table_lines, read, {**payload, "intervals": read})
 
     monkeypatch.setattr(cantorperm.cli, "emit", emit)
     code, out, err = run(capsys, "check", "equivalence", *argv, "--format", fmt)
     assert (code, err) == (0, "")
     assert_same_text(out, _equivalence_by_rows(argv, fmt))
-    # the columns, with their texts of j and the residues, are built only to
-    # be rendered: never for the table format
-    assert len(reads) == (fmt != "table")
     # the count is a fixed cell exactly when every interval holds N / B_k
     (table,) = tables
     assert (3 in table.fixed) == constant
-    assert len(table.columns(";")) == 2 + (not constant)
+    assert len(table.columns) == 2 + (not constant)
+    # the column blocks are cut only to be rendered: never for the table
+    # format; rendered, each column is read whole, once
+    assert sum(reads) == (fmt != "table") * len(table.columns) * table.count
 
 
 def _preserve_by_rows(argv, fmt) -> str:
@@ -616,31 +617,25 @@ def _json_template(header: tuple, slots: tuple, pad: str) -> str:
 def _row_renderer(table: RowTable, first: tuple, csv: bool, pad: str = "", lead: str = ""):
     """One ``%`` template for the rows shaped like ``first``, as the
     function that renders a row with it: ``lead`` then a CSV line, or the
-    JSON object at ``pad``.  A fixed cell's text goes into the template
-    with its own "%" doubled."""
+    JSON object at ``pad``; an int cell by ``%d`` and a text by ``%s``.  A
+    fixed cell's text goes into the template with its own "%" doubled."""
     fixed = table.fixed or {}
     cells = list(first)
     for i in sorted(fixed):
         cells.insert(i, fixed[i])
-    quoted = [type(v) is not int for v in cells]
     own = ["%d" if type(v) is int else "%s" for v in cells]
     for i, v in fixed.items():
-        own[i] = (own[i] % (json.dumps(v) if quoted[i] and not csv else v)).replace("%", "%%")
+        own[i] = (own[i] % v).replace("%", "%%")
     slots = ["%s"] * len(cells)
     if table.ints:
         i, width = table.ints
         ints = tuple(slots[i : i + width])
         slots[i : i + width] = [";".join(ints) if csv else ints]
-        quoted[i : i + width] = [False] * width  # pre-rendered texts go in bare
     if csv:
         skeleton = ",".join(slots) + "\n"
     else:
         skeleton = _json_template(tuple(table.header), tuple(slots), pad)
-    template = (lead + skeleton).replace("%%", "%%%%") % tuple(own)
-    quoted = [q for i, q in enumerate(quoted) if i not in fixed]
-    if csv or not any(quoted):
-        return template.__mod__
-    return lambda row: template % tuple(json.dumps(v) if q else v for v, q in zip(row, quoted))
+    return ((lead + skeleton).replace("%%", "%%%%") % tuple(own)).__mod__
 
 
 def _rendered_by_rows(table: RowTable, csv: bool, pad: str = "") -> str:
@@ -673,56 +668,53 @@ def _old_cell(value):
     return ";".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
-# a cell of each kind a CLI table holds; bools print as true/false in JSON,
-# where a bare %d would print 1 and 0
 INT = st.integers(min_value=-(10**40), max_value=10**40)
-CELLS = {
-    "int": INT,
-    "bool": st.booleans(),
-    "str": st.text(st.sampled_from('ab"\\%/\n\x00é€😀 '), max_size=6),
-}
 KEYS = st.text(st.sampled_from('ab"\\%dsé😀 '), min_size=1, max_size=4)
 
 
-def _table(header, flat, ints=None, fixed=None) -> Table:
-    """Whole ``flat`` rows as a :class:`Table` of columns, the positions in
-    ``fixed`` left out of the columns."""
+def _table(header, flat, ints=None, fixed=None, texts=()) -> Table:
+    """Whole ``flat`` rows of ints as a :class:`Table` of columns, the
+    positions in ``fixed`` left out of the columns and those in ``texts``
+    handed over as the texts of their ints."""
     fixed = fixed or {}
-    columns = list(zip(*([v for c, v in enumerate(r) if c not in fixed] for r in flat)))
+    kept = [c for c in range(len(header) + (ints[1] - 1 if ints else 0)) if c not in fixed]
+    columns = [[repr(row[c]) if c in texts else row[c] for row in flat] for c in kept]
     return Table(header, list(map(_blocked, columns)), len(flat), ints, fixed or None)
 
 
 @st.composite
 def tables(draw):
-    """``(header, rows, table)``: ``rows`` nested, one value per header name,
-    and ``table`` the same rows as columns, with at most one int sequence
-    and any other columns fixed: one value in every row, not a column."""
+    """``(header, rows, table)``: ``rows`` nested, one int or int list per
+    header name, and ``table`` the same rows as columns, with at most one
+    int sequence, any other columns fixed: one int in every row, not a
+    column, and any varying column handed over as the texts of its ints."""
     header = tuple(draw(st.lists(KEYS, min_size=1, max_size=5, unique=True)))
-    cells = [CELLS[draw(st.sampled_from(sorted(CELLS)))] for _ in header]
+    cells = [INT for _ in header]
     i, width = len(header), 1  # no int sequence: i past the last column
     if draw(st.booleans()):
         i, width = draw(st.integers(0, len(header) - 1)), draw(st.integers(0, 3))
         cells[i] = st.lists(INT, min_size=width, max_size=width)
-    fixed = {h: draw(cells[h]) for h in range(len(header)) if h != i and draw(st.booleans())}
+    fixed = {h: draw(INT) for h in range(len(header)) if h != i and draw(st.booleans())}
     cells = [st.just(fixed[h]) if h in fixed else cell for h, cell in enumerate(cells)]
     rows = draw(st.lists(st.tuples(*cells), max_size=4))
     flat = [(*r[:i], *r[i], *r[i + 1:]) if i < len(header) else r for r in rows]
     # a column after the int sequence is width - 1 cells further in a flat row
     at = {h + (width - 1) * (h > i): value for h, value in fixed.items()}
-    return header, rows, _table(header, flat, (i, width) if i < len(header) else None, at)
+    texts = {c for c in range(len(header) + width - 1) if draw(st.booleans())}
+    return header, rows, _table(header, flat, (i, width) if i < len(header) else None, at, texts)
 
 
 @given(tables())
-@example((("%d", '"%s"'), [(1, "%s")], _table(("%d", '"%s"'), [(1, "%s")])))
+@example((("%d", '"%s"'), [(1, -2)], _table(("%d", '"%s"'), [(1, -2)], texts={1})))
 @example((("residues", "n"), [([], 4)], _table(("residues", "n"), [(4,)], (0, 0))))
-# fixed texts holding "%", a quote or a backslash, and such keys
-@example((("%d", "b", "%s"), [("%d", 1, "%")] * 2,
-          _table(("%d", "b", "%s"), [("%d", 1, "%")] * 2, None, {0: "%d", 2: "%"})))
+# fixed cells beside keys holding "%", a quote or a backslash
+@example((("%d", "b", "%s"), [(5, 1, -7)] * 2,
+          _table(("%d", "b", "%s"), [(5, 1, -7)] * 2, None, {0: 5, 2: -7}, {1})))
 @example((("j", "%"), [(0, 100)], _table(("j", "%"), [(0, 100)], None, {1: 100})))
-@example((("\\%", 'a"'), [('"\\%s', 7)], _table(("\\%", 'a"'), [('"\\%s', 7)], None, {0: '"\\%s'})))
+@example((("\\%", 'a"'), [(-3, 7)], _table(("\\%", 'a"'), [(-3, 7)], None, {0: -3}, {1})))
 # every cell fixed; no row
-@example((("a", "b"), [(1, "x")] * 3, _table(("a", "b"), [(1, "x")] * 3, None, {0: 1, 1: "x"})))
-@example((("a", "%"), [], _table(("a", "%"), [], None, {1: "%s"})))
+@example((("a", "b"), [(1, 2)] * 3, _table(("a", "b"), [(1, 2)] * 3, None, {0: 1, 1: 2})))
+@example((("a", "%"), [], _table(("a", "%"), [], None, {1: 5})))
 def test_row_renderer_matches_dicts_through_stdlib_json_and_old_csv_cells(case):
     header, rows, table = case
     dicts = [dict(zip(header, row)) for row in rows]
@@ -745,26 +737,22 @@ BLOCK = cantorperm.cli._ROW_BLOCK
 
 
 def _straddling_table(count: int, texts: bool) -> tuple[Table, list[dict]]:
-    """``count`` rows with a cell of every kind, and the rows as dicts: an
-    index, a quoted string, a bool, an int sequence of two cells (ints, or
-    texts of ints as the ``orbit`` digits come), and fixed cells holding
-    "%", a quote and a backslash."""
-    header = ("j", 'na"me%', "digits", "k\\", "flag", "fixed%s")
-    names = [f'r{j}%s"\\' * (j % 3) for j in range(count)]
+    """``count`` rows and the rows as dicts: an index, a wide int, an int
+    sequence of two cells, and fixed cells, under keys holding "%", a
+    quote and a backslash; the wide ints and the sequence as ints, or as
+    texts of ints, as the ``orbit`` denominators and digits come."""
+    header = ("j", 'na"me%', "digits", "k\\", "fixed%s")
+    wide = [(-1) ** j * 10**20 + j for j in range(count)]
     pairs = [(j, -j * 10**20) for j in range(count)]
-    flags = [j % 2 == 0 for j in range(count)]
-    dicts = [
-        {"j": j, 'na"me%': name, "digits": list(pair), "k\\": '%d"', "flag": flag, "fixed%s": 7}
-        for j, name, pair, flag in zip(range(count), names, pairs, flags)
-    ]
-    firsts, seconds = [pair[0] for pair in pairs], [pair[1] for pair in pairs]
+    dicts = [{"j": j, 'na"me%': w, "digits": list(pair), "k\\": -5, "fixed%s": 7}
+             for j, w, pair in zip(range(count), wide, pairs)]
+    cells = [wide, [pair[0] for pair in pairs], [pair[1] for pair in pairs]]
     if texts:
         def columns(sep):
-            return list(map(_blocked, [range(count), names, map(str, firsts), map(str, seconds),
-                                       flags]))
+            return list(map(_blocked, [range(count), *(map(repr, c) for c in cells)]))
     else:
-        columns = list(map(_blocked, [range(count), names, firsts, seconds, flags]))
-    return Table(header, columns, count, (2, 2), {4: '%d"', 6: 7}), dicts
+        columns = list(map(_blocked, [range(count), *cells]))
+    return Table(header, columns, count, (2, 2), {4: -5, 5: 7}), dicts
 
 
 @pytest.mark.parametrize("texts", [False, True], ids=["ints", "texts"])
@@ -783,39 +771,37 @@ def test_rows_straddling_the_block_size_match_the_per_row_oracle(count, texts):
 
 
 @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1])
-def test_bare_columns_of_int_texts_render_as_their_ints(count):
-    # a role column of real strings, quoted in JSON as `probe monotone`'s
-    # are, beside bare columns: texts of a few distinct ints (as the `orbit`
-    # denominators), texts looked up in one list (as the `check
-    # equivalence` residues), and ints, which a bare column may hold too
-    header = ("role", "den", "residue", "count")
-    rows = [(("inc_low", 'dec"\\%s', "7")[j % 3], (1, 6, -10**20)[j % 5 % 3],
-             (j * 7) % count, j % 4) for j in range(count)]
-    roles, dens, residues, counts = map(list, zip(*rows))
-    texts = list(map(str, range(count)))
-    bare = Table(header, lambda sep: list(map(_blocked, [
-        roles, map(str, dens), map(texts.__getitem__, residues), counts])), count, bare=(1, 2, 3))
-    ints = Table(header, list(map(_blocked, [roles, dens, residues, counts])), count)
+def test_columns_of_int_texts_render_as_their_ints(count):
+    # columns of the texts of ints, as the `orbit` denominators (a few
+    # distinct values, each rendered once), beside a column of ints, render
+    # as the same columns of ints do
+    header = ("den", "residue", "count")
+    rows = [((1, 6, -10**20)[j % 5 % 3], (j * 7) % count, j % 4) for j in range(count)]
+    dens, residues, counts = map(list, zip(*rows))
+    texts = {den: repr(den) for den in dens}
+    as_texts = Table(header, lambda sep: list(map(_blocked, [
+        map(texts.__getitem__, dens), map(repr, residues), counts])), count)
+    ints = Table(header, list(map(_blocked, [dens, residues, counts])), count)
     old = RowTable(header, rows)
-    assert_same_text(_emitted("csv", bare), _emitted("csv", ints), _emitted_by_rows("csv", old))
-    listed = _emitted("json", bare, bare)
+    assert_same_text(_emitted("csv", as_texts), _emitted("csv", ints),
+                     _emitted_by_rows("csv", old))
+    listed = _emitted("json", as_texts, as_texts)
     assert_same_text(listed, _emitted("json", ints, ints), _emitted_by_rows("json", old))
     assert json.loads(listed) == [dict(zip(header, row)) for row in rows]
 
 
-# ints either side of 0 and of the machine word, and bools
+# ints either side of 0 and of the machine word
 WIDE = st.integers(-(2**70), 2**70) | st.sampled_from([0, -1, 2**64 - 1, 2**64, -(2**64) - 1])
 
 
-@given(ints=st.lists(WIDE, min_size=1, max_size=40), flags=st.data())
-def test_int_and_bool_columns_render_as_str_and_json_dumps(ints, flags):
-    # an int cell by repr: its str in CSV and its json.dumps in JSON; a bool
-    # cell True/False in CSV and true/false in JSON, as before
-    bools = flags.draw(st.lists(st.booleans(), min_size=len(ints), max_size=len(ints)))
-    table = Table(("i", "b"), [_blocked(ints), _blocked(bools)], len(ints))
-    csv = ["i,b"] + [f"{str(i)},{str(b)}" for i, b in zip(ints, bools)]
+@given(ints=st.lists(WIDE, min_size=1, max_size=40))
+def test_int_columns_and_their_texts_render_as_str_and_json_dumps(ints):
+    # an int cell by repr: its str in CSV and its json.dumps in JSON; its
+    # text, repr, as it is in both
+    table = Table(("i", "t"), [_blocked(ints), _blocked(map(repr, ints))], len(ints))
+    csv = ["i,t"] + [f"{str(i)},{str(i)}" for i in ints]
     assert _emitted("csv", table) == "\n".join(csv) + "\n"
-    dicts = [{"i": i, "b": b} for i, b in zip(ints, bools)]
+    dicts = [{"i": i, "t": i} for i in ints]
     assert _emitted("json", table, table) == json.dumps(dicts, indent=2) + "\n"
     assert json.loads(_emitted("json", table, table)) == dicts
 
@@ -835,8 +821,8 @@ def payloads(draw):
     return {k: v for k, v, _ in items}, {k: e for k, _, e in items}
 
 
-ROWS = Table(("a", "%s"), [[(1, -2)], [("x", "\n")]], 2)
-ROWS_AS_DICTS = [{"a": 1, "%s": "x"}, {"a": -2, "%s": "\n"}]
+ROWS = Table(("a", "%s"), [[(1, -2)], [("30", "-4")]], 2)
+ROWS_AS_DICTS = [{"a": 1, "%s": 30}, {"a": -2, "%s": -4}]
 NESTED = {"a": [], "b": {}, "c": [[], {}, ()], "d": (True, False, None, Fraction(-1, 3))}
 
 
@@ -883,6 +869,41 @@ def test_orbit_export_memory_does_not_grow_with_count(fmt):
     finally:
         tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < len(block.getvalue()), peaks
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_level_report_render_memory_does_not_grow_with_the_classes(monkeypatch, fmt):
+    # the reports are built beforehand: rendering one holds a block of rows
+    # and no text per class, so B_k = 30,030 rows peak within the text of
+    # one block of rows of B_k = 2,310 (its output's share of BLOCK rows)
+    base = make_base([2, 3, 5, 7, 11, 13])
+    spec = make_orbit(encode(0, base, base.depth), shift_vector(base))
+    # N = B_k + 1: the counts vary, so all three columns stream
+    sizes = {5: 2310, 6: 30030}
+    reports = {level: cantorperm.equidist.membership_equivalence(spec, level, size + 1)
+               for level, size in sizes.items()}
+    monkeypatch.setattr(cantorperm.cli, "membership_equivalence",
+                        lambda spec, level, sample: reports[level])
+    argvs = [["check", "equivalence", "--bases", "2,3,5,7,11,13", "--level", str(level),
+              "--count", str(size + 1), "--format", fmt] for level, size in sizes.items()]
+    outputs = []
+    for argv in argvs:  # also the first-call caches
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        outputs.append(out.getvalue())
+    assert outputs[1].count("\n") > 10 * outputs[0].count("\n")
+    peaks = []
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            for argv in argvs:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < len(outputs[0]) * BLOCK // sizes[5], peaks
 
 
 def test_one_parser_serves_every_golden_run_in_one_process(capsys):

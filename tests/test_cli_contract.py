@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cantorperm
-from cantorperm.cli import main
+from cantorperm.cli import build_parser, main
 
 MALFORMED = [
     ["expand", "--bases", "2,x", "--value", "0"],
@@ -242,6 +242,31 @@ def test_whole_command_lines_keep_exit_contract(argv):
     assert "Traceback" not in err.getvalue()
     if code in {1, 2}:
         assert out.getvalue() == ""
+    if code == 0:
+        _assert_well_formed(argv, out.getvalue())
+
+
+def _assert_well_formed(argv, text):
+    """The handlers finish every text cell: JSON output is what the stdlib
+    encoder writes for it, and every CSV row has its header's fields."""
+    fmt = build_parser().parse_args(argv).format
+    if fmt == "json":
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    elif fmt == "csv":
+        header, *rows = text.splitlines()
+        assert {row.count(",") for row in rows} <= {header.count(",")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=command_lines(), fmt=st.sampled_from(["csv", "json"]))
+def test_whole_command_lines_that_exit_0_write_well_formed_csv_and_json(argv, fmt):
+    # the last --format wins: every run that exits 0 renders its table
+    argv = [*argv, "--format", fmt]
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    if code == 0:
+        _assert_well_formed(argv, out.getvalue())
 
 
 def test_memory_error_exits_1_with_one_error_line(monkeypatch, capsys):
